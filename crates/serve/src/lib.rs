@@ -23,16 +23,22 @@
 //! * [`store`] — the content-addressed on-disk certificate store: one
 //!   `FLMC` file per canonical query key, written atomically, verified on
 //!   load, quarantined on damage. Warm hits survive restarts.
+//! * `conn` — the connection core: one per-connection state machine
+//!   (incremental frame decode, in-order pipelined slots, the pipeline cap,
+//!   discard-then-FIN after a framing violation, the request budget, idle
+//!   tracking, and read/write interest) that touches no socket, poller, or
+//!   clock. Both reactors below are thin epoll drivers over it.
 //! * [`server`] — the event-driven serve plane: one reactor thread
-//!   multiplexing pipelined connections over [`sys`], a worker pool for
-//!   CPU-bound refutations, and typed load shedding — a saturated server
-//!   answers [`rpc::Response::Overloaded`] instead of dropping the socket.
+//!   multiplexing pipelined connections over [`sys`] and `conn`, a
+//!   worker pool for CPU-bound refutations, and typed load shedding — a
+//!   saturated server answers [`rpc::Response::Overloaded`] instead of
+//!   dropping the socket.
 //! * [`shard`] — the cluster topology: a [`shard::ShardMap`] with a
 //!   canonical wire encoding, rendezvous ownership over canonical query
 //!   keys, and the store-rebalance walk that ships misplaced certificates
 //!   to their owners.
-//! * [`router`] — the sharded front: a second reactor on [`sys`] that
-//!   routes each keyed request to its owning shard over persistent
+//! * [`router`] — the sharded front: a second driver over the same
+//!   connection core and client-facing half as the server, which routes each keyed request to its owning shard over persistent
 //!   pipelined backend connections, fans Stats out into a cluster view,
 //!   and degrades a dead shard to typed [`rpc::Response::ShardDown`]
 //!   answers for that key range only.
@@ -51,6 +57,7 @@
 
 pub mod audit;
 pub mod client;
+pub(crate) mod conn;
 pub mod frame;
 pub mod loadgen;
 pub mod query;

@@ -866,6 +866,14 @@ pub enum Response {
 }
 
 impl Response {
+    /// A typed error answer.
+    pub fn error(code: ErrorCode, detail: impl fmt::Display) -> Response {
+        Response::Error {
+            code,
+            detail: detail.to_string(),
+        }
+    }
+
     /// Encodes the response into its frame.
     pub fn to_frame(&self) -> Frame {
         let mut w = Writer::new();

@@ -5,21 +5,16 @@
 //! # Architecture
 //!
 //! The reactor thread owns the nonblocking listener and every connection.
-//! Each connection is a small state machine: bytes are accumulated into a
-//! read buffer and parsed incrementally with [`Frame::decode`] (a
-//! `Truncated` result just means "wait for more bytes"), decoded requests
-//! either execute inline on the reactor (zero-hold pings, stats snapshots)
-//! or become jobs for the worker pool (refute, verify, audit, held pings),
-//! and responses flush through a write buffer that registers `WRITABLE`
-//! interest only while bytes remain. Because readiness is level-triggered,
-//! a connection that reaches its pipeline cap simply stops being read —
-//! TCP backpressure does the rest — and resumes when responses drain.
-//!
-//! Pipelining is first-class: a connection may send many frames back to
-//! back, the reactor tracks an in-flight slot per request, and responses
-//! are written in strict request order no matter which worker finishes
-//! first. One process therefore serves thousands of concurrent sockets
-//! with `workers` threads, instead of one thread per socket.
+//! Each connection is a `Conn`, the socket-free state machine in
+//! `crate::conn`; the reactor (a `Frontend` driven by `Service`, the
+//! same driver `flm-router` runs) only moves bytes and applies interest.
+//! Decoded requests either execute inline on the reactor (zero-hold pings,
+//! stats snapshots) or become jobs for the worker pool (refute, verify,
+//! audit, held pings). Pipelining is first-class: responses are written in
+//! strict request order no matter which worker finishes first, and a
+//! connection at its pipeline cap simply stops being read — TCP
+//! backpressure does the rest. One process therefore serves thousands of
+//! concurrent sockets with `workers` threads, instead of one per socket.
 //!
 //! # Shedding
 //!
@@ -52,9 +47,10 @@
 //! exposes every counter so both layers are observable.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsFd;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -67,12 +63,13 @@ use flm_sim::runcache::RunKey;
 
 use crate::audit;
 use crate::client::Client;
-use crate::frame::{Frame, FrameError, DEFAULT_MAX_BODY_BYTES};
+use crate::conn::{self, Conn, ConnCounters, Incoming, Limits};
+use crate::frame::DEFAULT_MAX_BODY_BYTES;
 use crate::query::{self, Theorem};
 use crate::rpc::{ErrorCode, Request, Response, StatsReport};
 use crate::shard::{self, ShardMap};
 use crate::store::{self, CertStore};
-use crate::sys::{self, Interest, Poller};
+use crate::sys::{self, Event, Interest, Poller};
 
 /// Server configuration. [`ServeConfig::default`] is sized for the loopback
 /// quickstart; production deployments tune every knob.
@@ -152,16 +149,13 @@ impl Default for ServeConfig {
 /// Stats RPC.
 #[derive(Default)]
 struct Counters {
-    connections_accepted: AtomicU64,
-    connections_shed: AtomicU64,
+    conn: Arc<ConnCounters>,
     requests_ping: AtomicU64,
     requests_refute: AtomicU64,
     requests_verify: AtomicU64,
     requests_audit: AtomicU64,
     requests_stats: AtomicU64,
     requests_shed: AtomicU64,
-    responses_error: AtomicU64,
-    malformed_frames: AtomicU64,
     requests_fetch: AtomicU64,
     requests_put: AtomicU64,
     wrong_shard: AtomicU64,
@@ -215,16 +209,16 @@ impl Shared {
             .map(CertStore::stats)
             .unwrap_or_default();
         StatsReport {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            connections_shed: c.connections_shed.load(Ordering::Relaxed),
+            connections_accepted: c.conn.accepted.load(Ordering::Relaxed),
+            connections_shed: c.conn.shed.load(Ordering::Relaxed),
             requests_ping: c.requests_ping.load(Ordering::Relaxed),
             requests_refute: c.requests_refute.load(Ordering::Relaxed),
             requests_verify: c.requests_verify.load(Ordering::Relaxed),
             requests_audit: c.requests_audit.load(Ordering::Relaxed),
             requests_stats: c.requests_stats.load(Ordering::Relaxed),
             requests_shed: c.requests_shed.load(Ordering::Relaxed),
-            responses_error: c.responses_error.load(Ordering::Relaxed),
-            malformed_frames: c.malformed_frames.load(Ordering::Relaxed),
+            responses_error: c.conn.responses_error.load(Ordering::Relaxed),
+            malformed_frames: c.conn.malformed_frames.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_entries: cache.entries as u64,
@@ -280,9 +274,20 @@ impl Server {
     ///
     /// Propagates bind, poller-creation, and store-open failures.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let limits = Limits {
+            max_body_bytes: config.max_body_bytes,
+            max_pipelined: config.max_pipelined,
+            max_requests: Some(config.max_requests_per_conn),
+        };
+        let counters = Counters::default();
+        let (front, waker, local_addr) = Frontend::bind(
+            &config.addr,
+            limits,
+            config.max_connections,
+            "serving",
+            FIRST_CONN_TOKEN,
+            Arc::clone(&counters.conn),
+        )?;
         let workers = config.workers.max(1);
         let store = match &config.store_dir {
             Some(dir) => {
@@ -296,14 +301,10 @@ impl Server {
             }
             None => None,
         };
-        let poller = Poller::new()?;
-        let (waker, wake_rx) = sys::wake_channel()?;
-        poller.register(listener.as_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-        poller.register(wake_rx.as_fd(), TOKEN_WAKER, Interest::READABLE)?;
 
         let shared = Arc::new(Shared {
             config: ServeConfig { workers, ..config },
-            counters: Counters::default(),
+            counters,
             store,
             jobs: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
@@ -323,7 +324,9 @@ impl Server {
         let reactor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                Reactor::new(listener, wake_rx, poller, shared).run();
+                let timeout = shared.config.read_timeout;
+                let shutdown = Arc::clone(&shared);
+                Reactor { front, shared }.run(&shutdown.shutdown, timeout);
             })
         };
 
@@ -402,617 +405,394 @@ impl Drop for Server {
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
+/// Longest one readiness wait blocks, which bounds how late a reactor
+/// notices a shutdown request.
+const TURN: Duration = Duration::from_millis(250);
+/// How often a reactor sweeps idle connections.
+const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
+/// How long a shutdown waits for in-flight answers to drain.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
-/// Bytes of unparseable input discarded after a framing violation before
-/// the connection is closed anyway (so the close sends FIN, not a RST that
-/// could destroy the typed error frame in flight).
-const DISCARD_BUDGET: usize = 64 * 1024;
-
-/// One pending request on a connection: its sequence number and, once some
-/// thread produced it, the encoded response frame. Responses leave in slot
-/// order no matter which finishes first — that is the pipelining contract.
-struct Slot {
-    seq: u64,
-    response: Option<Vec<u8>>,
-}
-
-/// Per-connection state machine.
-struct Conn {
+/// A client connection: its socket, the interest registered for it, and
+/// the socket-free [`Conn`] that decides everything else.
+struct Front {
     stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    inflight: VecDeque<Slot>,
-    next_seq: u64,
-    served: u64,
     interest: Interest,
-    /// Peer sent FIN: no more requests will arrive.
-    eof: bool,
-    /// Close as soon as the write buffer flushes (framing violation,
-    /// exhausted request budget, or shutdown).
-    closing: bool,
-    /// After a framing violation: keep reading (and discarding) up to
-    /// [`DISCARD_BUDGET`] bytes so the peer's in-flight bytes do not turn
-    /// our close into a RST.
-    discarding: usize,
-    last_activity: Instant,
+    conn: Conn,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Conn {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            inflight: VecDeque::new(),
-            next_seq: 0,
-            served: 0,
-            interest: Interest::READABLE,
-            eof: false,
-            closing: false,
-            discarding: 0,
-            last_activity: now,
-        }
-    }
-
-    /// True when nothing is pending: no queued responses, no unflushed
-    /// bytes.
-    fn idle(&self) -> bool {
-        self.inflight.is_empty() && self.write_buf.is_empty()
-    }
-
-    /// True while any request is still with the worker pool (an unfilled
-    /// slot can only be filled by a completion; inline responses fill
-    /// theirs immediately).
-    fn worker_pending(&self) -> bool {
-        self.inflight.iter().any(|s| s.response.is_none())
-    }
-}
-
-struct Reactor {
+/// The client-facing half of a reactor — listener, poller, wake channel,
+/// and every client connection, driven over [`Conn`]. The server and the
+/// router both run on it through [`Service`].
+pub(crate) struct Frontend {
+    pub(crate) poller: Poller,
     listener: TcpListener,
-    wake_rx: std::os::unix::net::UnixStream,
-    poller: Poller,
-    shared: Arc<Shared>,
-    conns: HashMap<u64, Conn>,
+    wake_rx: UnixStream,
+    conns: HashMap<u64, Front>,
+    counters: Arc<ConnCounters>,
+    limits: Limits,
+    max_connections: usize,
+    /// Names the service in the connection-shed detail.
+    label: &'static str,
+    /// Tokens from here up are client connections.
+    first_token: u64,
     next_token: u64,
-    accepting: bool,
+    chunk: Vec<u8>,
 }
 
-impl Reactor {
-    fn new(
-        listener: TcpListener,
-        wake_rx: std::os::unix::net::UnixStream,
-        poller: Poller,
-        shared: Arc<Shared>,
-    ) -> Reactor {
-        Reactor {
+impl Frontend {
+    /// Binds the nonblocking listener (returning its address) and builds
+    /// the poller and the wake channel; connection tokens are handed out
+    /// from `first_token` up.
+    pub(crate) fn bind(
+        addr: &str,
+        limits: Limits,
+        max_connections: usize,
+        label: &'static str,
+        first_token: u64,
+        counters: Arc<ConnCounters>,
+    ) -> std::io::Result<(Frontend, sys::Waker, SocketAddr)> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        let (waker, wake_rx) = sys::wake_channel()?;
+        poller.register(listener.as_fd(), TOKEN_LISTENER, Interest::READABLE)?;
+        poller.register(wake_rx.as_fd(), TOKEN_WAKER, Interest::READABLE)?;
+        let front = Frontend {
+            poller,
             listener,
             wake_rx,
-            poller,
-            shared,
             conns: HashMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-            accepting: true,
-        }
+            counters,
+            limits,
+            max_connections,
+            label,
+            first_token,
+            next_token: first_token,
+            chunk: vec![0; 16 * 1024],
+        };
+        Ok((front, waker, local_addr))
     }
 
-    fn run(mut self) {
-        let mut events = Vec::new();
-        let mut last_sweep = Instant::now();
-        let mut shutdown_at: Option<Instant> = None;
+    /// Accepts every pending connection. One past `max_connections` is
+    /// answered with a typed `Overloaded` frame and closed: shedding with
+    /// an answer is the contract, so clients always learn *why*.
+    fn accept(&mut self) {
         loop {
-            if self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(250)))
-                .is_err()
-            {
-                continue;
-            }
-            let shutting_down = self.shared.shutdown.load(Ordering::SeqCst);
-            if shutting_down && self.accepting {
-                // Entering drain mode, in this order: stop accepting, stop
-                // parsing (so no job is ever enqueued again), and only then
-                // tell the workers the queue can no longer grow — that
-                // ordering is what lets a worker exit on "closed + empty"
-                // without orphaning a connection mid-pipeline.
-                let _ = self.poller.deregister(self.listener.as_fd());
-                self.accepting = false;
-                for conn in self.conns.values_mut() {
-                    conn.closing = true;
-                }
-                self.shared.jobs_closed.store(true, Ordering::SeqCst);
-                self.shared.job_ready.notify_all();
-                shutdown_at = Some(Instant::now());
-            }
-            for ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => sys::drain_wakes(&self.wake_rx),
-                    token => self.conn_event(token, ev.readable, ev.writable, ev.hangup),
-                }
-            }
-            self.apply_completions();
-            let now = Instant::now();
-            if now.duration_since(last_sweep) >= Duration::from_secs(1) {
-                last_sweep = now;
-                self.sweep_idle(now);
-            }
-            if shutting_down {
-                // Close everything with no pending work; connections still
-                // waiting on workers drain first (in-flight requests
-                // complete and flush before the reactor exits).
-                let tokens: Vec<u64> = self
-                    .conns
-                    .iter()
-                    .filter(|(_, c)| c.idle())
-                    .map(|(&t, _)| t)
-                    .collect();
-                for token in tokens {
-                    self.close(token);
-                }
-                let deadline_passed =
-                    shutdown_at.is_some_and(|t| now.duration_since(t) > Duration::from_secs(5));
-                if self.conns.is_empty() || deadline_passed {
-                    return;
-                }
-            }
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        while self.accepting {
-            let (stream, _) = match self.listener.accept() {
-                Ok(accepted) => accepted,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+            let mut stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
             let _ = stream.set_nodelay(true);
-            if self.conns.len() >= self.shared.config.max_connections {
-                self.shed_connection(stream);
-                continue;
-            }
-            if stream.set_nonblocking(true).is_err() {
+            let held = self.conns.len();
+            if held >= self.max_connections {
+                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                let response = Response::Overloaded {
+                    queued: held as u32,
+                    detail: format!(
+                        "{} {held} connections (cap {}); retry later",
+                        self.label, self.max_connections
+                    ),
+                };
+                // The socket is fresh, so this tiny frame lands in the empty
+                // send buffer; a 1s timeout bounds the pathological case.
+                let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+                if let Ok(bytes) = response.to_frame().encode() {
+                    let _ = stream.write_all(&bytes);
+                }
                 continue;
             }
             let token = self.next_token;
             self.next_token += 1;
-            if self
-                .poller
-                .register(stream.as_fd(), token, Interest::READABLE)
-                .is_err()
+            let interest = Interest::READABLE;
+            if stream.set_nonblocking(true).is_err()
+                || self
+                    .poller
+                    .register(stream.as_fd(), token, interest)
+                    .is_err()
             {
                 continue;
             }
-            self.shared
-                .counters
-                .connections_accepted
-                .fetch_add(1, Ordering::Relaxed);
-            self.conns.insert(token, Conn::new(stream, Instant::now()));
-        }
-    }
-
-    /// Answers a connection the reactor cannot hold with a typed Overloaded
-    /// frame, then closes it. Shedding with an answer is the contract:
-    /// clients always learn *why* the connection ended.
-    fn shed_connection(&self, mut stream: TcpStream) {
-        self.shared
-            .counters
-            .connections_shed
-            .fetch_add(1, Ordering::Relaxed);
-        let response = Response::Overloaded {
-            queued: self.conns.len() as u32,
-            detail: format!(
-                "serving {} connections (cap {}); retry later",
-                self.conns.len(),
-                self.shared.config.max_connections
-            ),
-        };
-        // The socket is fresh, so this tiny frame lands in the empty send
-        // buffer; a 1s timeout bounds the pathological case.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-        if let Ok(bytes) = response.to_frame().encode() {
-            let _ = stream.write_all(&bytes);
-        }
-    }
-
-    fn conn_event(&mut self, token: u64, readable: bool, writable: bool, hangup: bool) {
-        // Stale event for a connection closed earlier in this batch.
-        if !self.conns.contains_key(&token) {
-            return;
-        }
-        if hangup {
-            self.close(token);
-            return;
-        }
-        if writable && !self.flush(token) {
-            return;
-        }
-        if readable {
-            self.readable(token);
-        }
-    }
-
-    /// Reads everything available, advances the parser, executes or
-    /// enqueues complete requests.
-    fn readable(&mut self, token: u64) {
-        let mut chunk = [0u8; 16 * 1024];
-        let cap = self.shared.config.max_pipelined;
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
+            self.counters.accepted.fetch_add(1, Ordering::Relaxed);
+            let conn = Conn::new(self.limits, Instant::now());
+            let front = Front {
+                stream,
+                interest,
+                conn,
             };
-            // Respect the pipeline cap *before* reading: level-triggered
-            // readiness will re-report the bytes once responses drain.
-            let want_read =
-                conn.discarding > 0 || (!conn.eof && !conn.closing && conn.inflight.len() < cap);
-            if !want_read {
-                break;
+            self.conns.insert(token, front);
+        }
+    }
+
+    /// Reads one chunk into a connection that wants input. False when
+    /// there is nothing more to read now: the socket would block, the peer
+    /// finished, the pipeline is at its cap, or the connection is gone.
+    fn read(&mut self, token: u64) -> bool {
+        let Some(front) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        if !front.conn.wants_read() {
+            return false;
+        }
+        match conn::read_nonblocking(&mut front.stream, &mut self.chunk) {
+            Ok(Some(0)) => front.conn.peer_closed(),
+            Ok(Some(n)) => {
+                front.conn.received(&self.chunk[..n], Instant::now());
+                return true;
             }
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.eof = true;
-                    // No more bytes will ever arrive; any discard budget is
-                    // moot and must not hold the connection open.
-                    conn.discarding = 0;
-                    break;
+            Ok(None) => {}
+            Err(_) => self.close(token),
+        }
+        false
+    }
+
+    /// Fills a slot; a connection closed meanwhile makes this a no-op.
+    pub(crate) fn fill(&mut self, token: u64, seq: u64, response: &Response) {
+        if let Some(front) = self.conns.get_mut(&token) {
+            front.conn.fill(seq, response, &self.counters);
+        }
+    }
+
+    /// Fills a slot with an encoded frame; a no-op on a closed connection.
+    pub(crate) fn fill_bytes(&mut self, token: u64, seq: u64, bytes: Vec<u8>) {
+        if let Some(front) = self.conns.get_mut(&token) {
+            front.conn.fill_bytes(seq, bytes);
+        }
+    }
+
+    /// Writes what the socket accepts, closes a finished connection, and
+    /// applies the interest its state now calls for. False when the
+    /// connection was closed.
+    fn flush(&mut self, token: u64) -> bool {
+        let Some(front) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        let open = match conn::write_nonblocking(&mut front.stream, front.conn.output()) {
+            Ok(n) => {
+                front.conn.wrote(n, Instant::now());
+                let (fd, wanted) = (front.stream.as_fd(), front.conn.interest());
+                !front.conn.finished()
+                    && (self.poller)
+                        .update(fd, token, &mut front.interest, wanted)
+                        .is_ok()
+            }
+            Err(_) => false,
+        };
+        if !open {
+            self.close(token);
+        }
+        open
+    }
+
+    /// Dropping a stream closes the fd, which also removes it from the
+    /// epoll set; the explicit deregister covers the (benign) case of the
+    /// kernel delaying that.
+    fn close(&mut self, token: u64) {
+        if let Some(front) = self.conns.remove(&token) {
+            let _ = self.poller.deregister(front.stream.as_fd());
+        }
+    }
+
+    /// Closes every connection `doomed` picks, as [`Frontend::close`] does.
+    fn close_where(&mut self, doomed: impl Fn(&Conn) -> bool) {
+        let poller = &self.poller;
+        self.conns.retain(|_, front| {
+            let close = doomed(&front.conn);
+            if close {
+                let _ = poller.deregister(front.stream.as_fd());
+            }
+            !close
+        });
+    }
+}
+
+/// A reactor built on a [`Frontend`]. It supplies what to do with each
+/// decoded request, plus hooks for the work it carries besides client
+/// connections; the event loop, the read-parse-flush cycle, the idle
+/// sweep, and the shutdown drain are the trait's, one copy for the server
+/// and the router.
+pub(crate) trait Service {
+    fn front(&mut self) -> &mut Frontend;
+
+    /// Answers, hands off, or forwards one decoded request.
+    fn request(&mut self, token: u64, incoming: Incoming);
+
+    /// An event on a descriptor the service registered itself.
+    fn event(&mut self, _ev: &Event) {}
+
+    /// Work after each batch of events.
+    fn turn(&mut self) {}
+
+    /// Periodic work, once per [`SWEEP_INTERVAL`].
+    fn sweep(&mut self, _now: Instant) {}
+
+    /// The shutdown drain began: no request will be parsed again.
+    fn draining(&mut self) {}
+
+    /// Serves until `shutdown` is set, then drains: stop accepting, stop
+    /// parsing, close each connection once nothing is pending on it (so
+    /// in-flight requests complete and flush), and give up on the rest
+    /// after [`SHUTDOWN_GRACE`].
+    fn run(&mut self, shutdown: &AtomicBool, idle_timeout: Duration) {
+        let mut events = Vec::new();
+        let mut last_sweep = Instant::now();
+        let mut shutdown_at: Option<Instant> = None;
+        loop {
+            if self.front().poller.wait(&mut events, Some(TURN)).is_err() {
+                continue;
+            }
+            if shutdown_at.is_none() && shutdown.load(Ordering::SeqCst) {
+                let front = self.front();
+                let _ = front.poller.deregister(front.listener.as_fd());
+                for front in front.conns.values_mut() {
+                    front.conn.close_when_drained();
                 }
-                Ok(n) => {
-                    conn.last_activity = Instant::now();
-                    if conn.discarding > 0 {
-                        conn.discarding = conn.discarding.saturating_sub(n);
-                        continue;
-                    }
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    if !self.parse_available(token) {
-                        return;
+                shutdown_at = Some(Instant::now());
+                self.draining();
+            }
+            for ev in &events {
+                let front = self.front();
+                match ev.token {
+                    TOKEN_LISTENER if shutdown_at.is_none() => front.accept(),
+                    TOKEN_LISTENER => {}
+                    TOKEN_WAKER => sys::drain_wakes(&front.wake_rx),
+                    token if token < front.first_token => self.event(ev),
+                    // Stale event for a connection closed earlier in this
+                    // batch.
+                    token if !front.conns.contains_key(&token) => {}
+                    token if ev.hangup => front.close(token),
+                    token => {
+                        if (!ev.writable || front.flush(token)) && ev.readable {
+                            self.readable(token);
+                        }
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(token);
+            }
+            self.turn();
+            let now = Instant::now();
+            if now.duration_since(last_sweep) >= SWEEP_INTERVAL {
+                last_sweep = now;
+                self.sweep(now);
+                self.front()
+                    .close_where(|conn| conn.timed_out(now, idle_timeout));
+            }
+            if let Some(began) = shutdown_at {
+                let front = self.front();
+                front.close_where(Conn::idle);
+                if front.conns.is_empty() || now.duration_since(began) > SHUTDOWN_GRACE {
                     return;
                 }
             }
+        }
+    }
+
+    /// Reads everything available, handing each complete request over as
+    /// it is parsed, then settles the connection.
+    fn readable(&mut self, token: u64) {
+        while self.front().read(token) {
+            self.parse(token);
         }
         self.advance(token);
     }
 
-    /// Settles a connection after IO or completions: re-parse anything the
-    /// pipeline cap deferred, resolve EOF, flush, re-derive interest.
+    /// Settles a connection after IO or answers: parse what the pipeline
+    /// cap deferred (or resolve a half-close), then flush.
     fn advance(&mut self, token: u64) {
-        if !self.parse_available(token) {
-            return;
-        }
-        let cap = self.shared.config.max_pipelined;
-        let mut close_now = false;
-        let mut leftover_garbage = false;
-        if let Some(conn) = self.conns.get_mut(&token) {
-            if conn.eof && !conn.closing {
-                if conn.read_buf.is_empty() {
-                    if conn.idle() {
-                        close_now = true;
-                    } else {
-                        // Serve out the pipeline, then close.
-                        conn.closing = true;
-                    }
-                } else if conn.inflight.len() < cap {
-                    // The parser stopped on Truncated (not on the pipeline
-                    // cap) and no more bytes can ever arrive: the peer
-                    // half-closed mid-frame. A framing violation, answered
-                    // like any other (the truncation fuzz tests pin this).
-                    leftover_garbage = true;
-                }
-                // Else: complete frames may still be sitting behind the
-                // cap; completions will re-enter here and re-parse.
-            }
-        } else {
-            return;
-        }
-        if close_now {
-            self.close(token);
-            return;
-        }
-        if leftover_garbage {
-            self.shared
-                .counters
-                .malformed_frames
-                .fetch_add(1, Ordering::Relaxed);
-            let detail = FrameError::Truncated.to_string();
-            self.queue_error(token, ErrorCode::MalformedFrame, &detail);
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.read_buf.clear();
-                conn.closing = true;
-            }
-        }
-        if !self.flush(token) {
-            return;
-        }
-        self.update_interest(token);
+        self.parse(token);
+        self.front().flush(token);
     }
 
-    /// Parses every complete frame in the read buffer. Returns false when
-    /// the connection was closed.
-    fn parse_available(&mut self, token: u64) -> bool {
-        let mut consumed = 0;
+    fn parse(&mut self, token: u64) {
         loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
+            let front = self.front();
+            let Some(f) = front.conns.get_mut(&token) else {
+                return;
             };
-            if conn.closing || conn.inflight.len() >= self.shared.config.max_pipelined {
-                break;
-            }
-            let max_body = self.shared.config.max_body_bytes;
-            match Frame::decode(&conn.read_buf[consumed..], max_body) {
-                Ok((frame, n)) => {
-                    consumed += n;
-                    conn.last_activity = Instant::now();
-                    self.request_frame(token, &frame);
-                }
-                Err(FrameError::Truncated) => break,
-                Err(e) => {
-                    // The bytes are not a frame: typed error, then close —
-                    // after a framing violation the stream offset can no
-                    // longer be trusted. Discard what the peer already sent
-                    // so the close sends FIN, not RST.
-                    self.shared
-                        .counters
-                        .malformed_frames
-                        .fetch_add(1, Ordering::Relaxed);
-                    let detail = e.to_string();
-                    self.queue_error(token, ErrorCode::MalformedFrame, &detail);
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.read_buf.clear();
-                        conn.closing = true;
-                        conn.discarding = DISCARD_BUDGET;
-                    }
-                    return true;
-                }
-            }
+            let Some(incoming) = f.conn.next_request(&front.counters, Instant::now()) else {
+                return;
+            };
+            self.request(token, incoming);
         }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.read_buf.drain(..consumed);
-        }
-        true
+    }
+}
+
+/// The server's reactor: decoded requests are answered inline or handed
+/// to the worker pool, whose completions come back through the waker.
+struct Reactor {
+    front: Frontend,
+    shared: Arc<Shared>,
+}
+
+impl Service for Reactor {
+    fn front(&mut self) -> &mut Frontend {
+        &mut self.front
     }
 
-    /// Routes one well-framed request: budget check, decode, then inline
-    /// execution, worker hand-off, or request-level shed.
-    fn request_frame(&mut self, token: u64, frame: &Frame) {
-        let config_budget = self.shared.config.max_requests_per_conn;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.served >= config_budget {
-            let detail =
-                format!("connection exhausted its {config_budget}-request budget; reconnect");
-            self.queue_error(token, ErrorCode::ConnectionBudget, &detail);
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.closing = true;
-            }
-            return;
-        }
-        conn.served += 1;
-        let request = match Request::from_frame(frame) {
-            Ok(request) => request,
-            Err(e) => {
-                // The frame was sound but the body was not: typed error,
-                // keep the connection (framing is still in sync).
-                self.shared
-                    .counters
-                    .malformed_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                let detail = e.to_string();
-                self.queue_error(token, ErrorCode::MalformedFrame, &detail);
-                return;
-            }
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.inflight.push_back(Slot {
-            seq,
-            response: None,
-        });
-
-        let c = &self.shared.counters;
-        match request {
+    /// Answers one decoded request inline, hands it to the worker pool, or
+    /// sheds it.
+    fn request(&mut self, token: u64, Incoming { seq, request, .. }: Incoming) {
+        let shared = &self.shared;
+        let c = &shared.counters;
+        let response = match request {
             // Zero-hold pings and stats snapshots are reactor-inline: they
             // cost microseconds and must keep answering while the worker
             // pool is saturated (that is what makes saturation observable).
-            Request::Ping { payload, hold_ms }
-                if hold_ms.min(self.shared.config.max_hold_ms) == 0 =>
-            {
+            Request::Ping { payload, hold_ms } if hold_ms.min(shared.config.max_hold_ms) == 0 => {
                 c.requests_ping.fetch_add(1, Ordering::Relaxed);
-                self.fill_slot(token, seq, &Response::Pong { payload });
+                Response::Pong { payload }
             }
             Request::Stats => {
                 c.requests_stats.fetch_add(1, Ordering::Relaxed);
-                let snapshot = self.shared.snapshot();
-                self.fill_slot(token, seq, &Response::Stats(snapshot));
+                Response::Stats(shared.snapshot())
             }
             request => {
-                let mut jobs = relock(self.shared.jobs.lock());
-                let busy = self.shared.busy_workers.load(Ordering::SeqCst);
-                let saturated = busy >= self.shared.config.workers
-                    && jobs.len() >= self.shared.config.queue_depth;
-                if saturated {
-                    let queued = jobs.len() as u32;
+                let mut jobs = relock(shared.jobs.lock());
+                let busy = shared.busy_workers.load(Ordering::SeqCst);
+                if busy < shared.config.workers || jobs.len() < shared.config.queue_depth {
+                    jobs.push_back(Job {
+                        conn: token,
+                        seq,
+                        request,
+                    });
                     drop(jobs);
-                    c.requests_shed.fetch_add(1, Ordering::Relaxed);
-                    let response = Response::Overloaded {
-                        queued,
-                        detail: format!(
-                            "all {} workers busy and {} requests queued; retry later",
-                            self.shared.config.workers, queued
-                        ),
-                    };
-                    self.fill_slot(token, seq, &response);
+                    shared.job_ready.notify_one();
                     return;
                 }
-                jobs.push_back(Job {
-                    conn: token,
-                    seq,
-                    request,
-                });
+                let queued = jobs.len() as u32;
                 drop(jobs);
-                self.shared.job_ready.notify_one();
-            }
-        }
-    }
-
-    /// Queues a typed error response into the next slot (allocating one).
-    fn queue_error(&mut self, token: u64, code: ErrorCode, detail: &str) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.inflight.push_back(Slot {
-            seq,
-            response: None,
-        });
-        let response = Response::Error {
-            code,
-            detail: detail.into(),
-        };
-        self.fill_slot(token, seq, &response);
-    }
-
-    /// Delivers a response into its slot, then moves every response that is
-    /// now at the front of the pipeline into the write buffer.
-    fn fill_slot(&mut self, token: u64, seq: u64, response: &Response) {
-        if matches!(response, Response::Error { .. }) {
-            self.shared
-                .counters
-                .responses_error
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let Ok(bytes) = response.to_frame().encode() else {
-            // A response too large for the frame format (>4 GiB) cannot be
-            // sent; the only sound recovery is a fresh connection.
-            self.close(token);
-            return;
-        };
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if let Some(slot) = conn.inflight.iter_mut().find(|s| s.seq == seq) {
-            slot.response = Some(bytes);
-        }
-        while let Some(front) = conn.inflight.front_mut() {
-            match front.response.take() {
-                Some(bytes) => {
-                    conn.write_buf.extend_from_slice(&bytes);
-                    conn.inflight.pop_front();
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Writes as much of the write buffer as the socket accepts. Returns
-    /// false when the connection was closed.
-    fn flush(&mut self, token: u64) -> bool {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            if conn.write_buf.is_empty() {
-                break;
-            }
-            match conn.stream.write(&conn.write_buf) {
-                Ok(0) => {
-                    self.close(token);
-                    return false;
-                }
-                Ok(n) => {
-                    conn.write_buf.drain(..n);
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(token);
-                    return false;
+                c.requests_shed.fetch_add(1, Ordering::Relaxed);
+                Response::Overloaded {
+                    queued,
+                    detail: format!(
+                        "all {} workers busy and {queued} requests queued; retry later",
+                        shared.config.workers
+                    ),
                 }
             }
-        }
-        let close_now = self
-            .conns
-            .get(&token)
-            .is_some_and(|c| c.closing && c.idle() && c.discarding == 0);
-        if close_now {
-            self.close(token);
-            return false;
-        }
-        self.update_interest(token);
-        true
-    }
-
-    /// Re-derives epoll interest from connection state and applies it if
-    /// it changed.
-    fn update_interest(&mut self, token: u64) {
-        let config_cap = self.shared.config.max_pipelined;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
         };
-        let wanted = Interest {
-            readable: conn.discarding > 0
-                || (!conn.eof && !conn.closing && conn.inflight.len() < config_cap),
-            writable: !conn.write_buf.is_empty(),
-        };
-        let mut modify_failed = false;
-        if wanted != conn.interest {
-            if self
-                .poller
-                .modify(conn.stream.as_fd(), token, wanted)
-                .is_ok()
-            {
-                conn.interest = wanted;
-            } else {
-                modify_failed = true;
-            }
-        }
-        if modify_failed {
-            self.close(token);
-        }
+        self.front.fill(token, seq, &response);
     }
 
     /// Drains the completion queue: fill slots, then settle each touched
     /// connection (which also re-parses frames the pipeline cap deferred).
-    fn apply_completions(&mut self) {
+    fn turn(&mut self) {
         let done = std::mem::take(&mut *relock(self.shared.completions.lock()));
-        for completion in done {
-            self.fill_slot(completion.conn, completion.seq, &completion.response);
-            self.advance(completion.conn);
+        for done in done {
+            self.front.fill(done.conn, done.seq, &done.response);
+            self.advance(done.conn);
         }
     }
 
-    /// Closes connections that made no IO progress past the configured
-    /// timeout. A connection still waiting on a worker is never timed out —
-    /// a slow refutation is not idleness — but an idle or write-stuck peer
-    /// cannot pin a connection slot forever.
-    fn sweep_idle(&mut self, now: Instant) {
-        let timeout = self.shared.config.read_timeout;
-        let stale: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| !c.worker_pending() && now.duration_since(c.last_activity) > timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in stale {
-            self.close(token);
-        }
-    }
-
-    fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            // Dropping the stream closes the fd, which also removes it from
-            // the epoll set; the explicit deregister covers the (benign)
-            // case of the kernel delaying that removal.
-            let _ = self.poller.deregister(conn.stream.as_fd());
-        }
+    /// Drain mode was entered in this order: stop accepting, stop parsing
+    /// (so no job is ever enqueued again), and only now tell the workers
+    /// the queue can no longer grow — that ordering is what lets a worker
+    /// exit on "closed + empty" without orphaning a connection
+    /// mid-pipeline.
+    fn draining(&mut self) {
+        self.shared.jobs_closed.store(true, Ordering::SeqCst);
+        self.shared.job_ready.notify_all();
     }
 }
 
@@ -1035,7 +815,13 @@ fn worker_loop(shared: &Shared) {
             }
         };
         shared.busy_workers.fetch_add(1, Ordering::SeqCst);
-        let response = dispatch(job.request, shared);
+        // A request that panics (a protocol asserting a graph-shape
+        // invariant the query violates, say) is answered `Internal` in its
+        // own slot, and the worker lives on to serve the next job.
+        let response =
+            flm_sim::contain_panics(|| dispatch(job.request, shared)).unwrap_or_else(|panic| {
+                Response::error(ErrorCode::Internal, format!("request panicked: {panic}"))
+            });
         shared.busy_workers.fetch_sub(1, Ordering::SeqCst);
         relock(shared.completions.lock()).push(Completion {
             conn: job.conn,
@@ -1078,22 +864,12 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                             };
                         }
                     }
-                    Err(e) => {
-                        return Response::Error {
-                            code: ErrorCode::BadRequest,
-                            detail: e.to_string(),
-                        }
-                    }
+                    Err(e) => return Response::error(ErrorCode::BadRequest, e),
                 }
             }
             let theorem = match Theorem::parse(&params.theorem) {
                 Ok(theorem) => theorem,
-                Err(e) => {
-                    return Response::Error {
-                        code: ErrorCode::BadRequest,
-                        detail: e.to_string(),
-                    }
-                }
+                Err(e) => return Response::error(ErrorCode::BadRequest, e),
             };
             if theorem == Theorem::FlpAsync {
                 c.async_refutes.fetch_add(1, Ordering::Relaxed);
@@ -1130,19 +906,15 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                     }
                     Response::Certificate { bytes }
                 }
-                Err(e @ query::QueryError::BadRequest { .. })
-                | Err(e @ query::QueryError::UnknownTheorem { .. }) => Response::Error {
-                    code: ErrorCode::BadRequest,
-                    detail: e.to_string(),
-                },
-                Err(e @ query::QueryError::Refute { .. }) => Response::Error {
-                    code: ErrorCode::RefuteFailed,
-                    detail: e.to_string(),
-                },
-                Err(e @ query::QueryError::SelfCheck { .. }) => Response::Error {
-                    code: ErrorCode::Internal,
-                    detail: e.to_string(),
-                },
+                Err(e) => {
+                    let code = match e {
+                        query::QueryError::BadRequest { .. }
+                        | query::QueryError::UnknownTheorem { .. } => ErrorCode::BadRequest,
+                        query::QueryError::Refute { .. } => ErrorCode::RefuteFailed,
+                        query::QueryError::SelfCheck { .. } => ErrorCode::Internal,
+                    };
+                    Response::error(code, e)
+                }
             }
         }
         Request::Verify { cert } => {
@@ -1187,20 +959,15 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                 }
             }
             let Some(store) = &shared.store else {
-                return Response::Error {
-                    code: ErrorCode::BadRequest,
-                    detail: "this server has no store directory; nowhere to keep the certificate"
-                        .into(),
-                };
+                let detail = "this server has no store directory; nowhere to keep the certificate";
+                return Response::error(ErrorCode::BadRequest, detail);
             };
             // Ship-verify-then-own: shipped bytes pass the same decode +
             // canonical re-encode gate a disk load does before this store
             // will ever serve them.
             if !store::verified_cert_bytes(&cert) {
-                return Response::Error {
-                    code: ErrorCode::BadRequest,
-                    detail: "shipped bytes are not a canonically-encoded FLMC certificate".into(),
-                };
+                let detail = "shipped bytes are not a canonically-encoded FLMC certificate";
+                return Response::error(ErrorCode::BadRequest, detail);
             }
             store.store(&RunKey::from_bytes(key), &cert);
             Response::PutCert

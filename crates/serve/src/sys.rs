@@ -14,7 +14,8 @@
 //!
 //! The abstraction is deliberately small — register / modify / deregister /
 //! wait over opaque `u64` tokens, plus a [`Waker`] for cross-thread
-//! wake-ups — because the server's reactor is the only customer.
+//! wake-ups — because the serve plane's two reactors (server and router)
+//! are its only customers.
 
 use std::io::{self, Write as _};
 use std::os::fd::{AsRawFd, BorrowedFd, FromRawFd, OwnedFd};
@@ -62,8 +63,9 @@ mod ffi {
     }
 }
 
-/// Which readiness a registration asks to be woken for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which readiness a registration asks to be woken for (by default,
+/// neither).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Interest {
     /// Wake when the descriptor becomes readable (or the peer hangs up).
     pub readable: bool,
@@ -201,6 +203,26 @@ impl Poller {
     /// Propagates `epoll_ctl` failure.
     pub fn modify(&self, fd: BorrowedFd<'_>, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(ffi::EPOLL_CTL_MOD, fd, interest.bits(), token)
+    }
+
+    /// Moves a registration from `*current` to `wanted`, skipping the
+    /// syscall when they already agree.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `epoll_ctl` failure; `*current` is then left unchanged.
+    pub fn update(
+        &self,
+        fd: BorrowedFd<'_>,
+        token: u64,
+        current: &mut Interest,
+        wanted: Interest,
+    ) -> io::Result<()> {
+        if *current != wanted {
+            self.modify(fd, token, wanted)?;
+            *current = wanted;
+        }
+        Ok(())
     }
 
     /// Removes a descriptor from the poller. Dropping the descriptor also

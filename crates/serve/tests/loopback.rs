@@ -326,3 +326,33 @@ fn explicit_query_parameters_and_typed_failures() {
     assert_eq!(client.ping(b"alive", 0).unwrap(), b"alive");
     server.shutdown();
 }
+
+/// A request that panics inside the refuter (EIG asserts a complete graph;
+/// a 5-cycle is not one) is answered with a typed `Internal` error, and
+/// the only worker survives: the next refute on the same connection still
+/// returns a certificate.
+#[test]
+fn a_panicking_request_is_a_typed_error_and_the_worker_survives() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let cycle = flm_graph::builders::cycle(5);
+    match client.refute("ba-nodes", Some("EIG(f=2)"), Some(&cycle), 2, None) {
+        Err(ClientError::ErrorResponse { code, detail }) => {
+            assert_eq!(code, flm_serve::rpc::ErrorCode::Internal);
+            assert!(detail.contains("panicked"), "detail: {detail}");
+        }
+        other => panic!("expected a typed Internal error, got {other:?}"),
+    }
+    assert_eq!(server.busy_workers(), 0);
+    let wire = client.refute("ba-nodes", None, None, 1, None).unwrap();
+    let expected = refute_to_bytes(Theorem::BaNodes, None, None, 1, RunPolicy::default()).unwrap();
+    assert_eq!(wire, expected);
+    server.shutdown();
+}

@@ -23,8 +23,10 @@ use std::time::Duration;
 
 use flm_serve::audit::{audit_bytes, EXIT_VERIFIED};
 use flm_serve::client::{Client, ClientError};
+use flm_serve::frame::{read_frame, write_frame, DEFAULT_MAX_BODY_BYTES};
 use flm_serve::query::{canonical_query_key, refute_to_bytes, Theorem};
 use flm_serve::router::{Router, RouterConfig};
+use flm_serve::rpc::{RefuteParams, Request, Response};
 use flm_serve::server::{ServeConfig, Server, ShardRole};
 use flm_serve::shard::{self, ShardMap};
 use flm_serve::store;
@@ -403,4 +405,66 @@ fn peer_fetch_recovers_a_reassigned_key_without_resimulating() {
     );
     assert_eq!(stats.store_stores, 1, "the fetched cert must be adopted");
     cluster.shutdown();
+}
+
+/// The router carries all of a shard's traffic on one backend connection,
+/// so the shard's per-connection request budget must not take the key
+/// range down: the router renews the connection and re-sends what was
+/// pending, and every routed refute still gets its certificate.
+#[test]
+fn shard_request_budget_renews_the_backend_instead_of_failing_the_shard() {
+    let port = reserve_ports(1)[0];
+    let map = ShardMap::new(vec![format!("127.0.0.1:{port}")]).unwrap();
+    let shard = Server::start(ServeConfig {
+        addr: map.addr(0).to_owned(),
+        workers: 2,
+        max_requests_per_conn: 3,
+        shard: Some(ShardRole {
+            id: 0,
+            map: map.clone(),
+        }),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let router = Router::start(RouterConfig::new("127.0.0.1:0", map)).unwrap();
+    let mut client = Client::connect(router.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let families = [Theorem::BaNodes, Theorem::WeakAgreement];
+    let expected: Vec<Vec<u8>> = families
+        .iter()
+        .map(|&t| refute_to_bytes(t, None, None, 1, RunPolicy::default()).unwrap())
+        .collect();
+    for i in 0..20 {
+        let (theorem, bytes) = (families[i % 2], &expected[i % 2]);
+        let wire = client.refute(theorem.name(), None, None, 1, None).unwrap();
+        assert_eq!(&wire, bytes, "refute {i} through the router");
+    }
+    // Pipelined: the budget error lands with requests still pending behind
+    // it, and every one of them is re-sent in order on the fresh connection.
+    let mut raw = std::net::TcpStream::connect(router.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    for i in 0..20 {
+        let request = Request::Refute(RefuteParams {
+            theorem: families[i % 2].name().to_owned(),
+            protocol: None,
+            graph: None,
+            f: 1,
+            policy: None,
+        });
+        write_frame(&mut raw, &request.to_frame()).unwrap();
+    }
+    for i in 0..20 {
+        let frame = read_frame(&mut raw, DEFAULT_MAX_BODY_BYTES).unwrap();
+        match Response::from_frame(&frame).unwrap() {
+            Response::Certificate { bytes } => assert_eq!(bytes, expected[i % 2], "answer {i}"),
+            other => panic!("pipelined refute {i}: expected a certificate, got {other:?}"),
+        }
+    }
+    let stats = router.stats();
+    assert_eq!(stats.shard_down_answers, 0);
+    assert!(stats.backend_reconnects >= 14, "{stats:?}");
+    router.shutdown();
+    shard.shutdown();
 }
