@@ -253,17 +253,16 @@ fn faulted_system(
     Ok(sys)
 }
 
-/// Canonical bytes for the faulted run's assembly minus the horizon: the
-/// problem's input pattern, the protocol, the topology, the fault plan
-/// (seed and every rule), and the policy. The horizon stays out so shrink
-/// probes that shorten a scenario share the longer run's tick snapshots.
-fn faulted_static(
+/// Whole-run cache key for the faulted run: the problem's input pattern,
+/// the protocol, the topology, the fault plan (seed and every rule), the
+/// policy, and the horizon.
+fn faulted_key(
     problem: ProblemKind,
     protocol: &dyn Protocol,
     g: &Graph,
     scenario: &Scenario,
     policy: &RunPolicy,
-) -> Vec<u8> {
+) -> flm_sim::runcache::RunKey {
     use flm_sim::faults::FaultAction;
     let mut w = flm_sim::wire::Writer::new();
     w.str("campaignfaulted");
@@ -305,36 +304,9 @@ fn faulted_static(
         }
     }
     policy.encode(&mut w);
-    w.finish()
-}
-
-/// Whole-run cache key for the faulted run: the static assembly plus the
-/// horizon.
-fn faulted_key(
-    problem: ProblemKind,
-    protocol: &dyn Protocol,
-    g: &Graph,
-    scenario: &Scenario,
-    policy: &RunPolicy,
-) -> flm_sim::runcache::RunKey {
-    let mut payload = faulted_static(problem, protocol, g, scenario, policy);
+    let mut payload = w.finish();
     payload.extend_from_slice(&scenario.horizon.to_le_bytes());
     flm_sim::runcache::RunKey::new("campaignfaulted", payload)
-}
-
-/// Prefix schedule for the faulted run: static assembly, no scripted nodes
-/// (the fault injectors wrap real devices, which fork with them).
-fn faulted_schedule(
-    problem: ProblemKind,
-    protocol: &dyn Protocol,
-    g: &Graph,
-    scenario: &Scenario,
-    policy: &RunPolicy,
-) -> flm_sim::prefixcache::PrefixSchedule {
-    flm_sim::prefixcache::PrefixSchedule::new(
-        faulted_static(problem, protocol, g, scenario, policy),
-        Vec::new(),
-    )
 }
 
 /// Probes one scenario. `Ok(Some(cert))` is a self-verified violation
@@ -354,20 +326,14 @@ pub fn probe(
         .map_err(|e| ("build".into(), e.to_string()))?;
 
     // Faulted run: the plan's injectors distort what the faulty senders
-    // put on the wire; harvest those distorted outedge traces. Memoized
-    // with a horizon-free prefix schedule (no scripted nodes), so shrink
-    // probes that only shorten the horizon fork a stored tick snapshot —
-    // usually the completion snapshot, skipping re-simulation entirely.
+    // put on the wire; harvest those distorted outedge traces.
     let key = faulted_key(problem, protocol, &g, scenario, policy);
-    let schedule = faulted_schedule(problem, protocol, &g, scenario, policy);
-    let faulted = flm_sim::prefixcache::memoize_prefixed(
-        &key,
-        &schedule,
-        scenario.horizon,
-        policy,
-        || faulted_system(protocol, &g, &scenario.plan, problem).map_err(stage("run")),
-        |e| ("run".into(), e.to_string()),
-    )?;
+    let faulted = flm_sim::runcache::memoize_discrete(&key, || {
+        faulted_system(protocol, &g, &scenario.plan, problem)
+            .map_err(stage("run"))?
+            .run_contained(scenario.horizon, policy)
+            .map_err(|e| ("run".into(), e.to_string()))
+    })?;
     let faulty: BTreeSet<NodeId> = scenario
         .plan
         .faulty_nodes()

@@ -1,6 +1,6 @@
 //! Machine-readable perf suites: the numbers behind `BENCH_substrate.json`,
 //! `BENCH_refuters.json`, `BENCH_runcache.json`, `BENCH_serve.json`,
-//! `BENCH_campaign.json`, and `BENCH_prefix.json`.
+//! and `BENCH_campaign.json`.
 //!
 //! Each suite measures a small, stable set of hot paths and reports
 //! min/median/mean ns/op via [`crate::harness::measure`]. The substrate suite pits the dense
@@ -18,9 +18,10 @@
 use crate::harness::{measure, Config, Stats};
 use crate::protocols_under_test::{EigUnderTest, TableUnderTest};
 use flm_core::refute;
-use flm_graph::builders;
+use flm_graph::{builders, NodeId};
 use flm_sim::devices::TableDevice;
-use flm_sim::{Input, Payload, System};
+use flm_sim::replay::ReplayDevice;
+use flm_sim::{EdgeBehavior, Input, Payload, System};
 
 /// One measured bench: a stable name plus its timing statistics.
 pub struct BenchRow {
@@ -116,6 +117,61 @@ pub fn substrate_suite(samples: usize) -> Suite {
     rows.push(BenchRow {
         name: "broadcast_fanout_1k_x64/vec".into(),
         stats: vec,
+    });
+
+    // A chain-link-shaped system: one replay node masquerading among table
+    // devices, the workload of every transplant in a chain argument (the
+    // all-table rows above have no replay node).
+    let g = builders::complete(6);
+    let scripted = NodeId(0);
+    let horizon: u32 = 64;
+    let traces: Vec<EdgeBehavior> = g
+        .neighbors(scripted)
+        .enumerate()
+        .map(|(p, _)| {
+            (0..horizon)
+                .map(|t| {
+                    if (t as usize + p).is_multiple_of(4) {
+                        None
+                    } else {
+                        Some(Payload::from(vec![p as u8, t as u8, 0x5A]))
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let build_link = || {
+        let mut sys = System::new(g.clone());
+        for v in g.nodes() {
+            if v == scripted {
+                sys.assign(
+                    v,
+                    Box::new(ReplayDevice::masquerade(traces.clone())),
+                    Input::Bool(false),
+                );
+            } else {
+                sys.assign(
+                    v,
+                    Box::new(TableDevice::new(0xBE ^ u64::from(v.0), 64)),
+                    Input::Bool(v.0.is_multiple_of(2)),
+                );
+            }
+        }
+        sys
+    };
+    let dense = measure(config, || build_link().try_run(horizon).unwrap());
+    let reference = measure(config, || build_link().run_reference(horizon).unwrap());
+    speedups.push((
+        "link_table_run_k6_t64: dense kernel vs reference loop".into(),
+        ratio(reference, dense),
+    ));
+    rows.push(BenchRow {
+        name: "link_table_run_k6_t64/dense".into(),
+        stats: dense,
+    });
+    rows.push(BenchRow {
+        name: "link_table_run_k6_t64/reference".into(),
+        stats: reference,
     });
 
     Suite { rows, speedups }
@@ -244,7 +300,6 @@ pub fn runcache_suite(samples: usize) -> Suite {
     let warm = measure(config, || refute::ba_nodes(&eig, &k6, 2).unwrap());
     let cold = measure(config, || {
         flm_sim::runcache::clear();
-        flm_sim::prefixcache::clear();
         refute::ba_nodes(&eig, &k6, 2).unwrap()
     });
     speedups.push((
@@ -377,7 +432,6 @@ pub fn serve_suite(samples: usize) -> Suite {
     let warm = measure(config, || refute_rpc(&mut client));
     let cold = measure(config, || {
         flm_sim::runcache::clear();
-        flm_sim::prefixcache::clear();
         refute_rpc(&mut client)
     });
     speedups.push((
@@ -394,8 +448,8 @@ pub fn serve_suite(samples: usize) -> Suite {
     });
 
     // Disk warm: the same workload answered from the persistent
-    // certificate store with every in-memory layer — run cache, prefix
-    // cache, the store's own memory tier — dropped before each request, so
+    // certificate store with every in-memory layer — run cache and the
+    // store's own memory tier — dropped before each request, so
     // the request pays key hashing + one file read + decode-verify instead
     // of a full simulation. Gated against the cold leg above: if the store
     // path regresses toward re-simulating, the ratio collapses.
@@ -421,7 +475,6 @@ pub fn serve_suite(samples: usize) -> Suite {
     let disk_cfg = cfg(samples.max(25));
     let disk_warm = measure(disk_cfg, || {
         flm_sim::runcache::clear();
-        flm_sim::prefixcache::clear();
         stored_server.drop_store_memory();
         refute_rpc(&mut stored_client)
     });
@@ -560,7 +613,6 @@ pub fn serve_suite(samples: usize) -> Suite {
 
     let routed_cold = measure(config, || {
         flm_sim::runcache::clear();
-        flm_sim::prefixcache::clear();
         refute_rpc(&mut routed)
     });
     speedups.push((
@@ -637,13 +689,11 @@ pub fn campaign_suite(samples: usize) -> Suite {
 
     let par = measure(config, || {
         flm_sim::runcache::clear();
-        flm_sim::prefixcache::clear();
         run_campaign(&sweep)
     });
     let seq = measure(config, || {
         flm_par::sequential(|| {
             flm_sim::runcache::clear();
-            flm_sim::prefixcache::clear();
             run_campaign(&sweep)
         })
     });
@@ -662,269 +712,6 @@ pub fn campaign_suite(samples: usize) -> Suite {
         "campaign_shrink_quality: mean nodes before vs after shrinking (deterministic)".into(),
         outcome.report.mean_shrink_ratio(),
     ));
-
-    Suite { rows, speedups }
-}
-
-/// The prefix-sharing suite: chain-link-shaped runs (a replay node
-/// masquerading among table devices, the workload of every transplant in a
-/// chain argument) served three ways — cold full simulation, a warm prefix
-/// fork that re-simulates only the final ticks after a tail perturbation,
-/// and a pure snapshot extraction when the whole run is already stored in
-/// the trie. A dense-kernel-vs-reference-loop pair on the same link-shaped
-/// system pins the structure-of-arrays substrate the forks resume into.
-pub fn prefix_suite(samples: usize) -> Suite {
-    use flm_graph::NodeId;
-    use flm_sim::auth::mix64;
-    use flm_sim::device::{snapshot, Device, NodeCtx};
-    use flm_sim::prefixcache::{self, PrefixSchedule};
-    use flm_sim::replay::ReplayDevice;
-    use flm_sim::runcache::RunKey;
-    use flm_sim::wire::Writer;
-    use flm_sim::{EdgeBehavior, Payload, RunPolicy, Tick};
-    use std::cell::Cell;
-
-    /// A forkable device with a protocol-class per-tick cost. `TableDevice`
-    /// steps in nanoseconds, which lets fixed per-run costs (building the
-    /// system, encoding the schedule) drown the simulation being skipped;
-    /// real consensus devices (EIG trees, signature chains) do orders of
-    /// magnitude more work per tick. The mixing loop stands in for that.
-    #[derive(Clone)]
-    struct HeavyDevice {
-        state: u64,
-        rounds: u32,
-        decided: Option<bool>,
-    }
-
-    impl Device for HeavyDevice {
-        fn name(&self) -> &'static str {
-            "BenchHeavy"
-        }
-        fn init(&mut self, ctx: &NodeCtx) {
-            self.state = mix64(self.state ^ u64::from(ctx.node.0));
-        }
-        fn step(&mut self, t: Tick, inbox: &[Option<Payload>]) -> Vec<Option<Payload>> {
-            for (p, m) in inbox.iter().enumerate() {
-                if let Some(m) = m {
-                    for &b in m.iter() {
-                        self.state = mix64(self.state ^ u64::from(b) ^ ((p as u64) << 32));
-                    }
-                }
-            }
-            for i in 0..u64::from(self.rounds) {
-                self.state = mix64(self.state ^ i);
-            }
-            if t.0 == 60 {
-                self.decided = Some(self.state & 1 == 1);
-            }
-            let out = self.state.to_be_bytes().to_vec();
-            inbox
-                .iter()
-                .map(|_| Some(Payload::from(out.clone())))
-                .collect()
-        }
-        fn snapshot(&self) -> Vec<u8> {
-            match self.decided {
-                Some(b) => snapshot::decided_bool(b, &self.state.to_be_bytes()),
-                None => snapshot::undecided(&self.state.to_be_bytes()),
-            }
-        }
-        fn fork(&self) -> Option<Box<dyn Device>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
-    let config = cfg(samples);
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-
-    let g = builders::complete(6);
-    let scripted = NodeId(0);
-    let horizon: u32 = 64;
-    let policy = RunPolicy::default();
-
-    // Deterministic masquerade traces: one per port, payloads varying with
-    // (port, tick), silences sprinkled in.
-    let base: Vec<EdgeBehavior> = g
-        .neighbors(scripted)
-        .enumerate()
-        .map(|(p, _)| {
-            (0..horizon)
-                .map(|t| {
-                    if (t as usize + p).is_multiple_of(4) {
-                        None
-                    } else {
-                        Some(Payload::from(vec![p as u8, t as u8, 0x5A]))
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    let build = |traces: &[EdgeBehavior]| {
-        let mut sys = System::new(g.clone());
-        for v in g.nodes() {
-            if v == scripted {
-                sys.assign(
-                    v,
-                    Box::new(ReplayDevice::masquerade(traces.to_vec())),
-                    Input::Bool(false),
-                );
-            } else {
-                sys.assign(
-                    v,
-                    Box::new(HeavyDevice {
-                        state: 0xBE ^ u64::from(v.0),
-                        rounds: 2_000,
-                        decided: None,
-                    }),
-                    Input::Bool(v.0.is_multiple_of(2)),
-                );
-            }
-        }
-        sys
-    };
-    let schedule_for = |traces: &[EdgeBehavior]| {
-        let mut w = Writer::new();
-        w.str("bench-link").bytes(&g.to_bytes()).u32(scripted.0);
-        for trace in traces {
-            w.u32(trace.len() as u32);
-        }
-        let mut schedule = PrefixSchedule::new(w.finish(), vec![scripted]);
-        for t in 0..horizon as usize {
-            let mut tw = Writer::new();
-            for trace in traces {
-                match trace.get(t).and_then(Option::as_ref) {
-                    None => {
-                        tw.u8(0);
-                    }
-                    Some(p) => {
-                        tw.u8(1).bytes(p);
-                    }
-                }
-            }
-            schedule.push_tick(tw.finish());
-        }
-        schedule
-    };
-    // The salt makes every iteration's key distinct, so the whole-run cache
-    // never short-circuits the path under measurement.
-    let run_prefixed = |traces: &[EdgeBehavior], salt: u64| {
-        let mut w = Writer::new();
-        w.str("bench-link").u64(salt);
-        for trace in traces {
-            flm_sim::behavior::encode_edge_behavior(trace, &mut w);
-        }
-        prefixcache::memoize_prefixed(
-            &RunKey::new("bench-prefix", w.finish()),
-            &schedule_for(traces),
-            horizon,
-            &policy,
-            || Ok::<_, String>(build(traces)),
-            |e| e.to_string(),
-        )
-        .unwrap()
-    };
-    let perturb = |salt: u64| {
-        let mut traces = base.clone();
-        for trace in &mut traces {
-            *trace.last_mut().unwrap() =
-                Some(Payload::from(vec![0xF0, salt as u8, (salt >> 8) as u8]));
-        }
-        traces
-    };
-
-    flm_sim::runcache::clear();
-    prefixcache::clear();
-    // Stock the trie once; every warm iteration below forks its boundaries.
-    let _ = run_prefixed(&base, u64::MAX);
-
-    // Warm fork: the tail of every trace changes each iteration, so the run
-    // resumes from the deepest shared boundary and re-simulates only the
-    // final stride of ticks.
-    let salt = Cell::new(0u64);
-    let warm_fork = measure(config, || {
-        let s = salt.get();
-        salt.set(s + 1);
-        run_prefixed(&perturb(s), s)
-    });
-
-    // Extraction: the schedule matches the stored run tick for tick, so the
-    // completion snapshot is forked and zero ticks are re-simulated (the
-    // salted key still defeats the whole-run cache).
-    let extract = measure(config, || {
-        let s = salt.get();
-        salt.set(s + 1);
-        run_prefixed(&base, s)
-    });
-
-    // Cold: the identical per-iteration work — clone, perturb, build — but
-    // every tick simulated from scratch with both reuse layers out of play.
-    let cold = measure(config, || {
-        let s = salt.get();
-        salt.set(s + 1);
-        flm_sim::runcache::bypass(|| build(&perturb(s)).run_contained(horizon, &policy).unwrap())
-    });
-
-    speedups.push((
-        "link_tail_resim_k6_t64: warm prefix fork vs cold full run".into(),
-        ratio(cold, warm_fork),
-    ));
-    // The extraction ratio (cold / extract, ~30-45×) is recorded via the
-    // rows only: the extract leg finishes in tens of microseconds, so its
-    // minimum swings far more than the gate's 25% tolerance between runs.
-    rows.push(BenchRow {
-        name: "link_run_k6_t64/warm_fork".into(),
-        stats: warm_fork,
-    });
-    rows.push(BenchRow {
-        name: "link_run_k6_t64/extract".into(),
-        stats: extract,
-    });
-    rows.push(BenchRow {
-        name: "link_run_k6_t64/cold".into(),
-        stats: cold,
-    });
-
-    // The substrate the forks resume into: the SoA kernel vs the reference
-    // loop on a link-shaped system (replay node included, unlike the
-    // substrate suite's all-table rows). Light table devices here — with
-    // heavy devices both loops just measure device stepping.
-    let build_light = |traces: &[EdgeBehavior]| {
-        let mut sys = System::new(g.clone());
-        for v in g.nodes() {
-            if v == scripted {
-                sys.assign(
-                    v,
-                    Box::new(ReplayDevice::masquerade(traces.to_vec())),
-                    Input::Bool(false),
-                );
-            } else {
-                sys.assign(
-                    v,
-                    Box::new(TableDevice::new(0xBE ^ u64::from(v.0), 64)),
-                    Input::Bool(v.0.is_multiple_of(2)),
-                );
-            }
-        }
-        sys
-    };
-    let dense = measure(config, || build_light(&base).try_run(horizon).unwrap());
-    let reference = measure(config, || {
-        build_light(&base).run_reference(horizon).unwrap()
-    });
-    speedups.push((
-        "link_table_run_k6_t64: dense kernel vs reference loop".into(),
-        ratio(reference, dense),
-    ));
-    rows.push(BenchRow {
-        name: "link_table_run_k6_t64/dense".into(),
-        stats: dense,
-    });
-    rows.push(BenchRow {
-        name: "link_table_run_k6_t64/reference".into(),
-        stats: reference,
-    });
 
     Suite { rows, speedups }
 }
@@ -1054,7 +841,7 @@ mod tests {
         let suite = substrate_suite(3);
         assert!(suite.rows.iter().any(|r| r.name.ends_with("/dense")));
         assert!(suite.rows.iter().any(|r| r.name.ends_with("/reference")));
-        assert_eq!(suite.speedups.len(), 3);
+        assert_eq!(suite.speedups.len(), 4);
         assert!(suite.speedups.iter().all(|(_, r)| *r > 0.0));
     }
 }

@@ -3,7 +3,7 @@
 //! them strictly, emit certificates that pass the audit path with exit 0,
 //! and reproduce byte-identically from the same seed.
 
-use flm_bench::campaign::{run_campaign, smoke_config};
+use flm_bench::campaign::{run_campaign, smoke_config, write_campaign};
 use flm_serve::audit::{audit_bytes, EXIT_VERIFIED};
 
 #[test]
@@ -93,4 +93,40 @@ fn campaign_incidents_are_structured_not_crashes() {
         outcome.report.incidents
     );
     assert!(!outcome.report.violations.is_empty());
+}
+
+/// The run cache is a performance layer only: a campaign whose every probe
+/// and shrink step re-simulates writes the same report and certificate
+/// files, byte for byte, as one served from the cache.
+#[test]
+fn uncached_campaign_writes_the_same_files_as_a_cached_one() {
+    let config = smoke_config(0xF1A);
+    let root = std::env::temp_dir().join(format!("flm-campaign-bypass-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cached_dir = root.join("cached");
+    let bypassed_dir = root.join("bypassed");
+    write_campaign(&run_campaign(&config), &cached_dir).unwrap();
+    // `bypass` is per thread, so the sweep runs inline to keep every probe
+    // inside the bypass scope.
+    let bypassed = flm_par::sequential(|| flm_sim::runcache::bypass(|| run_campaign(&config)));
+    write_campaign(&bypassed, &bypassed_dir).unwrap();
+
+    let files = |dir: &std::path::Path| {
+        let mut files: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                (entry.file_name(), std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let cached = files(&cached_dir);
+    assert!(cached.len() > 1, "the campaign wrote no certificates");
+    assert!(
+        cached == files(&bypassed_dir),
+        "uncached campaign files differ from the cached run's"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }

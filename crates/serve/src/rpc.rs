@@ -489,17 +489,6 @@ stats_counter_table! {
     cache_entries,
     /// Approximate behavior bytes served from the cache instead of re-run.
     cache_bytes_saved,
-    /// Process-global prefix-trie hits — runs resumed from a stored tick
-    /// snapshot (see `flm_sim::prefixcache::stats`).
-    prefix_hits,
-    /// Prefix-trie misses — runs simulated from tick 0.
-    prefix_misses,
-    /// Snapshots dropped by the prefix trie's LRU bound.
-    prefix_evictions,
-    /// Ticks skipped by resuming from snapshots instead of re-simulating.
-    prefix_ticks_saved,
-    /// Snapshots currently stored in the prefix trie.
-    prefix_entries,
     /// Requests answered with [`Response::Overloaded`] while the worker
     /// pool and its queue were saturated (the connection stays open).
     requests_shed,
@@ -600,15 +589,6 @@ impl fmt::Display for StatsReport {
             self.cache_hit_rate() * 100.0,
             self.cache_entries,
             self.cache_bytes_saved / 1024,
-        )?;
-        writeln!(
-            f,
-            "prefix trie: {} hits / {} misses, {} ticks skipped, {} snapshots, {} evictions",
-            self.prefix_hits,
-            self.prefix_misses,
-            self.prefix_ticks_saved,
-            self.prefix_entries,
-            self.prefix_evictions,
         )?;
         write!(
             f,
@@ -1119,10 +1099,6 @@ mod tests {
             requests_refute: 2,
             cache_hits: 40,
             cache_misses: 2,
-            prefix_hits: 7,
-            prefix_misses: 5,
-            prefix_ticks_saved: 93,
-            prefix_entries: 12,
             requests_shed: 4,
             store_mem_hits: 9,
             store_disk_hits: 6,

@@ -201,7 +201,6 @@ impl Shared {
     fn snapshot(&self) -> StatsReport {
         let c = &self.counters;
         let cache = flm_sim::runcache::stats();
-        let prefix = flm_sim::prefixcache::stats();
         let async_stats = flm_core::refute::async_search_stats();
         let store = self
             .store
@@ -223,11 +222,6 @@ impl Shared {
             cache_misses: cache.misses,
             cache_entries: cache.entries as u64,
             cache_bytes_saved: cache.bytes_saved,
-            prefix_hits: prefix.hits,
-            prefix_misses: prefix.misses,
-            prefix_evictions: prefix.evictions,
-            prefix_ticks_saved: prefix.ticks_saved,
-            prefix_entries: prefix.entries as u64,
             store_mem_hits: store.mem_hits,
             store_disk_hits: store.disk_hits,
             store_misses: store.misses,

@@ -251,12 +251,9 @@ fn stats_rpc_reflects_served_requests() {
     assert_eq!(stats.connections_accepted, 1);
     assert_eq!(stats.connections_shed, 0);
     assert_eq!(stats.requests_shed, 0);
-    // The run cache and the prefix trie are process-global (other tests in
-    // this binary also feed them), so only monotone claims are safe:
-    // traffic exists, and every refutation above drove runs through the
-    // prefix-aware memoizer.
+    // The run cache is process-global (other tests in this binary also
+    // feed it), so only a monotone claim is safe: traffic exists.
     assert!(stats.cache_hits + stats.cache_misses > 0);
-    assert!(stats.prefix_hits + stats.prefix_misses > 0);
     server.shutdown();
 }
 

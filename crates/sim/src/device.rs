@@ -278,9 +278,8 @@ impl NodeCtx {
 ///   port and must return exactly one per port (`None` = silence; silence
 ///   is itself observable on the edge).
 ///
-/// Devices are `Send` so that mid-run snapshots (forked device state held
-/// by `flm_sim::prefixcache`) can live in a process-global store shared
-/// across worker threads.
+/// Devices are `Send` so that an assembled system can be handed to a worker
+/// thread.
 pub trait Device: Send {
     /// Short human-readable name (`"EIG"`, `"Replay"`, …) used in reports.
     fn name(&self) -> &'static str;
@@ -298,12 +297,14 @@ pub trait Device: Send {
     fn snapshot(&self) -> Vec<u8>;
 
     /// A complete, independent copy of the device's *runtime* state, used
-    /// by the prefix cache to resume a run from a stored tick snapshot.
+    /// by the asynchronous scheduler's adversarial look-ahead to ask whether
+    /// one more delivery would make this device decide, without disturbing
+    /// the device itself.
     ///
     /// The contract is total fidelity: the fork must step exactly like the
     /// original from here on. Devices that cannot guarantee that return
-    /// `None` (the default) — the run then simply isn't prefix-cached,
-    /// which is always sound.
+    /// `None` (the default) — the look-ahead then treats the delivery as
+    /// unknown, which is always sound.
     fn fork(&self) -> Option<Box<dyn Device>> {
         None
     }

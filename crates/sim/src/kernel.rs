@@ -13,12 +13,8 @@
 //! * the port tables (`RunScratch`) — flat in/out edge-index arrays with a
 //!   per-node prefix-sum offset table, and one flat inbox buffer.
 //!
-//! The payoff is that a mid-run snapshot ([`TickSnapshot`]) is a handful of
-//! slab prefix clones (`Option<Payload>` clones are refcount bumps) plus a
-//! [`Device::fork`] per live node — which is what makes the run-prefix trie
-//! ([`crate::prefixcache`]) cheap enough to capture speculatively. The
-//! pre-existing `System::run_reference` map-per-delivery loop is untouched
-//! and remains the differential oracle for this kernel.
+//! `System::run_reference`, the map-per-delivery loop, remains the
+//! differential oracle for this kernel.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -26,120 +22,15 @@ use std::sync::Arc;
 use flm_graph::{Graph, NodeId};
 
 use crate::behavior::{DeviceMisbehavior, MisbehaviorKind, NodeBehavior, SystemBehavior};
-use crate::device::{snapshot, Device, Payload};
+use crate::device::{snapshot, Payload};
 use crate::system::{RunPolicy, RunScratch, Slot, SystemError};
 use crate::Tick;
-
-/// A forkable mid-run state capture at a tick boundary: everything the
-/// kernel needs to resume a run at tick `tick` as if it had executed ticks
-/// `0..tick` itself.
-///
-/// Slab fields hold the time-major prefixes for the completed ticks;
-/// `devices[v]` holds a [`Device::fork`] of node `v`'s device, or `None`
-/// for nodes whose device need not (scripted replay nodes, whose outputs
-/// the prefix key pins per tick) or cannot (quarantined nodes, whose state
-/// may be poisoned) be restored — on resume those keep the freshly
-/// assembled system's device, which is sound because a scripted device's
-/// `step` reads only the tick index and a quarantined node is never
-/// stepped again.
-pub struct TickSnapshot {
-    tick: u32,
-    e_count: u32,
-    n: u32,
-    traces: Vec<Option<Payload>>,
-    delivered: Vec<u64>,
-    snap_bytes: Vec<u8>,
-    snap_ends: Vec<u32>,
-    quarantined: Vec<bool>,
-    misbehavior: Vec<DeviceMisbehavior>,
-    devices: Vec<Option<Box<dyn Device>>>,
-}
-
-impl TickSnapshot {
-    /// The tick boundary this snapshot was captured at.
-    pub fn tick(&self) -> u32 {
-        self.tick
-    }
-
-    /// Approximate retained bytes, for the prefix cache's byte bound.
-    pub fn approx_bytes(&self) -> usize {
-        let payloads: usize = self
-            .traces
-            .iter()
-            .flatten()
-            .map(|p| p.len() + std::mem::size_of::<Payload>())
-            .sum();
-        payloads
-            + self.snap_bytes.len()
-            + self.snap_ends.len() * 4
-            + self.delivered.len() * 8
-            + self.traces.len()
-            + self.n as usize * 64
-    }
-
-    /// A shape-degenerate snapshot for store-level tests that must never
-    /// reach the kernel (probe rejection paths).
-    #[cfg(test)]
-    pub(crate) fn empty_for_tests(tick: u32) -> TickSnapshot {
-        TickSnapshot {
-            tick,
-            e_count: 0,
-            n: 0,
-            traces: Vec::new(),
-            delivered: Vec::new(),
-            snap_bytes: Vec::new(),
-            snap_ends: Vec::new(),
-            quarantined: Vec::new(),
-            misbehavior: Vec::new(),
-            devices: Vec::new(),
-        }
-    }
-
-    /// An independent copy that a run can consume while `self` stays in the
-    /// cache. `None` if any stored device refuses to fork (cannot happen
-    /// for devices that forked once already, but surfaced rather than
-    /// asserted).
-    pub fn fork(&self) -> Option<TickSnapshot> {
-        let devices = self
-            .devices
-            .iter()
-            .map(|d| match d {
-                None => Some(None),
-                Some(d) => d.fork().map(Some),
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(TickSnapshot {
-            tick: self.tick,
-            e_count: self.e_count,
-            n: self.n,
-            traces: self.traces.clone(),
-            delivered: self.delivered.clone(),
-            snap_bytes: self.snap_bytes.clone(),
-            snap_ends: self.snap_ends.clone(),
-            quarantined: self.quarantined.clone(),
-            misbehavior: self.misbehavior.clone(),
-            devices,
-        })
-    }
-}
-
-/// Which tick boundaries to capture and which nodes are scripted.
-pub(crate) struct CaptureSpec<'a> {
-    /// Ascending tick boundaries to snapshot at; a snapshot at `t` holds
-    /// the state after ticks `0..t`.
-    pub at: &'a [u32],
-    /// `scripted[v]` — node `v`'s outputs are pinned per tick by the prefix
-    /// key (a replay device), so its device is neither forked nor restored.
-    pub scripted: &'a [bool],
-}
 
 fn words_for(e_count: usize) -> usize {
     e_count.div_ceil(64)
 }
 
-/// The SoA tick loop. `resume` continues from a forked [`TickSnapshot`]
-/// instead of tick 0; `capture` requests snapshots at the given boundaries
-/// (silently skipped once any live device refuses to fork).
+/// The SoA tick loop.
 ///
 /// Byte-identical to the pre-SoA loop on every observable: trace order,
 /// snapshot bytes, misbehavior ordering (tick-major, node-ascending),
@@ -150,9 +41,7 @@ pub(crate) fn run(
     horizon: u32,
     policy: Option<&RunPolicy>,
     scratch: &mut RunScratch,
-    resume: Option<TickSnapshot>,
-    capture: Option<&CaptureSpec<'_>>,
-) -> Result<(SystemBehavior, Vec<TickSnapshot>), SystemError> {
+) -> Result<SystemBehavior, SystemError> {
     let n = graph.node_count();
     for v in graph.nodes() {
         if slots[v.index()].is_none() {
@@ -210,43 +99,7 @@ pub(crate) fn run(
     let mut snap_ends: Vec<u32> = Vec::with_capacity(horizon as usize * n);
     let mut misbehavior: Vec<DeviceMisbehavior> = Vec::new();
 
-    // Resuming replays the stored prefix as if this kernel had executed it:
-    // slab prefixes are adopted wholesale, forked devices replace the
-    // freshly assembled ones, and the tick loop starts at the boundary.
-    let start = match resume {
-        None => 0,
-        Some(snap) => {
-            assert_eq!(
-                (snap.n, snap.e_count),
-                (n as u32, e_count as u32),
-                "tick snapshot shape does not match this system"
-            );
-            assert!(snap.tick <= horizon, "tick snapshot is past the horizon");
-            traces = snap.traces;
-            delivered = snap.delivered;
-            snap_bytes = snap.snap_bytes;
-            snap_ends = snap.snap_ends;
-            quarantined.copy_from_slice(&snap.quarantined);
-            misbehavior = snap.misbehavior;
-            for (slot, device) in slots.iter_mut().zip(snap.devices) {
-                if let Some(device) = device {
-                    slot.as_mut()
-                        .expect("run is only reached after every node is assigned")
-                        .device = device;
-                }
-            }
-            snap.tick
-        }
-    };
-
-    let mut captures: Vec<TickSnapshot> = Vec::new();
-    let mut capture_at: &[u32] = capture.map_or(&[], |c| c.at);
-    while capture_at.first().is_some_and(|&b| b <= start) {
-        capture_at = &capture_at[1..];
-    }
-    let mut capture_dead = false;
-
-    for t in start..horizon {
+    for t in 0..horizon {
         let tick = Tick(t);
         // Refill the flat inbox from last tick's slab row. The delivery
         // bitmask keeps silent edges off the payload slab entirely.
@@ -360,44 +213,6 @@ pub(crate) fn run(
             snap_bytes.extend_from_slice(&snap);
             snap_ends.push(snap_bytes.len() as u32);
         }
-        // Capture at the boundary after this tick: slab prefix clones plus
-        // one fork per live, unscripted device. A device that refuses to
-        // fork disables capture for the rest of the run (never the run
-        // itself).
-        if !capture_dead && capture_at.first() == Some(&(t + 1)) {
-            capture_at = &capture_at[1..];
-            let spec = capture.expect("capture_at is non-empty only with a spec");
-            let devices = graph
-                .nodes()
-                .map(|v| {
-                    if spec.scripted[v.index()] || quarantined[v.index()] {
-                        Some(None)
-                    } else {
-                        slots[v.index()]
-                            .as_ref()
-                            .expect("run is only reached after every node is assigned")
-                            .device
-                            .fork()
-                            .map(Some)
-                    }
-                })
-                .collect::<Option<Vec<_>>>();
-            match devices {
-                None => capture_dead = true,
-                Some(devices) => captures.push(TickSnapshot {
-                    tick: t + 1,
-                    e_count: e_count as u32,
-                    n: n as u32,
-                    traces: traces.clone(),
-                    delivered: delivered.clone(),
-                    snap_bytes: snap_bytes.clone(),
-                    snap_ends: snap_ends.clone(),
-                    quarantined: quarantined.clone(),
-                    misbehavior: misbehavior.clone(),
-                    devices,
-                }),
-            }
-        }
     }
 
     // Regroup the time-major slab into the public per-edge traces. The
@@ -438,8 +253,11 @@ pub(crate) fn run(
     // `directed_edges` order.
     let edges: std::collections::BTreeMap<(NodeId, NodeId), Vec<Option<Payload>>> =
         edge_list.into_iter().zip(edge_traces).collect();
-    Ok((
-        SystemBehavior::new(Arc::clone(graph), nodes, edges, horizon, misbehavior),
-        captures,
+    Ok(SystemBehavior::new(
+        Arc::clone(graph),
+        nodes,
+        edges,
+        horizon,
+        misbehavior,
     ))
 }

@@ -1,556 +1,30 @@
-//! Run-prefix trie: incremental simulation by forking mid-run snapshots.
+//! Inert remnant of the removed run-prefix trie.
 //!
-//! The whole-run cache ([`crate::runcache`]) only pays off when two runs
-//! are byte-identical end to end. The refuters' dominant workload is one
-//! step weaker than that: chain-link extractions, all-correct ring pairs,
-//! and campaign probes re-simulate systems whose *early ticks* are
-//! identical and which diverge only near the end (a masquerade trace
-//! perturbed at the final tick, a longer horizon, a different fault plan
-//! tail). This module memoizes those shared prefixes.
-//!
-//! A run declares a [`PrefixSchedule`]: a `static` part (everything about
-//! the run except the horizon and the per-tick masquerade trace contents)
-//! plus one byte string per tick (the scripted nodes' pinned outputs for
-//! that tick — empty for runs with no scripted nodes). While the SoA kernel
-//! ([`crate::kernel`]) executes, it captures forkable [`TickSnapshot`]s at
-//! a few tick boundaries; the trie stores them keyed by the incremental
-//! fingerprint of `(static, ticks 0..t)`. The next run with the same
-//! schedule prefix forks the deepest stored snapshot and simulates only
-//! its divergent suffix.
-//!
-//! # Soundness
-//!
-//! Forking a snapshot at boundary `t` is sound exactly when the resumed
-//! run would have executed ticks `0..t` identically — i.e. when the static
-//! bytes and the tick bytes for `0..t` are equal. Fingerprints are an
-//! index only: every probe compares the static bytes and each tick's bytes
-//! piecewise, so FNV collisions (or a forged fingerprint) cannot alias two
-//! different prefixes. Scripted nodes' devices are never forked or
-//! restored — their outputs are pinned per tick by the schedule's tick
-//! bytes, and a [`crate::replay::ReplayDevice`]'s `step` reads only the
-//! tick index — so the restored system behaves identically from `t` on by
-//! the determinism axiom. Quarantined nodes store no device either: the
-//! restored quarantine flags keep them silent, same as in the original
-//! run.
-//!
-//! Like the whole-run cache, the trie replaces simulation, never checking:
-//! scenario matching, degradation accounting, and decision comparison all
-//! still execute against the (byte-identical) resumed behavior.
-//!
-//! # Controls
-//!
-//! * `FLM_PREFIXCACHE=0` disables the trie process-wide.
-//! * [`crate::runcache::bypass`] scopes cover this module too: inside a
-//!   bypass scope, lookups miss, nothing is captured, and no counters move
-//!   — so differential tests and cold bench legs stay genuinely cold.
-//! * The store is bounded (`FLM_PREFIXCACHE_CAP` entries, default
-//!   [`MAX_ENTRIES`]; [`MAX_SNAPSHOT_BYTES`] total) with LRU eviction.
+//! Discrete runs are memoized by [`crate::runcache`] alone. The trie that
+//! used to fork mid-run tick snapshots cost more than it saved on every
+//! measured workload, so it was deleted. This module keeps only the items
+//! an end-to-end benchmark outside the workspace still builds against:
+//! every counter reads zero, and [`clear`] and [`reset_stats`] do nothing.
+//! Nothing in the workspace calls it.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-use flm_graph::NodeId;
-
-use crate::behavior::SystemBehavior;
-use crate::kernel::{CaptureSpec, TickSnapshot};
-use crate::runcache::{self, RunKey};
-use crate::system::{RunPolicy, System, SystemError};
-
-/// Default maximum number of stored tick snapshots before LRU eviction.
-/// Override with `FLM_PREFIXCACHE_CAP=<n>` (read once per process).
-pub const MAX_ENTRIES: usize = 512;
-
-/// Maximum total approximate snapshot bytes held before LRU eviction.
-pub const MAX_SNAPSHOT_BYTES: u64 = 64 << 20;
-
-/// How many capture boundaries a run plants, horizon permitting: snapshots
-/// land at multiples of `max(1, horizon / STRIDE_DIVISOR)` plus the
-/// horizon itself, so a divergent suffix re-simulates at most ~1/8 of the
-/// run beyond the deepest shared boundary.
-const STRIDE_DIVISOR: u32 = 8;
-
-/// The prefix identity of a run: everything that determines its behavior,
-/// split into a static part and per-tick parts so two runs can share the
-/// ticks before their first divergence.
-///
-/// `static_bytes` must canonically encode every run ingredient except the
-/// horizon and the tick-indexed masquerade trace contents: the graph, the
-/// device assignment (protocol registry names), the wiring, the inputs,
-/// the run policy, which nodes are scripted, and the shape of their
-/// scripts. `tick_bytes[t]` holds the scripted nodes' pinned outputs for
-/// tick `t` in a canonical order; trailing ticks may simply not be pushed
-/// (missing ticks compare as empty), which is what lets a horizon-20 run
-/// share a horizon-10 run's snapshots when neither scripts anything.
-#[derive(Debug, Clone)]
-pub struct PrefixSchedule {
-    /// `static_bytes` plus the scripted-node list, length-delimited — the
-    /// unit of static equality, so a schedule can never alias another with
-    /// the same free-form bytes but a different scripted set.
-    head: Vec<u8>,
-    tick_bytes: Vec<Vec<u8>>,
-    scripted: Vec<NodeId>,
-}
-
-impl PrefixSchedule {
-    /// Builds a schedule from the static encoding and the scripted-node
-    /// set (nodes whose devices replay pinned outputs; empty for honest or
-    /// crash-only runs).
-    pub fn new(static_bytes: Vec<u8>, scripted: Vec<NodeId>) -> PrefixSchedule {
-        let mut head = Vec::with_capacity(static_bytes.len() + 8 + scripted.len() * 4);
-        head.extend_from_slice(&(static_bytes.len() as u32).to_le_bytes());
-        head.extend_from_slice(&static_bytes);
-        head.extend_from_slice(&(scripted.len() as u32).to_le_bytes());
-        for v in &scripted {
-            head.extend_from_slice(&v.0.to_le_bytes());
-        }
-        PrefixSchedule {
-            head,
-            tick_bytes: Vec::new(),
-            scripted,
-        }
-    }
-
-    /// Appends tick `t`'s scripted outputs, where `t` is the number of
-    /// ticks pushed so far. Runs with no scripted nodes push nothing.
-    pub fn push_tick(&mut self, bytes: Vec<u8>) {
-        self.tick_bytes.push(bytes);
-    }
-
-    /// The scripted nodes, for the kernel's capture spec.
-    pub fn scripted(&self) -> &[NodeId] {
-        &self.scripted
-    }
-
-    fn tick_at(&self, t: usize) -> &[u8] {
-        self.tick_bytes.get(t).map_or(&[], Vec::as_slice)
-    }
-
-    /// Incremental FNV chain: `fps[t]` fingerprints `(head, ticks 0..t)`,
-    /// each tick extended length-delimited. Index only — probes compare
-    /// bytes.
-    fn chain_fps(&self, up_to: u32) -> Vec<u64> {
-        let mut fps = Vec::with_capacity(up_to as usize + 1);
-        let mut h = fnv_extend(0xcbf2_9ce4_8422_2325, &self.head);
-        fps.push(h);
-        for t in 0..up_to as usize {
-            let bytes = self.tick_at(t);
-            h = fnv_extend(h, &(bytes.len() as u32).to_le_bytes());
-            h = fnv_extend(h, bytes);
-            fps.push(h);
-        }
-        fps
-    }
-
-    /// True when `self` and `other` agree on everything that determines
-    /// ticks `0..t`: the head bytes and each tick's bytes, missing ticks
-    /// reading as empty.
-    fn shares_prefix(&self, other: &PrefixSchedule, t: u32) -> bool {
-        self.head == other.head && (0..t as usize).all(|i| self.tick_at(i) == other.tick_at(i))
-    }
-}
-
-fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-struct Entry {
-    seq: u64,
-    boundary: u32,
-    schedule: PrefixSchedule,
-    snap: TickSnapshot,
-    approx_bytes: u64,
-}
-
-#[derive(Default)]
-struct Trie {
-    buckets: HashMap<u64, Vec<Entry>>,
-    next_seq: u64,
-    entry_count: usize,
-    total_bytes: u64,
-}
-
-impl Trie {
-    /// Finds the deepest stored snapshot whose schedule prefix matches
-    /// `schedule` at a boundary `<= horizon`, forks it, and re-stamps its
-    /// recency. `fps` must be `schedule.chain_fps(horizon)`.
-    fn deepest_fork(
-        &mut self,
-        schedule: &PrefixSchedule,
-        fps: &[u64],
-        horizon: u32,
-    ) -> Option<TickSnapshot> {
-        for t in (1..=horizon).rev() {
-            let Some(bucket) = self.buckets.get_mut(&fps[t as usize]) else {
-                continue;
-            };
-            let Some(entry) = bucket
-                .iter_mut()
-                .find(|e| e.boundary == t && e.schedule.shares_prefix(schedule, t))
-            else {
-                continue;
-            };
-            let Some(forked) = entry.snap.fork() else {
-                continue;
-            };
-            entry.seq = self.next_seq;
-            self.next_seq += 1;
-            return Some(forked);
-        }
-        None
-    }
-
-    fn insert(&mut self, schedule: &PrefixSchedule, fp: u64, snap: TickSnapshot) {
-        let boundary = snap.tick();
-        let bucket = self.buckets.entry(fp).or_default();
-        if bucket
-            .iter()
-            .any(|e| e.boundary == boundary && e.schedule.shares_prefix(schedule, boundary))
-        {
-            return; // another thread raced us to the same prefix
-        }
-        let approx_bytes = snap.approx_bytes() as u64;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        bucket.push(Entry {
-            seq,
-            boundary,
-            schedule: schedule.clone(),
-            snap,
-            approx_bytes,
-        });
-        self.entry_count += 1;
-        self.total_bytes += approx_bytes;
-        while self.entry_count > max_entries() || self.total_bytes > MAX_SNAPSHOT_BYTES {
-            // LRU by direct min-seq scan; the store is small (hundreds of
-            // entries), so the scan beats maintaining a recency queue full
-            // of stale pairs.
-            let Some((&fp, i)) = self
-                .buckets
-                .iter()
-                .flat_map(|(fp, b)| b.iter().enumerate().map(move |(i, e)| (fp, i, e.seq)))
-                .min_by_key(|&(_, _, seq)| seq)
-                .map(|(fp, i, _)| (fp, i))
-            else {
-                break;
-            };
-            let bucket = self.buckets.get_mut(&fp).expect("bucket just seen");
-            let evicted = bucket.swap_remove(i);
-            self.total_bytes -= evicted.approx_bytes;
-            self.entry_count -= 1;
-            EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            if bucket.is_empty() {
-                self.buckets.remove(&fp);
-            }
-        }
-    }
-}
-
-fn trie() -> &'static Mutex<Trie> {
-    static TRIE: OnceLock<Mutex<Trie>> = OnceLock::new();
-    TRIE.get_or_init(|| Mutex::new(Trie::default()))
-}
-
-/// Locks the global trie, recovering from poisoning the way the serve
-/// plane's queues do (`PoisonError::into_inner`) instead of panicking.
-/// A contained probe that panics while holding the lock may have left a
-/// half-inserted entry behind, so recovery drops the whole store — the trie
-/// is a cache, and an empty cache is always sound — and clears the poison
-/// flag so later lockers skip this path. The alternative (`.expect`) turned
-/// one panicking probe into a cascading panic for every later run in the
-/// process, including all serve workers.
-fn lock_trie() -> std::sync::MutexGuard<'static, Trie> {
-    let mutex = trie();
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            let mut guard = poisoned.into_inner();
-            *guard = Trie::default();
-            mutex.clear_poison();
-            guard
-        }
-    }
-}
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static TICKS_SAVED: AtomicU64 = AtomicU64::new(0);
-
-/// True unless `FLM_PREFIXCACHE=0` disabled the trie process-wide.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("FLM_PREFIXCACHE").map_or(true, |v| v.trim() != "0"))
-}
-
-/// The effective entry cap: `FLM_PREFIXCACHE_CAP` if set to a positive
-/// integer, else [`MAX_ENTRIES`].
-pub fn max_entries() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("FLM_PREFIXCACHE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(MAX_ENTRIES)
-    })
-}
-
-fn active() -> bool {
-    enabled() && !runcache::is_bypassed()
-}
-
-/// The capture plan for a run of `horizon` ticks resumed at `resumed`:
-/// stride multiples past the resume point, plus the completion boundary
-/// (so a later shorter-or-equal-horizon run can extract with zero ticks
-/// re-simulated).
-fn capture_plan(horizon: u32, resumed: u32) -> Vec<u32> {
-    if horizon == 0 {
-        return Vec::new();
-    }
-    let stride = (horizon / STRIDE_DIVISOR).max(1);
-    let mut at: Vec<u32> = (1..=horizon / stride)
-        .map(|k| k * stride)
-        .filter(|&b| b > resumed)
-        .collect();
-    if at.last() != Some(&horizon) && horizon > resumed {
-        at.push(horizon);
-    }
-    at
-}
-
-/// Memoizes a contained run at two levels: the whole-run cache first (a
-/// byte-identical re-run costs a lookup), then the prefix trie (a run
-/// sharing only a schedule prefix forks the deepest stored snapshot and
-/// simulates the divergent suffix). `key` is the whole-run key exactly as
-/// [`runcache::memoize_discrete`] expects; `schedule` is the same
-/// information split for prefix sharing. `build` assembles the system only
-/// when the whole-run cache misses.
-///
-/// # Errors
-///
-/// Whatever `build` returns, or a [`SystemError`] through `map_err`; a
-/// cache hit never errors.
-pub fn memoize_prefixed<E>(
-    key: &RunKey,
-    schedule: &PrefixSchedule,
-    horizon: u32,
-    policy: &RunPolicy,
-    build: impl FnOnce() -> Result<System, E>,
-    map_err: impl Fn(SystemError) -> E,
-) -> Result<Arc<SystemBehavior>, E> {
-    runcache::memoize_discrete(key, || {
-        let mut sys = build()?;
-        let horizon = horizon.min(policy.max_ticks);
-        if !active() {
-            return sys.run_contained(horizon, policy).map_err(&map_err);
-        }
-        let fps = schedule.chain_fps(horizon);
-        let resume = lock_trie().deepest_fork(schedule, &fps, horizon);
-        let resumed = resume.as_ref().map_or(0, TickSnapshot::tick);
-        match &resume {
-            Some(_) => {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                TICKS_SAVED.fetch_add(u64::from(resumed), Ordering::Relaxed);
-            }
-            None => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let mut scripted = vec![false; sys.graph().node_count()];
-        for v in schedule.scripted() {
-            scripted[v.index()] = true;
-        }
-        let at = capture_plan(horizon, resumed);
-        let spec = CaptureSpec {
-            at: &at,
-            scripted: &scripted,
-        };
-        let (behavior, captures) = sys
-            .run_contained_prefixed(horizon, policy, resume, Some(&spec))
-            .map_err(&map_err)?;
-        let mut trie = lock_trie();
-        for snap in captures {
-            trie.insert(schedule, fps[snap.tick() as usize], snap);
-        }
-        Ok(behavior)
-    })
-}
-
-/// Drops every stored snapshot (counters are kept; see [`reset_stats`]).
-pub fn clear() {
-    let mut trie = lock_trie();
-    *trie = Trie::default();
-}
-
-/// Zeroes the hit/miss/eviction/ticks-saved counters.
-pub fn reset_stats() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    EVICTIONS.store(0, Ordering::Relaxed);
-    TICKS_SAVED.store(0, Ordering::Relaxed);
-}
-
-/// A snapshot of the trie counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The removed trie's counters; every field is always zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefixStats {
-    /// Runs that resumed from a stored snapshot.
+    /// Always zero.
     pub hits: u64,
-    /// Runs that found no shareable prefix and simulated from tick 0.
+    /// Always zero.
     pub misses: u64,
-    /// Snapshots dropped by the LRU bound.
-    pub evictions: u64,
-    /// Total ticks skipped by resuming instead of re-simulating.
+    /// Always zero.
     pub ticks_saved: u64,
-    /// Snapshots currently stored.
-    pub entries: usize,
 }
 
-/// Reads the current counters and entry count.
+/// Returns all-zero counters.
 pub fn stats() -> PrefixStats {
-    let entries = lock_trie().entry_count;
-    PrefixStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-        ticks_saved: TICKS_SAVED.load(Ordering::Relaxed),
-        entries,
-    }
+    PrefixStats::default()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// Does nothing: there are no counters to reset.
+pub fn reset_stats() {}
 
-    fn schedule(static_tag: u8, ticks: &[&[u8]]) -> PrefixSchedule {
-        let mut s = PrefixSchedule::new(vec![static_tag], vec![NodeId(0)]);
-        for t in ticks {
-            s.push_tick(t.to_vec());
-        }
-        s
-    }
-
-    #[test]
-    fn chain_fingerprints_are_incremental_and_horizon_agnostic() {
-        let a = schedule(1, &[b"x", b"y"]);
-        let long = a.chain_fps(6);
-        let short = a.chain_fps(3);
-        assert_eq!(&long[..4], &short[..]);
-        // Missing ticks read as empty: pushing an explicit empty tick
-        // keeps the chain identical.
-        let b = schedule(1, &[b"x", b"y", b""]);
-        assert_eq!(a.chain_fps(4), b.chain_fps(4));
-    }
-
-    #[test]
-    fn shared_prefixes_match_only_up_to_the_divergence() {
-        let a = schedule(1, &[b"x", b"y", b"z"]);
-        let b = schedule(1, &[b"x", b"y", b"w"]);
-        assert!(a.shares_prefix(&b, 2));
-        assert!(!a.shares_prefix(&b, 3));
-        assert_eq!(a.chain_fps(3)[2], b.chain_fps(3)[2]);
-        assert_ne!(a.chain_fps(3)[3], b.chain_fps(3)[3]);
-    }
-
-    #[test]
-    fn differing_static_bytes_never_share() {
-        let a = schedule(1, &[]);
-        let b = schedule(2, &[]);
-        assert!(!a.shares_prefix(&b, 0));
-        // Same free-form bytes, different scripted set: also disjoint.
-        let c = PrefixSchedule::new(vec![1], vec![NodeId(0)]);
-        let d = PrefixSchedule::new(vec![1], vec![NodeId(1)]);
-        assert!(!c.shares_prefix(&d, 0));
-    }
-
-    #[test]
-    fn forged_fingerprint_collisions_are_rejected_by_byte_compare() {
-        // Plant an entry under schedule `a`'s boundary-2 fingerprint, then
-        // probe with a schedule that diverges at tick 0 but whose entry we
-        // force into the same bucket — the piecewise byte compare must
-        // refuse it even though the fingerprint index matches.
-        let a = schedule(1, &[b"x", b"y"]);
-        let b = schedule(1, &[b"q", b"y"]);
-        let fp = a.chain_fps(2)[2];
-        let mut trie = Trie::default();
-        trie.buckets.entry(fp).or_default().push(Entry {
-            seq: 0,
-            boundary: 2,
-            schedule: a.clone(),
-            // A dead snapshot is fine: the byte compare must reject before
-            // forking is even attempted.
-            snap: crate::kernel::TickSnapshot::empty_for_tests(2),
-            approx_bytes: 0,
-        });
-        trie.entry_count = 1;
-        let forged_fps = vec![fp; 3];
-        assert!(trie.deepest_fork(&b, &forged_fps, 2).is_none());
-        // The honest owner still matches its own entry.
-        assert!(trie
-            .buckets
-            .get(&fp)
-            .is_some_and(|bucket| bucket[0].schedule.shares_prefix(&a, 2)));
-    }
-
-    /// Regression: a probe that panics while holding the trie lock used to
-    /// poison it for the rest of the process — every later run (including
-    /// every serve worker) then panicked in `.expect("prefix trie
-    /// poisoned")`. Recovery resets the store and clears the poison flag.
-    #[test]
-    fn poisoned_trie_recovers_instead_of_cascading() {
-        // Poison the global trie exactly the way a panicking contained
-        // probe would: unwind while the lock is held.
-        let _ = std::thread::spawn(|| {
-            let _guard = trie()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            panic!("poisoning the prefix trie on purpose");
-        })
-        .join();
-
-        // Every entry point must recover (drop the store, clear the
-        // poison) instead of cascading the panic.
-        let _ = stats();
-        clear();
-
-        // And a full prefix-memoized run still succeeds end to end,
-        // repopulating the recovered trie.
-        let g = flm_graph::builders::triangle();
-        let key = RunKey::new("prefixpoison", b"recovery".to_vec());
-        let schedule = PrefixSchedule::new(b"prefixpoison-recovery".to_vec(), vec![]);
-        memoize_prefixed(
-            &key,
-            &schedule,
-            8,
-            &RunPolicy::default(),
-            || {
-                let mut sys = System::new(g.clone());
-                for v in g.nodes() {
-                    sys.assign(
-                        v,
-                        Box::new(crate::devices::TableDevice::new(u64::from(v.0), 16)),
-                        crate::Input::Bool(true),
-                    );
-                }
-                Ok::<_, SystemError>(sys)
-            },
-            |e| e,
-        )
-        .expect("a run after poison recovery must succeed");
-    }
-
-    #[test]
-    fn capture_plan_strides_and_always_includes_completion() {
-        assert_eq!(capture_plan(0, 0), Vec::<u32>::new());
-        assert_eq!(capture_plan(5, 0), vec![1, 2, 3, 4, 5]);
-        assert_eq!(capture_plan(16, 0), vec![2, 4, 6, 8, 10, 12, 14, 16]);
-        assert_eq!(capture_plan(17, 0), vec![2, 4, 6, 8, 10, 12, 14, 16, 17]);
-        // Resumed runs only capture boundaries past the resume point.
-        assert_eq!(capture_plan(16, 10), vec![12, 14, 16]);
-        assert_eq!(capture_plan(16, 16), Vec::<u32>::new());
-    }
-}
+/// Does nothing: there is no store to clear.
+pub fn clear() {}

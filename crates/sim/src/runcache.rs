@@ -199,7 +199,7 @@ impl Store {
                     let evicted = bucket.swap_remove(i);
                     self.total_bytes -= evicted.approx_bytes;
                     self.entry_count -= 1;
-                    EVICTIONS.fetch_add(1, Ordering::Relaxed);
+                    cache().evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 if bucket.is_empty() {
                     self.buckets.remove(&fp);
@@ -209,15 +209,33 @@ impl Store {
     }
 }
 
-fn store() -> &'static Mutex<Store> {
-    static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(Store::default()))
+/// The cache's shared state: the store and its counters.
+#[derive(Default)]
+struct Cache {
+    store: Mutex<Store>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    bytes_saved: AtomicU64,
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES_SAVED: AtomicU64 = AtomicU64::new(0);
+/// The process-wide cache. This crate's unit tests run on parallel threads
+/// and each clears, fills and counts the cache, so in test builds every
+/// thread gets a cache of its own and the tests cannot race each other.
+fn cache() -> &'static Cache {
+    static CACHE: OnceLock<Cache> = OnceLock::new();
+    thread_local! {
+        static TEST_CACHE: &'static Cache = Box::leak(Box::default());
+    }
+    if cfg!(test) {
+        return TEST_CACHE.with(|c| *c);
+    }
+    CACHE.get_or_init(Cache::default)
+}
+
+fn store() -> std::sync::MutexGuard<'static, Store> {
+    cache().store.lock().expect("run cache poisoned")
+}
 
 thread_local! {
     static BYPASS: Cell<bool> = const { Cell::new(false) };
@@ -253,6 +271,37 @@ fn active() -> bool {
     enabled() && !is_bypassed()
 }
 
+/// The one memoization path behind [`memoize_discrete`], [`memoize_clock`]
+/// and [`memoize_async`]: `wrap` and `unwrap` move a result in and out of
+/// its [`CachedValue`] variant, and `approx_bytes` sizes it for the byte
+/// bound. An entry of another variant under the same key misses.
+fn memoize<T, E>(
+    key: &RunKey,
+    run: impl FnOnce() -> Result<T, E>,
+    wrap: fn(Arc<T>) -> CachedValue,
+    unwrap: fn(CachedValue) -> Option<Arc<T>>,
+    approx_bytes: fn(&T) -> u64,
+) -> Result<Arc<T>, E> {
+    if !active() {
+        return run().map(Arc::new);
+    }
+    {
+        let mut store = store();
+        if let Some((hit, approx)) = store.lookup_touch(key) {
+            if let Some(hit) = unwrap(hit) {
+                cache().hits.fetch_add(1, Ordering::Relaxed);
+                cache().bytes_saved.fetch_add(approx, Ordering::Relaxed);
+                return Ok(hit);
+            }
+        }
+    }
+    cache().misses.fetch_add(1, Ordering::Relaxed);
+    let value = Arc::new(run()?);
+    let approx = approx_bytes(&value);
+    store().insert(key, wrap(Arc::clone(&value)), approx);
+    Ok(value)
+}
+
 /// Returns the cached behavior for `key`, or executes `run`, stores its
 /// success, and returns it. The error path is never cached.
 ///
@@ -263,26 +312,17 @@ pub fn memoize_discrete<E>(
     key: &RunKey,
     run: impl FnOnce() -> Result<SystemBehavior, E>,
 ) -> Result<Arc<SystemBehavior>, E> {
-    if !active() {
-        return run().map(Arc::new);
-    }
-    {
-        let mut store = store().lock().expect("run cache poisoned");
-        if let Some((CachedValue::Discrete(b), approx)) = store.lookup_touch(key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            BYTES_SAVED.fetch_add(approx, Ordering::Relaxed);
-            return Ok(b);
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let behavior = Arc::new(run()?);
-    let approx = behavior.approx_bytes();
-    store().lock().expect("run cache poisoned").insert(
+    let unwrap = |value| match value {
+        CachedValue::Discrete(b) => Some(b),
+        _ => None,
+    };
+    memoize(
         key,
-        CachedValue::Discrete(Arc::clone(&behavior)),
-        approx,
-    );
-    Ok(behavior)
+        run,
+        CachedValue::Discrete,
+        unwrap,
+        SystemBehavior::approx_bytes,
+    )
 }
 
 /// [`memoize_discrete`] for clock-system runs.
@@ -294,26 +334,17 @@ pub fn memoize_clock<E>(
     key: &RunKey,
     run: impl FnOnce() -> Result<ClockBehavior, E>,
 ) -> Result<Arc<ClockBehavior>, E> {
-    if !active() {
-        return run().map(Arc::new);
-    }
-    {
-        let mut store = store().lock().expect("run cache poisoned");
-        if let Some((CachedValue::Clock(b), approx)) = store.lookup_touch(key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            BYTES_SAVED.fetch_add(approx, Ordering::Relaxed);
-            return Ok(b);
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let behavior = Arc::new(run()?);
-    let approx = behavior.approx_bytes();
-    store().lock().expect("run cache poisoned").insert(
+    let unwrap = |value| match value {
+        CachedValue::Clock(b) => Some(b),
+        _ => None,
+    };
+    memoize(
         key,
-        CachedValue::Clock(Arc::clone(&behavior)),
-        approx,
-    );
-    Ok(behavior)
+        run,
+        CachedValue::Clock,
+        unwrap,
+        ClockBehavior::approx_bytes,
+    )
 }
 
 /// [`memoize_discrete`] for asynchronous runs. Callers key these under the
@@ -329,40 +360,24 @@ pub fn memoize_async<E>(
     key: &RunKey,
     run: impl FnOnce() -> Result<AsyncRun, E>,
 ) -> Result<Arc<AsyncRun>, E> {
-    if !active() {
-        return run().map(Arc::new);
-    }
-    {
-        let mut store = store().lock().expect("run cache poisoned");
-        if let Some((CachedValue::Async(b), approx)) = store.lookup_touch(key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            BYTES_SAVED.fetch_add(approx, Ordering::Relaxed);
-            return Ok(b);
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let outcome = Arc::new(run()?);
-    let approx = outcome.approx_bytes();
-    store().lock().expect("run cache poisoned").insert(
-        key,
-        CachedValue::Async(Arc::clone(&outcome)),
-        approx,
-    );
-    Ok(outcome)
+    let unwrap = |value| match value {
+        CachedValue::Async(r) => Some(r),
+        _ => None,
+    };
+    memoize(key, run, CachedValue::Async, unwrap, AsyncRun::approx_bytes)
 }
 
 /// Drops every cached behavior (counters are kept; see [`reset_stats`]).
 pub fn clear() {
-    let mut store = store().lock().expect("run cache poisoned");
-    *store = Store::default();
+    *store() = Store::default();
 }
 
 /// Zeroes the hit/miss/eviction/bytes-saved counters.
 pub fn reset_stats() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    EVICTIONS.store(0, Ordering::Relaxed);
-    BYTES_SAVED.store(0, Ordering::Relaxed);
+    let c = cache();
+    for counter in [&c.hits, &c.misses, &c.evictions, &c.bytes_saved] {
+        counter.store(0, Ordering::Relaxed);
+    }
 }
 
 /// A snapshot of the cache counters.
@@ -395,12 +410,13 @@ impl CacheStats {
 
 /// Reads the current counters and entry count.
 pub fn stats() -> CacheStats {
-    let entries = store().lock().expect("run cache poisoned").entry_count;
+    let entries = store().entry_count;
+    let c = cache();
     CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-        bytes_saved: BYTES_SAVED.load(Ordering::Relaxed),
+        hits: c.hits.load(Ordering::Relaxed),
+        misses: c.misses.load(Ordering::Relaxed),
+        evictions: c.evictions.load(Ordering::Relaxed),
+        bytes_saved: c.bytes_saved.load(Ordering::Relaxed),
         entries,
     }
 }

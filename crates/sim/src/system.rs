@@ -443,44 +443,8 @@ impl System {
         scratch: &mut RunScratch,
     ) -> Result<SystemBehavior, SystemError> {
         // The dense message plane lives in `crate::kernel`: a
-        // structure-of-arrays tick loop over time-major slabs, so the same
-        // code path also serves prefix-cached runs (mid-run snapshots are
-        // slab prefix clones). Plain runs request no capture and resume
-        // nothing.
-        crate::kernel::run(
-            &self.graph,
-            &mut self.slots,
-            horizon,
-            policy,
-            scratch,
-            None,
-            None,
-        )
-        .map(|(behavior, _)| behavior)
-    }
-
-    /// Contained run with prefix-cache plumbing: optionally resumes from a
-    /// forked [`crate::kernel::TickSnapshot`] and optionally captures
-    /// snapshots at the boundaries named by `capture`. Only
-    /// `crate::prefixcache` calls this; byte-identical to
-    /// [`System::run_contained`] for the same system by the kernel's
-    /// contract.
-    pub(crate) fn run_contained_prefixed(
-        &mut self,
-        horizon: u32,
-        policy: &RunPolicy,
-        resume: Option<crate::kernel::TickSnapshot>,
-        capture: Option<&crate::kernel::CaptureSpec<'_>>,
-    ) -> Result<(SystemBehavior, Vec<crate::kernel::TickSnapshot>), SystemError> {
-        crate::kernel::run(
-            &self.graph,
-            &mut self.slots,
-            horizon.min(policy.max_ticks),
-            Some(policy),
-            &mut RunScratch::new(),
-            resume,
-            capture,
-        )
+        // structure-of-arrays tick loop over time-major slabs.
+        crate::kernel::run(&self.graph, &mut self.slots, horizon, policy, scratch)
     }
 
     /// Runs the system with the pre-zero-copy loop: a `BTreeMap`-keyed edge

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates the machine-readable perf snapshots at the repo root:
 #
-#   BENCH_substrate.json — dense message plane vs the reference loop
+#   BENCH_substrate.json — dense message plane vs the reference loop, on
+#                          all-table systems and on a chain-link-shaped
+#                          system with a replay node
 #   BENCH_refuters.json  — run-reuse engine (adaptive dispatch, warm run
 #                          cache) vs the cold sequential baseline, plus
 #                          certificate encode/decode/verify throughput
@@ -20,10 +22,6 @@
 #                          shrink + certify), parallel vs forced
 #                          sequential, plus the deterministic mean shrink
 #                          ratio in nodes
-#   BENCH_prefix.json    — prefix-sharing incremental simulation: warm
-#                          prefix fork and pure snapshot extraction vs a
-#                          cold full run on a chain-link-shaped system,
-#                          plus the SoA kernel vs the reference loop
 #
 # Timings are ns/op (min/median/mean); the "speedups" arrays carry the
 # headline ratios, computed over the minima — the noise-floor estimator —
@@ -52,7 +50,4 @@ echo "==> serve suite (${SAMPLES} samples)"
 echo "==> campaign suite (${SAMPLES} samples)"
 ./target/release/regen --bench campaign --samples "$SAMPLES" --out BENCH_campaign.json
 
-echo "==> prefix suite (${SAMPLES} samples)"
-./target/release/regen --bench prefix --samples "$SAMPLES" --out BENCH_prefix.json
-
-echo "Wrote BENCH_substrate.json, BENCH_refuters.json, BENCH_runcache.json, BENCH_serve.json, BENCH_campaign.json, and BENCH_prefix.json."
+echo "Wrote BENCH_substrate.json, BENCH_refuters.json, BENCH_runcache.json, BENCH_serve.json, and BENCH_campaign.json."
