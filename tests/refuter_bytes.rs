@@ -1,0 +1,631 @@
+//! Byte pins for the covering refuters: the exact `to_bytes()` of every
+//! ring refuter (weak agreement and firing squad; triangle, direct-general
+//! and direct-connectivity), every three-link chain refuter (`ba_nodes`,
+//! `ba_connectivity`, `simple_approx`, `simple_approx_connectivity`), the
+//! early-exit certificates of each validity-pin wording, and a run under a
+//! non-default `RunPolicy`.
+//!
+//! Certificate bytes are what the serve store caches on disk and what an
+//! auditor re-verifies, so a refactor of the refuters must not move a single
+//! byte. Each case is pinned by its length and its SHA-256 digest (computed
+//! here, dependency-free); a mismatch prints the new digest.
+
+use flm_core::refute::{self, RefuteError};
+use flm_core::Certificate;
+use flm_graph::{builders, Graph, NodeId};
+use flm_protocols::registry::NaiveMajority;
+use flm_protocols::{Dlpsw, Eig, FiringSquadViaBa, WeakViaBa};
+use flm_sim::device::{snapshot, Device, NodeCtx, Payload};
+use flm_sim::{Protocol, RunPolicy, Tick};
+
+/// `(case, byte length, SHA-256 of the certificate bytes)`.
+const PINNED: &[(&str, usize, &str)] = &[
+    (
+        "ba_connectivity/cycle4/NaiveMajority",
+        537,
+        "ee4b38aa359cd8afa9420788e64ef7ba7eb3c6fa3c9b632fd45a7b711ad2f4a9",
+    ),
+    (
+        "ba_connectivity/cycle5/NaiveMajority",
+        588,
+        "6578dde3b51c48d1b22aac058d169751d12b12aae9c3a1df2a053e436eb7ac7a",
+    ),
+    (
+        "ba_connectivity/cycle6/NaiveMajority",
+        639,
+        "9b425892b7fd5b8bb5aa83dcc789af32eaf3f0fc9ffe931467c9c01a3e6fc5a8",
+    ),
+    (
+        "ba_nodes/K5/EIG",
+        4111,
+        "732b450c60af85eff6ef18731c3b1e33332a27125fb18ba3cbad5c46b5d822ae",
+    ),
+    (
+        "ba_nodes/triangle/EIG",
+        643,
+        "a440694c72e97c06d732339262badfb3aecb727de563037c74dfcfd6569e4020",
+    ),
+    (
+        "firing_squad/triangle/FiringSquadViaBA",
+        613,
+        "13bf24b6b917547710a4a7bef1708a014bc3214a013b83fa304d89cf922e6022",
+    ),
+    (
+        "firing_squad/triangle/FloodAndFire",
+        475,
+        "2c4bf9459e33dfb860794c8ca2796f2bb4cc46b394b16b3066a5841673f46367",
+    ),
+    (
+        "firing_squad/triangle/Mute",
+        306,
+        "23db72d37b61b192522c09dfcf8bd2e206360fb5d9e5b651aafa89735d685f7c",
+    ),
+    (
+        "firing_squad/triangle/Staggered",
+        302,
+        "f0081ad7125f14f9cd89b2504c70b8139ca7a24cc8eec22c65db27ee0d5da4ca",
+    ),
+    (
+        "firing_squad/triangle/TriggerHappy",
+        333,
+        "9779442a4962b5343b9cdb04cafabbba27fadfc7aa9f878bb926b9b79c2328d7",
+    ),
+    (
+        "firing_squad_direct_connectivity/cycle4/FloodAndFire",
+        568,
+        "bc21922e4e1275e94b2a93e9945e7a17d4e9c6f74992796971b82c8dd542d790",
+    ),
+    (
+        "firing_squad_direct_connectivity/cycle4/TriggerHappy",
+        350,
+        "d5fa1adcb1d410b55f84bfa3588a3a86b80cfe6ebb22a285f791d0f6fb9c73e6",
+    ),
+    (
+        "firing_squad_direct_connectivity/cycle5/FloodAndFire",
+        606,
+        "c6d9773a0fbabf844b1f80416f3a584c37580d06d2f624c9e48b2def23f68322",
+    ),
+    (
+        "firing_squad_direct_connectivity/cycle6/FloodAndFire",
+        644,
+        "be817d27ab5eec8e65e51aaf515d864e834d592fd436247881e5a06fc4823463",
+    ),
+    (
+        "firing_squad_direct_general/K5/FiringSquadViaBA",
+        7557,
+        "e9249daf29cad44495c3aab8d7c4b65ea4ca2e5eb3fc58fe9c83de0285bfcf24",
+    ),
+    (
+        "firing_squad_direct_general/K5/Mute",
+        372,
+        "7c600c93a0a7dc149f909d16a775212b789b4b78fc137b805c53d2d19f42ea1f",
+    ),
+    (
+        "firing_squad_direct_general/K5/Staggered",
+        387,
+        "6b08889e6555dde49024c3b376e331ef13a187426ff0cb6900083225af37713f",
+    ),
+    (
+        "firing_squad_direct_general/triangle/FiringSquadViaBA",
+        637,
+        "0a6fd74e40ead190a71d9344bb8de561bc96035ab257538d3687ab7714720818",
+    ),
+    (
+        "policy/firing_squad_direct_connectivity/cycle6/FloodAndFire",
+        644,
+        "7b66894801e89effe208dfed28f751e709b685b7536b1091379263489563b26b",
+    ),
+    (
+        "policy/simple_approx_connectivity/cycle4/EchoReal",
+        683,
+        "12bc6caf99f15b4a6c77122df5b38bf3fd00fffbeee81705427aee2f51c237e2",
+    ),
+    (
+        "policy/weak_agreement/triangle/WeakViaBA",
+        455,
+        "fe3f18e705042f7c41176a6fe329f8a588b156f5dfb8abc4a842b767bcb18ccf",
+    ),
+    (
+        "simple_approx/triangle/DLPSW",
+        871,
+        "269d474a1957c8649f1645ca8e516871c46e5a6798a8fec68f3ea717509bcc3c",
+    ),
+    (
+        "simple_approx/triangle/EchoReal",
+        564,
+        "50118b457cf79a24923b264f4a13fbc86f4dfc2dc42f665368876502eaf9101e",
+    ),
+    (
+        "simple_approx_connectivity/cycle4/EchoReal",
+        683,
+        "c75263de49b9787e5ed9ade815417669988c80deb18d641f7456adbdc897a81d",
+    ),
+    (
+        "simple_approx_connectivity/cycle5/EchoReal",
+        776,
+        "cba934cf4cf9e77cc4166233f51c70696b3e754f944924468c3e0f0ded09e489",
+    ),
+    (
+        "simple_approx_connectivity/cycle6/EchoReal",
+        869,
+        "1919cf72a12ab58493031cbec57fdd0a2b0568934d6f9cd9f0153e869bfa89a2",
+    ),
+    (
+        "weak_agreement/triangle/Mute",
+        300,
+        "6c9d2b6d21c7bb37a13dfd73d7cbcc0fe5203c43aa98cf84174c260a7346f61b",
+    ),
+    (
+        "weak_agreement/triangle/NaiveMajority",
+        399,
+        "5ba420155d60177b07796fb7e7b0c299c8667d15e14a200b2eb010059354cc3d",
+    ),
+    (
+        "weak_agreement/triangle/Stubborn",
+        347,
+        "da7d15fde0197f646c313f893a72fe77a8a50b54d268a8dbe6580f60addf5303",
+    ),
+    (
+        "weak_agreement/triangle/WeakViaBA",
+        455,
+        "c89455faa41ab47be56a84edbf82db1e040834f6c53d1dc1d4ede1440b32875d",
+    ),
+    (
+        "weak_agreement_direct_connectivity/cycle4/NaiveMajority",
+        529,
+        "9309178242eb04e5de2a0caee3dd26556a229df39987ddaa96d9a468ee9f7e80",
+    ),
+    (
+        "weak_agreement_direct_connectivity/cycle5/Mute",
+        294,
+        "bf1deb2a56c45cafc56b9fe39344ec457e71d64df2ae99a1dbe2f1a67cef5491",
+    ),
+    (
+        "weak_agreement_direct_connectivity/cycle5/NaiveMajority",
+        580,
+        "bbc0931cd18789e776dadd4f5df8daf2179a50fb5529c3a6ff4b413a360da019",
+    ),
+    (
+        "weak_agreement_direct_connectivity/cycle6/NaiveMajority",
+        631,
+        "7a4d2daae4e8ce8a2b0df51f6fc2b3540b015967669a22f6ab7ecf6b03f5409b",
+    ),
+    (
+        "weak_agreement_direct_general/K5/Stubborn",
+        455,
+        "700d8eadbff18cf46c390e9fc830efbf5fa16000c95f7fc4060e632c8dbc1cf8",
+    ),
+    (
+        "weak_agreement_direct_general/K5/WeakViaBA",
+        1993,
+        "b5ef7cb0a7b71676b53cae149985c88e712c634433935fdd7fa4819d80df6124",
+    ),
+    (
+        "weak_agreement_direct_general/triangle/WeakViaBA",
+        502,
+        "bde32425421c50477cd9446a2c783e6dc2f9ae725e336200cad43e9111112413",
+    ),
+];
+
+/// FIPS 180-4 SHA-256, as lowercase hex.
+fn sha256(data: &[u8]) -> String {
+    const K: [u32; 64] = [
+        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+        0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+        0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+        0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+        0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+        0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+        0xc67178f2,
+    ];
+    let mut h: [u32; 8] = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    while msg.len() % 64 != 56 {
+        msg.push(0);
+    }
+    msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    for block in msg.chunks(64) {
+        let mut w = [0u32; 64];
+        for (i, word) in block.chunks(4).enumerate() {
+            w[i] = u32::from_be_bytes(word.try_into().expect("4-byte chunk"));
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let mut s = h;
+        for i in 0..64 {
+            let e = s[4];
+            let ch = (e & s[5]) ^ (!e & s[6]);
+            let t1 = s[7]
+                .wrapping_add(e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25))
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let a = s[0];
+            let maj = (a & s[1]) ^ (a & s[2]) ^ (s[1] & s[2]);
+            let t2 =
+                (a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22)).wrapping_add(maj);
+            s = [
+                t1.wrapping_add(t2),
+                a,
+                s[1],
+                s[2],
+                s[3].wrapping_add(t1),
+                e,
+                s[5],
+                s[6],
+            ];
+        }
+        for (x, y) in h.iter_mut().zip(s) {
+            *x = x.wrapping_add(y);
+        }
+    }
+    h.iter().map(|x| format!("{x:08x}")).collect()
+}
+
+/// Checks one refuter result against its pin.
+fn pin(case: &str, result: Result<Certificate, RefuteError>) {
+    let cert = result.unwrap_or_else(|e| panic!("{case}: refuter failed: {e}"));
+    let bytes = cert.to_bytes();
+    let got = (bytes.len(), sha256(&bytes));
+    let Some(&(_, len, digest)) = PINNED.iter().find(|(name, _, _)| *name == case) else {
+        panic!("{case}: no pin; add (\"{case}\", {}, \"{}\")", got.0, got.1);
+    };
+    assert_eq!(
+        got,
+        (len, digest.to_string()),
+        "{case}: certificate bytes moved; now (\"{case}\", {}, \"{}\")",
+        got.0,
+        got.1
+    );
+}
+
+/// A protocol built from a per-node device constructor.
+struct Fixture {
+    name: &'static str,
+    horizon: u32,
+    device: fn(NodeId) -> Box<dyn Device>,
+}
+
+impl Protocol for Fixture {
+    fn name(&self) -> String {
+        self.name.into()
+    }
+    fn device(&self, _g: &Graph, v: NodeId) -> Box<dyn Device> {
+        (self.device)(v)
+    }
+    fn horizon(&self, _g: &Graph) -> u32 {
+        self.horizon
+    }
+}
+
+/// Decides `0` from tick 0 on, whatever its input: the all-1 run breaks
+/// weak validity.
+struct Stubborn;
+impl Device for Stubborn {
+    fn name(&self) -> &'static str {
+        "Stubborn"
+    }
+    fn init(&mut self, _ctx: &NodeCtx) {}
+    fn step(&mut self, _t: Tick, inbox: &[Option<Payload>]) -> Vec<Option<Payload>> {
+        inbox.iter().map(|_| None).collect()
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        snapshot::decided_bool(false, &[])
+    }
+}
+
+/// Fires at tick `stimulated` with the stimulus and at tick `quiet`
+/// without it (never, for `None`); silent on every port.
+struct FireAt {
+    stimulated: Option<u32>,
+    quiet: Option<u32>,
+    at: Option<u32>,
+    fired: bool,
+}
+impl FireAt {
+    fn boxed(stimulated: Option<u32>, quiet: Option<u32>) -> Box<dyn Device> {
+        Box::new(FireAt {
+            stimulated,
+            quiet,
+            at: None,
+            fired: false,
+        })
+    }
+}
+impl Device for FireAt {
+    fn name(&self) -> &'static str {
+        "FireAt"
+    }
+    fn init(&mut self, ctx: &NodeCtx) {
+        self.at = if ctx.input.as_bool() == Some(true) {
+            self.stimulated
+        } else {
+            self.quiet
+        };
+    }
+    fn step(&mut self, t: Tick, inbox: &[Option<Payload>]) -> Vec<Option<Payload>> {
+        self.fired = self.at.is_some_and(|at| t.0 >= at);
+        inbox.iter().map(|_| None).collect()
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        if self.fired {
+            snapshot::fire(&[])
+        } else {
+            snapshot::undecided(&[])
+        }
+    }
+}
+
+/// Floods the stimulus and fires two ticks after first having or hearing
+/// it: runs on any graph.
+#[derive(Default)]
+struct FloodAndFire {
+    stimulated: bool,
+    heard_at: Option<u32>,
+    fired: bool,
+}
+impl Device for FloodAndFire {
+    fn name(&self) -> &'static str {
+        "FloodAndFire"
+    }
+    fn init(&mut self, ctx: &NodeCtx) {
+        self.stimulated = ctx.input.as_bool() == Some(true);
+    }
+    fn step(&mut self, t: Tick, inbox: &[Option<Payload>]) -> Vec<Option<Payload>> {
+        let heard = inbox.iter().flatten().any(|m| m.first() == Some(&1));
+        if self.heard_at.is_none() && (self.stimulated || heard) {
+            self.heard_at = Some(t.0);
+        }
+        match self.heard_at {
+            Some(h) => {
+                self.fired |= t.0 >= h + 2;
+                inbox.iter().map(|_| Some(vec![1].into())).collect()
+            }
+            None => inbox.iter().map(|_| None).collect(),
+        }
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        if self.fired {
+            snapshot::fire(&[])
+        } else {
+            snapshot::undecided(&[u8::from(self.heard_at.is_some())])
+        }
+    }
+}
+
+/// Decides its real input at once: valid, never contracting.
+#[derive(Default)]
+struct EchoReal(f64);
+impl Device for EchoReal {
+    fn name(&self) -> &'static str {
+        "EchoReal"
+    }
+    fn init(&mut self, ctx: &NodeCtx) {
+        self.0 = ctx.input.as_real().unwrap_or(0.0);
+    }
+    fn step(&mut self, _t: Tick, inbox: &[Option<Payload>]) -> Vec<Option<Payload>> {
+        inbox.iter().map(|_| None).collect()
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        snapshot::decided_real(self.0, &[])
+    }
+}
+
+const FLOOD: Fixture = Fixture {
+    name: "FloodAndFire",
+    horizon: 8,
+    device: |_| Box::<FloodAndFire>::default(),
+};
+const ECHO: Fixture = Fixture {
+    name: "EchoReal",
+    horizon: 4,
+    device: |_| Box::<EchoReal>::default(),
+};
+const STUBBORN: Fixture = Fixture {
+    name: "Stubborn",
+    horizon: 3,
+    device: |_| Box::new(Stubborn),
+};
+/// Never decides and never fires.
+const MUTE: Fixture = Fixture {
+    name: "Mute",
+    horizon: 3,
+    device: |_| FireAt::boxed(None, None),
+};
+/// Fires at different ticks under the stimulus.
+const STAGGERED: Fixture = Fixture {
+    name: "Staggered",
+    horizon: 6,
+    device: |v| FireAt::boxed(Some(1 + v.0), None),
+};
+/// Fires together under the stimulus, and also without it.
+const TRIGGER_HAPPY: Fixture = Fixture {
+    name: "TriggerHappy",
+    horizon: 4,
+    device: |_| FireAt::boxed(Some(1), Some(2)),
+};
+
+#[test]
+fn the_digest_is_sha256() {
+    assert_eq!(
+        sha256(b"abc"),
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    );
+    assert_eq!(
+        sha256(&[0x61; 1000]),
+        "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3"
+    );
+}
+
+#[test]
+fn triangle_ring_refuters() {
+    let g = builders::triangle();
+    pin(
+        "weak_agreement/triangle/WeakViaBA",
+        refute::weak_agreement(&WeakViaBa::new(1), &g, 1),
+    );
+    pin(
+        "weak_agreement/triangle/NaiveMajority",
+        refute::weak_agreement(&NaiveMajority, &g, 1),
+    );
+    pin(
+        "firing_squad/triangle/FiringSquadViaBA",
+        refute::firing_squad(&FiringSquadViaBa::new(1), &g, 1),
+    );
+    pin(
+        "firing_squad/triangle/FloodAndFire",
+        refute::firing_squad(&FLOOD, &g, 1),
+    );
+}
+
+#[test]
+fn direct_general_ring_refuters() {
+    let tri = builders::triangle();
+    pin(
+        "weak_agreement_direct_general/triangle/WeakViaBA",
+        refute::weak_agreement_direct_general(&WeakViaBa::new(1), &tri, 1),
+    );
+    pin(
+        "firing_squad_direct_general/triangle/FiringSquadViaBA",
+        refute::firing_squad_direct_general(&FiringSquadViaBa::new(1), &tri, 1),
+    );
+    let k5 = builders::complete(5);
+    pin(
+        "weak_agreement_direct_general/K5/WeakViaBA",
+        refute::weak_agreement_direct_general(&WeakViaBa::new(2), &k5, 2),
+    );
+    pin(
+        "firing_squad_direct_general/K5/FiringSquadViaBA",
+        refute::firing_squad_direct_general(&FiringSquadViaBa::new(2), &k5, 2),
+    );
+}
+
+#[test]
+fn direct_connectivity_ring_refuters() {
+    for n in [4, 5, 6] {
+        let g = builders::cycle(n);
+        pin(
+            &format!("weak_agreement_direct_connectivity/cycle{n}/NaiveMajority"),
+            refute::weak_agreement_direct_connectivity(&NaiveMajority, &g, 1),
+        );
+        pin(
+            &format!("firing_squad_direct_connectivity/cycle{n}/FloodAndFire"),
+            refute::firing_squad_direct_connectivity(&FLOOD, &g, 1),
+        );
+    }
+}
+
+#[test]
+fn chain_refuters() {
+    let tri = builders::triangle();
+    pin(
+        "ba_nodes/triangle/EIG",
+        refute::ba_nodes(&Eig::new(1), &tri, 1),
+    );
+    pin(
+        "ba_nodes/K5/EIG",
+        refute::ba_nodes(&Eig::new(2), &builders::complete(5), 2),
+    );
+    pin(
+        "simple_approx/triangle/DLPSW",
+        refute::simple_approx(&Dlpsw::new(1, 4), &tri, 1),
+    );
+    pin(
+        "simple_approx/triangle/EchoReal",
+        refute::simple_approx(&ECHO, &tri, 1),
+    );
+    for n in [4, 5, 6] {
+        let g = builders::cycle(n);
+        pin(
+            &format!("ba_connectivity/cycle{n}/NaiveMajority"),
+            refute::ba_connectivity(&NaiveMajority, &g, 1),
+        );
+        pin(
+            &format!("simple_approx_connectivity/cycle{n}/EchoReal"),
+            refute::simple_approx_connectivity(&ECHO, &g, 1),
+        );
+    }
+}
+
+/// Each validity-pin wording: the triangle refuters and the direct
+/// refuters word their early-exit certificates differently.
+#[test]
+fn early_exit_certificates() {
+    let tri = builders::triangle();
+    let k5 = builders::complete(5);
+    pin(
+        "weak_agreement/triangle/Stubborn",
+        refute::weak_agreement(&STUBBORN, &tri, 1),
+    );
+    pin(
+        "weak_agreement/triangle/Mute",
+        refute::weak_agreement(&MUTE, &tri, 1),
+    );
+    pin(
+        "weak_agreement_direct_general/K5/Stubborn",
+        refute::weak_agreement_direct_general(&STUBBORN, &k5, 2),
+    );
+    pin(
+        "weak_agreement_direct_connectivity/cycle5/Mute",
+        refute::weak_agreement_direct_connectivity(&MUTE, &builders::cycle(5), 1),
+    );
+    pin(
+        "firing_squad/triangle/Mute",
+        refute::firing_squad(&MUTE, &tri, 1),
+    );
+    pin(
+        "firing_squad/triangle/Staggered",
+        refute::firing_squad(&STAGGERED, &tri, 1),
+    );
+    pin(
+        "firing_squad/triangle/TriggerHappy",
+        refute::firing_squad(&TRIGGER_HAPPY, &tri, 1),
+    );
+    pin(
+        "firing_squad_direct_general/K5/Mute",
+        refute::firing_squad_direct_general(&MUTE, &k5, 2),
+    );
+    pin(
+        "firing_squad_direct_general/K5/Staggered",
+        refute::firing_squad_direct_general(&STAGGERED, &k5, 2),
+    );
+    pin(
+        "firing_squad_direct_connectivity/cycle4/TriggerHappy",
+        refute::firing_squad_direct_connectivity(&TRIGGER_HAPPY, &builders::cycle(4), 1),
+    );
+}
+
+#[test]
+fn under_a_non_default_policy() {
+    let policy = RunPolicy {
+        max_payload_bytes: 512,
+        max_ticks: 64,
+    };
+    refute::with_policy(policy, || {
+        pin(
+            "policy/weak_agreement/triangle/WeakViaBA",
+            refute::weak_agreement(&WeakViaBa::new(1), &builders::triangle(), 1),
+        );
+        pin(
+            "policy/firing_squad_direct_connectivity/cycle6/FloodAndFire",
+            refute::firing_squad_direct_connectivity(&FLOOD, &builders::cycle(6), 1),
+        );
+        pin(
+            "policy/simple_approx_connectivity/cycle4/EchoReal",
+            refute::simple_approx_connectivity(&ECHO, &builders::cycle(4), 1),
+        );
+    });
+}
