@@ -19,7 +19,12 @@ use flm_sim::{Input, Protocol};
 
 use crate::certificate::{Certificate, Theorem, Violation};
 use crate::problems;
+use crate::refute::ba::{chain_certificate, connectivity_chain, hexagon_walk};
 use crate::refute::{partition_with_crossing_link, run_cover, transplant, RefuteError};
+
+/// Faulty inputs that keep each chain link's input range tight: all-0 in
+/// `E₁`, mid-range in `E₂`, all-1 in `E₃`.
+const FAULTY_INPUTS: [Input; 3] = [Input::Real(0.0), Input::Real(0.5), Input::Real(1.0)];
 
 /// Theorem 5: refutes any simple-approximate-agreement protocol on a graph
 /// with `n ≤ 3f` nodes.
@@ -34,60 +39,23 @@ pub fn simple_approx(
     f: usize,
 ) -> Result<Certificate, RefuteError> {
     let n = g.node_count();
-    let [a, b, c] = partition_with_crossing_link(g, f)?;
-    let cov = Covering::double_cover_crossing(g, &a, &c)?;
-    let horizon = protocol.horizon(g);
-    let policy = crate::refute::current_policy();
+    let classes = partition_with_crossing_link(g, f)?;
+    let [a, b, c] = &classes;
+    let cov = Covering::double_cover_crossing(g, a, c)?;
     let inputs = move |s: NodeId| Input::Real(if s.index() >= n { 1.0 } else { 0.0 });
-    let cover_behavior = run_cover(protocol, &cov, &inputs, horizon, &policy)?;
-
-    let off = n as u32;
-    let lift = |class: &BTreeSet<NodeId>, copy: u32| {
-        class
-            .iter()
-            .map(move |v| NodeId(v.0 + copy * off))
-            .collect::<Vec<_>>()
-    };
-    let scenarios: Vec<(BTreeSet<NodeId>, f64)> = vec![
-        // (cover nodes, input assigned to that link's faulty nodes)
-        (lift(&b, 0).into_iter().chain(lift(&c, 0)).collect(), 0.0),
-        (lift(&c, 0).into_iter().chain(lift(&a, 1)).collect(), 0.5),
-        (lift(&a, 1).into_iter().chain(lift(&b, 1)).collect(), 1.0),
-    ];
-
-    let mut chain = Vec::new();
-    let mut violation: Option<Violation> = None;
-    for (i, (u_set, faulty_in)) in scenarios.iter().enumerate() {
-        let (link, behavior, correct) = transplant(
-            protocol,
-            &cov,
-            &cover_behavior,
-            u_set,
-            Input::Real(*faulty_in),
-            horizon,
-            f,
-            &policy,
-        )?;
-        if violation.is_none() {
-            violation = problems::simple_approx(&behavior, &correct, i).err();
-        }
-        chain.push(link);
-    }
-    let violation = violation.ok_or_else(|| RefuteError::Unrefuted {
-        reason: "all three behaviors met simple approximate agreement; \
-                 the E1/E3 validity pins and E2 agreement cannot coexist"
-            .into(),
-    })?;
-    Ok(Certificate {
-        theorem: Theorem::SimpleApprox,
-        protocol: protocol.name(),
-        base: g.clone(),
+    chain_certificate(
+        protocol,
+        &cov,
+        Theorem::SimpleApprox,
+        format!("double cover crossing a–c links; a={a:?} b={b:?} c={c:?}"),
         f,
-        covering: format!("double cover crossing a–c links; a={a:?} b={b:?} c={c:?}"),
-        chain,
-        policy,
-        violation,
-    })
+        &inputs,
+        hexagon_walk(&classes, n)
+            .into_iter()
+            .zip(FAULTY_INPUTS)
+            .collect(),
+        problems::simple_approx,
+    )
 }
 
 /// Theorem 5, connectivity half: refutes any simple-approximate-agreement
@@ -104,52 +72,17 @@ pub fn simple_approx_connectivity(
     g: &Graph,
     f: usize,
 ) -> Result<Certificate, RefuteError> {
-    let plan = crate::refute::ba::connectivity_plan(g, f)?;
-    let horizon = protocol.horizon(g);
-    let policy = crate::refute::current_policy();
     // Real inputs replacing the Boolean pattern: the "0 side" gets 0.0 and
     // the "1 side" 1.0, per the same copy/class rule as Theorem 1.
-    let bool_inputs = plan.inputs.clone();
-    let inputs = move |s: NodeId| {
-        Input::Real(match bool_inputs(s) {
-            Input::Bool(true) => 1.0,
-            _ => 0.0,
-        })
-    };
-    let cover_behavior = run_cover(protocol, &plan.cov, &inputs, horizon, &policy)?;
-    let mut chain = Vec::new();
-    let mut violation: Option<Violation> = None;
-    // Faulty inputs keep each link's input range tight: all-0 in E1,
-    // mid-range in E2, all-1 in E3.
-    for (i, (u_set, faulty_in)) in plan.scenarios.iter().zip([0.0, 0.5, 1.0]).enumerate() {
-        let (link, behavior, correct) = transplant(
-            protocol,
-            &plan.cov,
-            &cover_behavior,
-            u_set,
-            Input::Real(faulty_in),
-            horizon,
-            f,
-            &policy,
-        )?;
-        if violation.is_none() {
-            violation = problems::simple_approx(&behavior, &correct, i).err();
-        }
-        chain.push(link);
-    }
-    let violation = violation.ok_or_else(|| RefuteError::Unrefuted {
-        reason: "all three behaviors met simple approximate agreement over the cut cover".into(),
-    })?;
-    Ok(Certificate {
-        theorem: Theorem::SimpleApprox,
-        protocol: protocol.name(),
-        base: g.clone(),
+    connectivity_chain(
+        protocol,
+        g,
         f,
-        covering: plan.description,
-        chain,
-        policy,
-        violation,
-    })
+        Theorem::SimpleApprox,
+        |b| Input::Real(if b { 1.0 } else { 0.0 }),
+        FAULTY_INPUTS,
+        problems::simple_approx,
+    )
 }
 
 /// Theorem 6: refutes any (ε,δ,γ)-agreement protocol with `ε < δ` on the

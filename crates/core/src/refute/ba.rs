@@ -13,37 +13,60 @@
 //!   `a`, `c` are the separated sides. Two copies with the `a`–`b` links
 //!   crossed give the 8-ring generalization, and the same three-link chain
 //!   applies with `d`, `b`, `d` faulty in turn.
+//!
+//! Both run one engine, [`chain_certificate`]: one cover run, then the
+//! three transplants checked against the problem's conditions. Theorem 5's
+//! simple-approximate-agreement refuters run the same engine with real
+//! inputs.
 
 use std::collections::BTreeSet;
 
 use flm_graph::covering::Covering;
 use flm_graph::{connectivity, Graph, NodeId};
-use flm_sim::{Input, Protocol};
+use flm_sim::{Input, Protocol, SystemBehavior};
 
 use crate::certificate::{Certificate, Theorem, Violation};
 use crate::problems;
 use crate::refute::{partition_with_crossing_link, run_cover, transplant, RefuteError};
 
 /// Offsets a class into copy 0 or copy 1 of a crossed double cover.
-fn copy_of(class: &BTreeSet<NodeId>, copy: usize, n: usize) -> impl Iterator<Item = NodeId> + '_ {
+pub(super) fn copy_of(
+    class: &BTreeSet<NodeId>,
+    copy: usize,
+    n: usize,
+) -> impl Iterator<Item = NodeId> + '_ {
     let off = (copy * n) as u32;
     class.iter().map(move |v| NodeId(v.0 + off))
 }
 
-/// Runs the three-link chain shared by both Theorem 1 refuters.
+/// The hexagon walk over the node-bound crossed double cover: `(b₀ c₀)`
+/// with `a` faulty, `(c₀ a₁)` with `b` faulty, `(a₁ b₁)` with `c` faulty.
+pub(super) fn hexagon_walk(classes: &[BTreeSet<NodeId>; 3], n: usize) -> [BTreeSet<NodeId>; 3] {
+    let [a, b, c] = classes;
+    [
+        copy_of(b, 0, n).chain(copy_of(c, 0, n)).collect(),
+        copy_of(c, 0, n).chain(copy_of(a, 1, n)).collect(),
+        copy_of(a, 1, n).chain(copy_of(b, 1, n)).collect(),
+    ]
+}
+
+/// Runs the three-link chain shared by the Theorem 1 and Theorem 5
+/// refuters.
 ///
 /// `scenarios` lists, per chain behavior, the cover-node set whose scenario
-/// is transplanted; `faulty_input` the input assigned to the masquerading
-/// nodes. The first violated Byzantine-agreement condition becomes the
-/// certificate.
-fn chain_certificate(
+/// is transplanted and the input assigned to that link's masquerading
+/// nodes. The first violation `check` reports becomes the certificate.
+// The chain's full parameter set, as for `transplant`.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn chain_certificate(
     protocol: &dyn Protocol,
     cov: &Covering,
     theorem: Theorem,
     covering_desc: String,
     f: usize,
     inputs: &dyn Fn(NodeId) -> Input,
-    scenarios: Vec<BTreeSet<NodeId>>,
+    scenarios: Vec<(BTreeSet<NodeId>, Input)>,
+    check: fn(&SystemBehavior, &BTreeSet<NodeId>, usize) -> Result<(), Violation>,
 ) -> Result<Certificate, RefuteError> {
     let horizon = protocol.horizon(cov.base());
     // Captured once at entry: `with_policy` is thread-local, and the
@@ -58,13 +81,13 @@ fn chain_certificate(
     // input order so the certificate (first error, first violated link) is
     // byte-identical to the sequential scan.
     let cost_hint = super::run_cost_hint_ns(cov.base().node_count(), horizon);
-    let transplants = flm_par::par_map_adaptive(scenarios, cost_hint, |u_set| {
+    let transplants = flm_par::par_map_adaptive(scenarios, cost_hint, |(u_set, faulty_input)| {
         transplant(
             protocol,
             cov,
             &cover_behavior,
             &u_set,
-            Input::None,
+            faulty_input,
             horizon,
             f,
             &policy,
@@ -75,14 +98,16 @@ fn chain_certificate(
     for (i, result) in transplants.into_iter().enumerate() {
         let (link, behavior, correct) = result?;
         if violation.is_none() {
-            violation = problems::byzantine_agreement(&behavior, &correct, i).err();
+            violation = check(&behavior, &correct, i).err();
         }
         chain.push(link);
     }
     let violation = violation.ok_or_else(|| RefuteError::Unrefuted {
-        reason: "all three chain behaviors satisfied agreement and validity, \
-                 which the covering argument proves impossible"
-            .into(),
+        reason: format!(
+            "all {} chain behaviors met the {theorem} conditions, which the covering \
+             argument proves impossible",
+            chain.len()
+        ),
     })?;
     Ok(Certificate {
         theorem,
@@ -106,16 +131,12 @@ fn chain_certificate(
 /// nondeterministic or otherwise break the model.
 pub fn ba_nodes(protocol: &dyn Protocol, g: &Graph, f: usize) -> Result<Certificate, RefuteError> {
     let n = g.node_count();
-    let [a, b, c] = partition_with_crossing_link(g, f)?;
+    let classes = partition_with_crossing_link(g, f)?;
+    let [a, b, c] = &classes;
     let cov = crate::profile::span("build-covering", || {
-        Covering::double_cover_crossing(g, &a, &c)
+        Covering::double_cover_crossing(g, a, c)
     })?;
     let inputs = move |s: NodeId| Input::Bool(s.index() >= n);
-    // The hexagon walk: (b₀ c₀) with a faulty, (c₀ a₁) with b faulty,
-    // (a₁ b₁) with c faulty.
-    let u1: BTreeSet<NodeId> = copy_of(&b, 0, n).chain(copy_of(&c, 0, n)).collect();
-    let u2: BTreeSet<NodeId> = copy_of(&c, 0, n).chain(copy_of(&a, 1, n)).collect();
-    let u3: BTreeSet<NodeId> = copy_of(&a, 1, n).chain(copy_of(&b, 1, n)).collect();
     chain_certificate(
         protocol,
         &cov,
@@ -125,24 +146,9 @@ pub fn ba_nodes(protocol: &dyn Protocol, g: &Graph, f: usize) -> Result<Certific
         ),
         f,
         &inputs,
-        vec![u1, u2, u3],
+        hexagon_walk(&classes, n).map(|u| (u, Input::None)).into(),
+        problems::byzantine_agreement,
     )
-}
-
-/// The reusable apparatus of the §3.2 connectivity construction: the
-/// crossed double cover over a split vertex cut, the copy/class input rule,
-/// and the three scenario node sets of the chain. Shared by the Byzantine
-/// and approximate-agreement connectivity refuters.
-pub(crate) struct ConnectivityPlan {
-    /// The crossed double cover.
-    pub cov: Covering,
-    /// Boolean input rule per cover node (`a`,`d`: 0 on copy 0; `b`,`c`:
-    /// 0 on copy 1).
-    pub inputs: std::rc::Rc<dyn Fn(NodeId) -> Input>,
-    /// The three scenario sets `(a₀b₁c₁)`, `(c₁d₁a₁)`, `(a₁b₀c₀)`.
-    pub scenarios: Vec<BTreeSet<NodeId>>,
-    /// Human-readable description for certificates.
-    pub description: String,
 }
 
 /// The four §3.2 classes of a cut-based construction: the separated side
@@ -219,8 +225,19 @@ pub(crate) fn cut_classes(g: &Graph, f: usize) -> Result<CutClasses, RefuteError
     Ok(CutClasses { a, b, c, d, kappa })
 }
 
-/// Builds the §3.2 apparatus for a connected graph with `κ(G) ≤ 2f`.
-pub(crate) fn connectivity_plan(g: &Graph, f: usize) -> Result<ConnectivityPlan, RefuteError> {
+/// The §3.2 three-link chain over a connected graph with `κ(G) ≤ 2f`,
+/// shared by the Byzantine and approximate-agreement connectivity
+/// refuters: the crossed double cover over a split vertex cut, Boolean
+/// inputs mapped through `value`, and `faulty_inputs` per link.
+pub(super) fn connectivity_chain(
+    protocol: &dyn Protocol,
+    g: &Graph,
+    f: usize,
+    theorem: Theorem,
+    value: fn(bool) -> Input,
+    faulty_inputs: [Input; 3],
+    check: fn(&SystemBehavior, &BTreeSet<NodeId>, usize) -> Result<(), Violation>,
+) -> Result<Certificate, RefuteError> {
     let n = g.node_count();
     let CutClasses { a, b, c, d, kappa } = cut_classes(g, f)?;
 
@@ -236,31 +253,33 @@ pub(crate) fn connectivity_plan(g: &Graph, f: usize) -> Result<ConnectivityPlan,
             zero_on_copy0 || b2.contains(&base) || c2.contains(&base),
             "classes partition the nodes"
         );
-        Input::Bool(zero_on_copy0 == copy1) // a,d: 0 on copy 0; b,c: 0 on copy 1
+        value(zero_on_copy0 == copy1) // a,d: 0 on copy 0; b,c: 0 on copy 1
     };
     // The 8-ring walk: (a₀ b₁ c₁) with d faulty, (c₁ d₁ a₁) with b faulty,
     // (a₁ b₀ c₀) with d faulty.
-    let u1: BTreeSet<NodeId> = copy_of(&a, 0, n)
-        .chain(copy_of(&b, 1, n))
-        .chain(copy_of(&c, 1, n))
-        .collect();
-    let u2: BTreeSet<NodeId> = copy_of(&c, 1, n)
-        .chain(copy_of(&d, 1, n))
-        .chain(copy_of(&a, 1, n))
-        .collect();
-    let u3: BTreeSet<NodeId> = copy_of(&a, 1, n)
-        .chain(copy_of(&b, 0, n))
-        .chain(copy_of(&c, 0, n))
-        .collect();
-    Ok(ConnectivityPlan {
-        cov,
-        inputs: std::rc::Rc::new(inputs),
-        scenarios: vec![u1, u2, u3],
-        description: format!(
+    let walk = [
+        [(&a, 0), (&b, 1), (&c, 1)],
+        [(&c, 1), (&d, 1), (&a, 1)],
+        [(&a, 1), (&b, 0), (&c, 0)],
+    ]
+    .map(|u| {
+        u.iter()
+            .flat_map(|&(class, copy)| copy_of(class, copy, n))
+            .collect()
+    });
+    chain_certificate(
+        protocol,
+        &cov,
+        theorem,
+        format!(
             "double cover of {n}-node graph (κ={kappa}) crossing a–b links; \
              a={a:?} b={b:?} c={c:?} d={d:?}"
         ),
-    })
+        f,
+        &inputs,
+        walk.into_iter().zip(faulty_inputs).collect(),
+        check,
+    )
 }
 
 /// Theorem 1, connectivity bound: refutes any Byzantine-agreement protocol
@@ -276,16 +295,14 @@ pub fn ba_connectivity(
     g: &Graph,
     f: usize,
 ) -> Result<Certificate, RefuteError> {
-    let plan = connectivity_plan(g, f)?;
-    let inputs = plan.inputs.clone();
-    chain_certificate(
+    connectivity_chain(
         protocol,
-        &plan.cov,
-        Theorem::BaConnectivity,
-        plan.description,
+        g,
         f,
-        &move |s| inputs(s),
-        plan.scenarios,
+        Theorem::BaConnectivity,
+        Input::Bool,
+        [Input::None; 3],
+        problems::byzantine_agreement,
     )
 }
 

@@ -47,7 +47,7 @@ use flm_graph::covering::Covering;
 use flm_graph::{Graph, GraphError, NodeId};
 use flm_sim::behavior::EdgeBehavior;
 use flm_sim::replay::ReplayDevice;
-use flm_sim::{DeviceMisbehavior, Input, Protocol, RunPolicy, System, SystemBehavior};
+use flm_sim::{Device, DeviceMisbehavior, Input, Protocol, RunPolicy, System, SystemBehavior};
 
 use crate::certificate::ChainLink;
 
@@ -168,6 +168,22 @@ pub(crate) fn run_cost_hint_ns(nodes: usize, horizon: u32) -> u64 {
         .saturating_mul(2_000)
 }
 
+/// Builds `protocol`'s device for node `v` of `g`. A constructor that
+/// panics — EIG, DLPSW and Dolev–Strong assert a complete graph — becomes
+/// [`RefuteError::BadGraph`] instead of unwinding through the refuter.
+pub(crate) fn device_for(
+    protocol: &dyn Protocol,
+    g: &Graph,
+    v: NodeId,
+) -> Result<Box<dyn Device>, RefuteError> {
+    flm_sim::contain_panics(|| protocol.device(g, v)).map_err(|msg| RefuteError::BadGraph {
+        reason: format!(
+            "{} cannot run on this graph: device construction for {v} panicked: {msg}",
+            protocol.name()
+        ),
+    })
+}
+
 /// Memoizes a link-shaped contained run (correct protocol devices plus
 /// masquerading replayers) in the whole-run cache.
 ///
@@ -232,7 +248,7 @@ pub(crate) fn run_cover(
         flm_sim::runcache::memoize_discrete(&key, || {
             let mut sys = System::new(cov.cover().clone());
             for s in cov.cover().nodes() {
-                let device = protocol.device(cov.base(), cov.project(s));
+                let device = device_for(protocol, cov.base(), cov.project(s))?;
                 sys.assign_lifted(cov, s, device, inputs(s)).map_err(|e| {
                     RefuteError::ModelViolation {
                         reason: format!("installing device at cover node {s}: {e}"),
@@ -374,7 +390,7 @@ fn transplant_inner(
         || {
             let mut sys = System::new(base.clone());
             for &t in &correct_sorted {
-                sys.assign(t, protocol.device(base, t), inputs[t.index()]);
+                sys.assign(t, device_for(protocol, base, t)?, inputs[t.index()]);
             }
             for (alpha, traces) in &masquerade {
                 sys.assign(
@@ -501,6 +517,26 @@ mod tests {
             // The first link crosses a–c.
             let (u, v) = g.links()[0];
             assert!(a.contains(&u) && c.contains(&v));
+        }
+    }
+
+    #[test]
+    fn a_device_constructor_panic_is_a_typed_bad_graph() {
+        // EIG asserts a complete graph. C5 with f = 2 passes the node bound,
+        // so the chain refuter meets the panic in its cover run; the ring
+        // refuter meets it in its all-correct runs.
+        let eig = flm_protocols::Eig::new(2);
+        let weak = flm_protocols::WeakViaBa::new(1);
+        for result in [
+            ba_nodes(&eig, &builders::cycle(5), 2),
+            weak_agreement_direct_connectivity(&weak, &builders::cycle(4), 1),
+        ] {
+            match result {
+                Err(RefuteError::BadGraph { reason }) => {
+                    assert!(reason.contains("requires the complete graph"), "{reason}");
+                }
+                other => panic!("expected BadGraph, got {other:?}"),
+            }
         }
     }
 

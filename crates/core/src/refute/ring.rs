@@ -1,29 +1,42 @@
 //! Theorems 2 and 4: weak agreement and the Byzantine firing squad are
-//! impossible in inadequate graphs — given a positive lower bound on
+//! impossible in inadequate graphs, given a positive lower bound on
 //! information propagation (the Bounded-Delay Locality axiom; the simulator
 //! enforces δ = 1 tick per hop structurally).
 //!
-//! Both proofs unroll the triangle into a ring of `4k` nodes, half with
-//! input (or stimulus) 1 and half with 0. Every adjacent pair of ring nodes
-//! is, by the Fault axiom, a pair of correct nodes in some behavior of the
-//! triangle, so agreement must hold around the entire ring. But Lemma 3 —
-//! news travels at most one hop per tick — forces nodes deep inside the
-//! 0-region to behave exactly like the all-0 triangle run (and the deep
-//! 1-region like the all-1 run) long enough to decide. The decisions cannot
-//! be simultaneously all-equal and different at the two deep points, so
-//! some adjacent pair disagrees — and that pair is the counterexample.
+//! Both theorems have one proof, which [`refute_ring`] implements once:
 //!
-//! These refuters operate on the triangle with `f = 1`; larger inadequate
-//! systems reduce to it by the footnote-3 collapse ([`crate::reduction`]).
+//! 1. **Pins.** The all-correct runs with input 0 and with input 1 must
+//!    meet validity; they fix `t′`, the last tick a pinned node decides
+//!    (fires). A pin that already fails is the certificate.
+//! 2. **Plan.** A [`Plan`] unrolls `G` into a ring of copies, input 1 on
+//!    the first half and 0 on the rest, so long that by Lemma 3 the deep
+//!    copies replay the all-1 and all-0 runs past `t′` and decide apart.
+//! 3. **Run** the ring once.
+//! 4. **Walk.** By the Fault axiom each scenario of the plan's walk is the
+//!    correct part of a behavior of `G`, and consecutive scenarios overlap,
+//!    so agreement would chain around the whole ring: some scenario is not
+//!    uniform.
+//! 5. **Transplant** that scenario into `G`; the first condition it
+//!    violates is the counterexample.
+//!
+//! The three plans are the triangle as a `4k`-node ring with `f = 1`
+//! (larger systems reduce to it by the footnote-3 collapse,
+//! [`crate::reduction`]), the node-bound crossed cover for `n ≤ 3f`, and
+//! the cut crossed cover for `κ ≤ 2f`. Each public refuter pairs one
+//! [`Problem`] with one plan.
 
 use std::collections::BTreeSet;
 
 use flm_graph::covering::Covering;
 use flm_graph::{Graph, NodeId};
-use flm_sim::{Decision, Input, Protocol, RunPolicy, System, Tick};
+use flm_sim::behavior::NodeBehavior;
+use flm_sim::{Decision, Input, Protocol, RunPolicy, System, SystemBehavior, Tick};
 
 use crate::certificate::{Certificate, ChainLink, Condition, Theorem, Violation};
-use crate::refute::{run_cost_hint_ns, run_cover, transplant, RefuteError};
+use crate::refute::ba::{copy_of, cut_classes, CutClasses};
+use crate::refute::{
+    device_for, partition_with_crossing_link, run_cost_hint_ns, run_cover, transplant, RefuteError,
+};
 
 /// Requires the triangle with `f = 1`.
 fn require_triangle(g: &Graph, f: usize) -> Result<(), RefuteError> {
@@ -54,7 +67,7 @@ fn all_correct_run(
     let behavior = flm_sim::runcache::memoize_discrete(&key, || {
         let mut sys = System::new(g.clone());
         for v in g.nodes() {
-            sys.assign(v, protocol.device(g, v), input);
+            sys.assign(v, device_for(protocol, g, v)?, input);
         }
         sys.run_contained(horizon, policy)
             .map_err(|e| RefuteError::ModelViolation {
@@ -117,12 +130,302 @@ fn all_correct_pair(
     [first, second]
 }
 
-/// The ring cover of the triangle with `4k` nodes (`k` a multiple of 3).
-fn ring_cover(k: usize) -> Result<Covering, RefuteError> {
-    debug_assert_eq!(k % 3, 0);
-    crate::profile::span("build-covering", || {
-        Ok(Covering::cyclic_cover(3, 4 * k / 3)?)
-    })
+/// The problem a ring refuter addresses.
+struct Problem {
+    theorem: Theorem,
+    /// The validity pins.
+    pins: fn(&dyn Protocol, &Graph, usize, u32, &RunPolicy, Wording) -> Pins,
+    /// A node's observation in the scenario walk; a scenario is uniform
+    /// when every node's is present and equal.
+    observe: fn(&NodeBehavior) -> Option<Option<u32>>,
+    /// The problem's conditions (`all_correct` is `false` here).
+    check: fn(&SystemBehavior, &BTreeSet<NodeId>, bool, usize) -> Result<(), Violation>,
+}
+
+/// Theorem 2: every node of a scenario must decide the same Boolean.
+const WEAK: Problem = Problem {
+    theorem: Theorem::WeakAgreement,
+    pins: weak_pins,
+    observe: |nb| match nb.decision() {
+        Some(Decision::Bool(b)) => Some(Some(u32::from(b))),
+        _ => None,
+    },
+    check: crate::problems::weak_agreement,
+};
+
+/// Theorem 4: every node of a scenario must fire at the same tick, or
+/// none at all.
+const FIRING_SQUAD: Problem = Problem {
+    theorem: Theorem::FiringSquad,
+    pins: firing_squad_pins,
+    observe: |nb| Some(nb.fire_tick().map(|t| t.0)),
+    check: crate::problems::firing_squad,
+};
+
+/// How a plan words its early-exit certificates. The triangle refuters and
+/// the direct refuters phrase the same facts differently; the strings are
+/// certificate bytes, which the serve store keeps on disk, so each plan
+/// keeps its own.
+#[derive(Clone, Copy)]
+enum Wording {
+    Triangle,
+    Direct,
+}
+
+impl Wording {
+    fn no_covering(self) -> &'static str {
+        match self {
+            Wording::Triangle => {
+                "no covering needed: an all-correct run already violates the conditions"
+            }
+            Wording::Direct => "no covering needed: an all-correct run already violates",
+        }
+    }
+}
+
+/// The validity pins' chain links, and `t′` or the violation that already
+/// refutes the protocol.
+type Pins = Result<(Vec<ChainLink>, Result<u32, Violation>), RefuteError>;
+
+/// The weak-agreement validity pins: in the all-0 and all-1 runs every
+/// pinned node must decide its input.
+fn weak_pins(
+    protocol: &dyn Protocol,
+    g: &Graph,
+    f: usize,
+    horizon: u32,
+    policy: &RunPolicy,
+    wording: Wording,
+) -> Pins {
+    let mut chain = Vec::new();
+    let mut t_prime = 0u32;
+    let pair = all_correct_pair(
+        protocol,
+        g,
+        [Input::Bool(false), Input::Bool(true)],
+        horizon,
+        f,
+        policy,
+    );
+    for (bit, run) in [false, true].into_iter().zip(pair) {
+        let (link, behavior, pins) = run?;
+        for v in pins {
+            let decision = behavior.node(v).decision();
+            if decision == Some(Decision::Bool(bit)) {
+                t_prime = t_prime.max(behavior.node(v).decision_tick().map_or(0, |t| t.0));
+                continue;
+            }
+            let input = u8::from(bit);
+            let evidence = match (wording, decision) {
+                (Wording::Direct, other) => {
+                    format!("all nodes correct with input {input}: {v} decided {other:?}")
+                }
+                (Wording::Triangle, Some(Decision::Bool(d))) => format!(
+                    "all nodes correct with input {input} but {v} chose {}",
+                    u8::from(d)
+                ),
+                (Wording::Triangle, other) => format!(
+                    "{v} chose {other:?} by the protocol's own horizon {horizon} — the Choice \
+                     condition fails"
+                ),
+            };
+            let condition = if matches!(decision, Some(Decision::Bool(_))) {
+                Condition::Validity
+            } else {
+                Condition::Termination
+            };
+            let violation = Violation {
+                condition,
+                link: chain.len(),
+                evidence,
+            };
+            chain.push(link);
+            return Ok((chain, Err(violation)));
+        }
+        chain.push(link);
+    }
+    Ok((chain, Ok(t_prime)))
+}
+
+/// The firing-squad validity pins: the all-stimulus run must fire every
+/// pinned node at one common tick, which it returns; the no-stimulus run
+/// must stay silent.
+fn firing_squad_pins(
+    protocol: &dyn Protocol,
+    g: &Graph,
+    f: usize,
+    horizon: u32,
+    policy: &RunPolicy,
+    wording: Wording,
+) -> Pins {
+    let [stim_run, quiet_run] = all_correct_pair(
+        protocol,
+        g,
+        [Input::Bool(true), Input::Bool(false)],
+        horizon,
+        f,
+        policy,
+    );
+    let (stim_link, stim_behavior, stim_pins) = stim_run?;
+    let fire_ticks: Vec<Option<Tick>> = stim_pins
+        .iter()
+        .map(|&v| stim_behavior.node(v).fire_tick())
+        .collect();
+    let mut chain = Vec::new();
+    let stim_violation = if fire_ticks.iter().any(Option::is_none) {
+        let stimulus = match wording {
+            Wording::Triangle => "stimulus occurred at every node",
+            Wording::Direct => "stimulus at every node",
+        };
+        Some(Violation {
+            condition: Condition::Validity,
+            link: chain.len(),
+            evidence: format!("{stimulus} yet fire ticks are {fire_ticks:?} by horizon {horizon}"),
+        })
+    } else if fire_ticks.windows(2).any(|w| w[0] != w[1]) {
+        Some(Violation {
+            condition: Condition::Agreement,
+            link: chain.len(),
+            evidence: format!("correct nodes fired at different times: {fire_ticks:?}"),
+        })
+    } else {
+        None
+    };
+    chain.push(stim_link);
+    if let Some(violation) = stim_violation {
+        return Ok((chain, Err(violation)));
+    }
+    let t_fire = fire_ticks[0]
+        .expect("pins are non-empty and every None fire tick returned early above")
+        .0;
+    let (quiet_link, quiet_behavior, quiet_pins) = quiet_run?;
+    let early_fire = quiet_pins
+        .iter()
+        .copied()
+        .find(|&v| quiet_behavior.node(v).fire_tick().is_some());
+    let violation = early_fire.map(|v| Violation {
+        condition: Condition::Validity,
+        link: chain.len(),
+        evidence: format!("no stimulus occurred yet {v} fired"),
+    });
+    chain.push(quiet_link);
+    Ok((chain, violation.map_or(Ok(t_fire), Err)))
+}
+
+/// How a ring refuter unrolls `G` into a ring of copies.
+enum Plan {
+    /// The triangle with `f = 1` as a `4k`-node ring (`k` a multiple of 3
+    /// beyond `t′`); the walk visits adjacent pairs `{i, i+1}`.
+    Triangle,
+    /// `n ≤ 3f`: the classes `[a, b, c]`, with the `a`–`c` links crossed.
+    NodeBound([BTreeSet<NodeId>; 3]),
+    /// `κ ≤ 2f`: the §3.2 cut classes, with the `a`–`b` links crossed.
+    Cut(CutClasses),
+}
+
+/// A plan laid out for one `t′`.
+struct Ring {
+    cov: Covering,
+    /// Ticks to run the ring for: the deep copies must get to decide.
+    horizon: u32,
+    /// The walk's cover-node sets, in scan order.
+    scenarios: Vec<BTreeSet<NodeId>>,
+    /// The certificate's covering description.
+    covering: String,
+}
+
+impl Plan {
+    fn lay_out(
+        &self,
+        g: &Graph,
+        problem: &Problem,
+        t_prime: u32,
+        horizon: u32,
+    ) -> Result<Ring, RefuteError> {
+        let n = g.node_count();
+        // m ring-connected copies; the deep copies sit ≥ m/4 copy
+        // boundaries from the input flip, which must exceed t′.
+        let m = (4 * (t_prime as usize + 1)).max(4);
+        let lift = |classes: &[(&BTreeSet<NodeId>, usize)]| -> BTreeSet<NodeId> {
+            classes
+                .iter()
+                .flat_map(|&(class, copy)| copy_of(class, copy, n))
+                .collect()
+        };
+        // Weak agreement's direct certificates name the classes in full.
+        let weak = problem.theorem == Theorem::WeakAgreement;
+        let copies_horizon = horizon.max(m as u32 / 4 + 1);
+        match self {
+            Plan::Triangle => {
+                let k = next_k(t_prime);
+                let ring_n = 4 * k;
+                Ok(Ring {
+                    cov: crate::profile::span("build-covering", || {
+                        Covering::cyclic_cover(3, ring_n / 3)
+                    })?,
+                    horizon: horizon.max(k as u32 + 1),
+                    scenarios: (0..ring_n)
+                        .map(|i| [NodeId(i as u32), NodeId(((i + 1) % ring_n) as u32)].into())
+                        .collect(),
+                    covering: format!("{ring_n}-node ring cover of the triangle (k = {k})"),
+                })
+            }
+            Plan::NodeBound([a, b, c]) => Ok(Ring {
+                cov: Covering::cyclic_crossed_cover(g, a, c, m)?,
+                horizon: copies_horizon,
+                // The crossing sends aᵢ's c-links to cᵢ₊₁, so cᵢ is adjacent
+                // to aᵢ₋₁: only that pairing leaves every border edge at a
+                // *faulty* class, as the Fault axiom requires.
+                scenarios: (0..m)
+                    .flat_map(|i| {
+                        let j = (i + m - 1) % m;
+                        [
+                            lift(&[(a, i), (b, i)]),
+                            lift(&[(b, i), (c, i)]),
+                            lift(&[(c, i), (a, j)]),
+                        ]
+                    })
+                    .collect(),
+                covering: if weak {
+                    format!(
+                        "cyclic crossed cover: {m} copies of the {n}-node graph ({} cover \
+                         nodes), a–c links crossed",
+                        m * n
+                    )
+                } else {
+                    format!(
+                        "cyclic crossed cover: {m} copies of the {n}-node graph, a-c links \
+                         crossed"
+                    )
+                },
+            }),
+            Plan::Cut(CutClasses { a, b, c, d, kappa }) => Ok(Ring {
+                cov: Covering::cyclic_crossed_cover(g, a, b, m)?,
+                horizon: copies_horizon,
+                // (cᵢ dᵢ aᵢ) then (aᵢ bᵢ₊₁ cᵢ₊₁), overlapping in aᵢ then cᵢ₊₁.
+                scenarios: (0..m)
+                    .flat_map(|i| {
+                        let j = (i + 1) % m;
+                        [
+                            lift(&[(c, i), (d, i), (a, i)]),
+                            lift(&[(a, i), (b, j), (c, j)]),
+                        ]
+                    })
+                    .collect(),
+                covering: if weak {
+                    format!(
+                        "cyclic crossed cover over the vertex cut: {m} copies of the {n}-node \
+                         graph (κ={kappa}), a–b links crossed; a={a:?} b={b:?} c={c:?} d={d:?}"
+                    )
+                } else {
+                    format!(
+                        "cyclic crossed cover over the vertex cut: {m} copies of the {n}-node \
+                         graph (κ={kappa}), a-b links crossed"
+                    )
+                },
+            }),
+        }
+    }
 }
 
 /// Smallest multiple of 3 strictly greater than `t`.
@@ -132,6 +435,89 @@ fn next_k(t: u32) -> usize {
         k += 1;
     }
     k
+}
+
+/// The ring engine: pins, plan, one cover run, the scenario walk, and one
+/// transplant checked against the problem's conditions.
+fn refute_ring(
+    protocol: &dyn Protocol,
+    g: &Graph,
+    f: usize,
+    problem: &Problem,
+    plan: &Plan,
+) -> Result<Certificate, RefuteError> {
+    let horizon = protocol.horizon(g);
+    // Captured once at entry; see `chain_certificate` in refute::ba.
+    let policy = crate::refute::current_policy();
+    let certificate = |chain: Vec<ChainLink>, covering: String, violation: Violation| Certificate {
+        theorem: problem.theorem,
+        protocol: protocol.name(),
+        base: g.clone(),
+        f,
+        covering,
+        chain,
+        policy,
+        violation,
+    };
+    let wording = match plan {
+        Plan::Triangle => Wording::Triangle,
+        Plan::NodeBound(_) | Plan::Cut(_) => Wording::Direct,
+    };
+    let (mut chain, pinned) = (problem.pins)(protocol, g, f, horizon, &policy, wording)?;
+    let t_prime = match pinned {
+        Ok(t) => t,
+        Err(violation) => {
+            return Ok(certificate(chain, wording.no_covering().into(), violation));
+        }
+    };
+
+    let ring = plan.lay_out(g, problem, t_prime, horizon)?;
+    // Input 1 (stimulus) on the first half of the ring, 0 on the rest.
+    let half = ring.cov.cover().node_count() / 2;
+    let inputs = move |s: NodeId| Input::Bool(s.index() < half);
+    let cover_behavior = run_cover(protocol, &ring.cov, &inputs, ring.horizon, &policy)?;
+    // The walk: the first scenario whose observations are not all present
+    // and equal. An empty scenario set is vacuously uniform.
+    let non_uniform = |set: &BTreeSet<NodeId>| {
+        let mut values = set
+            .iter()
+            .map(|&s| (problem.observe)(cover_behavior.node(s)));
+        values
+            .next()
+            .is_some_and(|first| first.is_none() || values.any(|v| v.is_none() || v != first))
+    };
+    let Some(u_set) = ring.scenarios.into_iter().find(non_uniform) else {
+        // Every scenario agreed on one value around the whole ring — yet
+        // the deep copies replay the two all-correct runs, which differ.
+        // Only an axiom break allows this.
+        return Err(RefuteError::Unrefuted {
+            reason: format!(
+                "every scenario of the {} was uniform, contradicting Lemma 3",
+                ring.covering
+            ),
+        });
+    };
+    let (link, behavior, correct) = transplant(
+        protocol,
+        &ring.cov,
+        &cover_behavior,
+        &u_set,
+        Input::None,
+        ring.horizon,
+        f,
+        &policy,
+    )?;
+    let violation = (problem.check)(&behavior, &correct, false, chain.len())
+        .err()
+        .ok_or_else(|| RefuteError::Unrefuted {
+            reason: format!(
+                "the transplanted scenario {u_set:?} met the {} conditions despite \
+                 non-uniform observations",
+                problem.theorem
+            ),
+        })?;
+    chain.push(link);
+    Ok(certificate(chain, ring.covering, violation))
 }
 
 /// Theorem 2: refutes any weak-agreement protocol on the triangle with one
@@ -147,111 +533,7 @@ pub fn weak_agreement(
     f: usize,
 ) -> Result<Certificate, RefuteError> {
     require_triangle(g, f)?;
-    let horizon = protocol.horizon(g);
-    // Captured once at entry; see `chain_certificate` in refute::ba.
-    let policy = crate::refute::current_policy();
-
-    // The two validity pins: all-correct all-0 and all-1 runs of G.
-    let mut chain = Vec::new();
-    let mut t_prime = 0u32;
-    let pair = all_correct_pair(
-        protocol,
-        g,
-        [Input::Bool(false), Input::Bool(true)],
-        horizon,
-        f,
-        &policy,
-    );
-    for (b, run) in [false, true].into_iter().zip(pair) {
-        let (link, behavior, pins) = run?;
-        for v in pins {
-            match behavior.node(v).decision() {
-                Some(Decision::Bool(d)) if d == b => {
-                    t_prime =
-                        t_prime.max(behavior.node(v).decision_tick().map(|t| t.0).unwrap_or(0));
-                }
-                Some(Decision::Bool(d)) => {
-                    let violation = Violation {
-                        condition: Condition::Validity,
-                        link: chain.len(),
-                        evidence: format!(
-                            "all nodes correct with input {} but {v} chose {}",
-                            u8::from(b),
-                            u8::from(d)
-                        ),
-                    };
-                    chain.push(link);
-                    return Ok(weak_cert(protocol, g, chain, policy, violation, 0));
-                }
-                other => {
-                    let violation = Violation {
-                        condition: Condition::Termination,
-                        link: chain.len(),
-                        evidence: format!(
-                            "{v} chose {other:?} by the protocol's own horizon {horizon} — \
-                             the Choice condition fails"
-                        ),
-                    };
-                    chain.push(link);
-                    return Ok(weak_cert(protocol, g, chain, policy, violation, 0));
-                }
-            }
-        }
-        chain.push(link);
-    }
-
-    // The ring: 4k nodes, 1-inputs on the first 2k, 0-inputs on the rest.
-    let k = next_k(t_prime);
-    let cov = ring_cover(k)?;
-    let ring_n = cov.cover().node_count();
-    debug_assert_eq!(ring_n, 4 * k);
-    let ring_horizon = horizon.max(k as u32 + 1);
-    let inputs = move |s: NodeId| Input::Bool(s.index() < ring_n / 2);
-    let cover_behavior = run_cover(protocol, &cov, &inputs, ring_horizon, &policy)?;
-
-    // Find an adjacent pair with differing (or missing) decisions. Lemma 3
-    // guarantees one: the deep-1 pair decides 1 and the deep-0 pair 0.
-    let decision_of = |i: usize| cover_behavior.node(NodeId(i as u32)).decision();
-    let mut bad_pair = None;
-    for i in 0..ring_n {
-        let j = (i + 1) % ring_n;
-        let (di, dj) = (decision_of(i), decision_of(j));
-        let broken = !matches!(
-            (&di, &dj),
-            (Some(Decision::Bool(a)), Some(Decision::Bool(b))) if a == b
-        );
-        if broken {
-            bad_pair = Some((i, j));
-            break;
-        }
-    }
-    let Some((i, j)) = bad_pair else {
-        // Everyone agreed on one value w around the whole ring — yet the
-        // deep-(1−w) nodes' prefixes coincide with the opposite all-correct
-        // run, which decided differently. Only an axiom break allows this.
-        return Err(RefuteError::Unrefuted {
-            reason: "every adjacent ring pair agreed, contradicting Lemma 3".into(),
-        });
-    };
-
-    let u_set: BTreeSet<NodeId> = [NodeId(i as u32), NodeId(j as u32)].into();
-    let (link, behavior, correct) = transplant(
-        protocol,
-        &cov,
-        &cover_behavior,
-        &u_set,
-        Input::None,
-        ring_horizon,
-        f,
-        &policy,
-    )?;
-    let violation = crate::problems::weak_agreement(&behavior, &correct, false, chain.len())
-        .err()
-        .ok_or_else(|| RefuteError::Unrefuted {
-            reason: "transplanted pair satisfied weak agreement despite differing decisions".into(),
-        })?;
-    chain.push(link);
-    Ok(weak_cert(protocol, g, chain, policy, violation, k))
+    refute_ring(protocol, g, f, &WEAK, &Plan::Triangle)
 }
 
 /// Theorem 2, general case, proven *directly* (no collapse): for any graph
@@ -276,140 +558,8 @@ pub fn weak_agreement_direct_general(
     g: &Graph,
     f: usize,
 ) -> Result<Certificate, RefuteError> {
-    let horizon = protocol.horizon(g);
-    let policy = crate::refute::current_policy();
-    let classes = crate::refute::partition_with_crossing_link(g, f)?;
-    let [a, b, c] = classes;
-
-    // Validity pins and decision time t′ from the all-correct runs.
-    let mut chain = Vec::new();
-    let mut t_prime = 0u32;
-    let pair = all_correct_pair(
-        protocol,
-        g,
-        [Input::Bool(false), Input::Bool(true)],
-        horizon,
-        f,
-        &policy,
-    );
-    for (bit, run) in [false, true].into_iter().zip(pair) {
-        let (link, behavior, pins) = run?;
-        for v in pins {
-            match behavior.node(v).decision() {
-                Some(Decision::Bool(d)) if d == bit => {
-                    t_prime =
-                        t_prime.max(behavior.node(v).decision_tick().map(|t| t.0).unwrap_or(0));
-                }
-                other => {
-                    let violation = Violation {
-                        condition: if matches!(other, Some(Decision::Bool(_))) {
-                            Condition::Validity
-                        } else {
-                            Condition::Termination
-                        },
-                        link: chain.len(),
-                        evidence: format!(
-                            "all nodes correct with input {}: {v} decided {other:?}",
-                            u8::from(bit)
-                        ),
-                    };
-                    chain.push(link);
-                    return Ok(Certificate {
-                        theorem: Theorem::WeakAgreement,
-                        protocol: protocol.name(),
-                        base: g.clone(),
-                        f,
-                        covering: "no covering needed: an all-correct run already violates".into(),
-                        chain,
-                        policy,
-                        violation,
-                    });
-                }
-            }
-        }
-        chain.push(link);
-    }
-
-    // m ring-connected copies; deep copies sit ≥ m/4 boundaries from the
-    // input flip, which must exceed t′.
-    let m = (4 * (t_prime as usize + 1)).max(4);
-    let cov = Covering::cyclic_crossed_cover(g, &a, &c, m)?;
-    let n = g.node_count();
-    let ring_horizon = horizon.max(m as u32 / 4 + 1);
-    let inputs = move |s: NodeId| Input::Bool(s.index() / n < m / 2);
-    let cover_behavior = run_cover(protocol, &cov, &inputs, ring_horizon, &policy)?;
-
-    // Scenario walk: (a_i b_i), (b_i c_i), (c_i a_{i+1}) around the ring of
-    // copies. Find the first whose correct decisions are not uniform.
-    let lift = |class: &BTreeSet<NodeId>, copy: usize| {
-        class
-            .iter()
-            .map(move |v| NodeId((copy * n) as u32 + v.0))
-            .collect::<Vec<_>>()
-    };
-    let mut bad: Option<BTreeSet<NodeId>> = None;
-    'outer: for i in 0..m {
-        // The crossing sends a_i's c-links to c_{i+1}, so c_i is adjacent to
-        // a_{i-1}: only that pairing leaves every border edge at a *faulty*
-        // class, as the Fault axiom requires.
-        let j = (i + m - 1) % m;
-        let pairs: [Vec<NodeId>; 3] = [
-            lift(&a, i).into_iter().chain(lift(&b, i)).collect(),
-            lift(&b, i).into_iter().chain(lift(&c, i)).collect(),
-            lift(&c, i).into_iter().chain(lift(&a, j)).collect(),
-        ];
-        for set in pairs {
-            let mut decisions = set.iter().map(|&s| cover_behavior.node(s).decision());
-            // An empty scenario set is vacuously uniform.
-            let Some(first) = decisions.next() else {
-                continue;
-            };
-            let uniform = matches!(first, Some(Decision::Bool(_))) && decisions.all(|d| d == first);
-            if !uniform {
-                bad = Some(set.into_iter().collect());
-                break 'outer;
-            }
-        }
-    }
-    let Some(u_set) = bad else {
-        return Err(RefuteError::Unrefuted {
-            reason: "every class-copy scenario decided uniformly, contradicting the \
-                     deep-copy argument"
-                .into(),
-        });
-    };
-    let (link, behavior, correct) = transplant(
-        protocol,
-        &cov,
-        &cover_behavior,
-        &u_set,
-        Input::None,
-        ring_horizon,
-        f,
-        &policy,
-    )?;
-    let violation = crate::problems::weak_agreement(&behavior, &correct, false, chain.len())
-        .err()
-        .ok_or_else(|| RefuteError::Unrefuted {
-            reason: "transplanted scenario satisfied weak agreement despite non-uniform \
-                     decisions"
-                .into(),
-        })?;
-    chain.push(link);
-    Ok(Certificate {
-        theorem: Theorem::WeakAgreement,
-        protocol: protocol.name(),
-        base: g.clone(),
-        f,
-        covering: format!(
-            "cyclic crossed cover: {m} copies of the {n}-node graph ({} cover nodes), \
-             a–c links crossed",
-            m * n
-        ),
-        chain,
-        policy,
-        violation,
-    })
+    let plan = Plan::NodeBound(partition_with_crossing_link(g, f)?);
+    refute_ring(protocol, g, f, &WEAK, &plan)
 }
 
 /// Theorem 2, connectivity half — one of the paper's *new* results ("the
@@ -430,488 +580,8 @@ pub fn weak_agreement_direct_connectivity(
     g: &Graph,
     f: usize,
 ) -> Result<Certificate, RefuteError> {
-    let horizon = protocol.horizon(g);
-    let policy = crate::refute::current_policy();
-    let classes = crate::refute::ba::cut_classes(g, f)?;
-    let (a, b, c, d) = (classes.a, classes.b, classes.c, classes.d);
-
-    // Validity pins and decision time t′ from the all-correct runs.
-    let mut chain = Vec::new();
-    let mut t_prime = 0u32;
-    let pair = all_correct_pair(
-        protocol,
-        g,
-        [Input::Bool(false), Input::Bool(true)],
-        horizon,
-        f,
-        &policy,
-    );
-    for (bit, run) in [false, true].into_iter().zip(pair) {
-        let (link, behavior, pins) = run?;
-        for v in pins {
-            match behavior.node(v).decision() {
-                Some(Decision::Bool(dec)) if dec == bit => {
-                    t_prime =
-                        t_prime.max(behavior.node(v).decision_tick().map(|t| t.0).unwrap_or(0));
-                }
-                other => {
-                    let violation = Violation {
-                        condition: if matches!(other, Some(Decision::Bool(_))) {
-                            Condition::Validity
-                        } else {
-                            Condition::Termination
-                        },
-                        link: chain.len(),
-                        evidence: format!(
-                            "all nodes correct with input {}: {v} decided {other:?}",
-                            u8::from(bit)
-                        ),
-                    };
-                    chain.push(link);
-                    return Ok(Certificate {
-                        theorem: Theorem::WeakAgreement,
-                        protocol: protocol.name(),
-                        base: g.clone(),
-                        f,
-                        covering: "no covering needed: an all-correct run already violates".into(),
-                        chain,
-                        policy,
-                        violation,
-                    });
-                }
-            }
-        }
-        chain.push(link);
-    }
-
-    let m = (4 * (t_prime as usize + 1)).max(4);
-    let cov = Covering::cyclic_crossed_cover(g, &a, &b, m)?;
-    let n = g.node_count();
-    let ring_horizon = horizon.max(m as u32 / 4 + 1);
-    let inputs = move |s: NodeId| Input::Bool(s.index() / n < m / 2);
-    let cover_behavior = run_cover(protocol, &cov, &inputs, ring_horizon, &policy)?;
-
-    let lift = |class: &BTreeSet<NodeId>, copy: usize| {
-        class
-            .iter()
-            .map(move |v| NodeId((copy * n) as u32 + v.0))
-            .collect::<Vec<_>>()
-    };
-    // Scenario walk around the ring of copies: (c_i d_i a_i) then
-    // (a_i b_{i+1} c_{i+1}), overlapping in a_i then c_{i+1}.
-    let mut bad: Option<BTreeSet<NodeId>> = None;
-    'outer: for i in 0..m {
-        let j = (i + 1) % m;
-        let sets: [Vec<NodeId>; 2] = [
-            lift(&c, i)
-                .into_iter()
-                .chain(lift(&d, i))
-                .chain(lift(&a, i))
-                .collect(),
-            lift(&a, i)
-                .into_iter()
-                .chain(lift(&b, j))
-                .chain(lift(&c, j))
-                .collect(),
-        ];
-        for set in sets {
-            let mut decisions = set.iter().map(|&s| cover_behavior.node(s).decision());
-            // An empty scenario set is vacuously uniform.
-            let Some(first) = decisions.next() else {
-                continue;
-            };
-            let uniform =
-                matches!(first, Some(Decision::Bool(_))) && decisions.all(|dec| dec == first);
-            if !uniform {
-                bad = Some(set.into_iter().collect());
-                break 'outer;
-            }
-        }
-    }
-    let Some(u_set) = bad else {
-        return Err(RefuteError::Unrefuted {
-            reason: "every cut-class scenario decided uniformly, contradicting the \
-                     deep-copy argument"
-                .into(),
-        });
-    };
-    let (link, behavior, correct) = transplant(
-        protocol,
-        &cov,
-        &cover_behavior,
-        &u_set,
-        Input::None,
-        ring_horizon,
-        f,
-        &policy,
-    )?;
-    let violation = crate::problems::weak_agreement(&behavior, &correct, false, chain.len())
-        .err()
-        .ok_or_else(|| RefuteError::Unrefuted {
-            reason: "transplanted scenario satisfied weak agreement despite non-uniform \
-                     decisions"
-                .into(),
-        })?;
-    chain.push(link);
-    Ok(Certificate {
-        theorem: Theorem::WeakAgreement,
-        protocol: protocol.name(),
-        base: g.clone(),
-        f,
-        covering: format!(
-            "cyclic crossed cover over the vertex cut: {m} copies of the {n}-node graph \
-             (κ={}), a–b links crossed; a={a:?} b={b:?} c={c:?} d={d:?}",
-            classes.kappa
-        ),
-        chain,
-        policy,
-        violation,
-    })
-}
-
-/// Scans scenario node-sets of a cover run for the first whose nodes'
-/// observables (canonical bytes from `obs`) are not all "ok and equal".
-fn first_non_uniform_scenario(
-    cover_behavior: &flm_sim::SystemBehavior,
-    scenarios: impl IntoIterator<Item = BTreeSet<NodeId>>,
-    obs: &dyn Fn(&flm_sim::behavior::NodeBehavior) -> (bool, Vec<u8>),
-) -> Option<BTreeSet<NodeId>> {
-    for set in scenarios {
-        let mut values = set.iter().map(|&s| obs(cover_behavior.node(s)));
-        // An empty scenario set is vacuously uniform.
-        let Some(first) = values.next() else {
-            continue;
-        };
-        let uniform = first.0 && values.all(|v| v.0 && v.1 == first.1);
-        if !uniform {
-            return Some(set);
-        }
-    }
-    None
-}
-
-/// Fire-tick observable for the firing-squad walks: always "ok" (never
-/// firing is a legitimate outcome), compared by the canonical tick bytes.
-fn fire_obs(nb: &flm_sim::behavior::NodeBehavior) -> (bool, Vec<u8>) {
-    let bytes = match nb.fire_tick() {
-        Some(t) => {
-            let mut v = vec![1u8];
-            v.extend_from_slice(&t.0.to_be_bytes());
-            v
-        }
-        None => vec![0u8],
-    };
-    (true, bytes)
-}
-
-/// The firing-squad validity pins: the all-stimulus run must fire everyone
-/// simultaneously (returning the common tick), the no-stimulus run must
-/// stay silent. On violation the certificate is returned early.
-fn firing_squad_pins(
-    protocol: &dyn Protocol,
-    g: &Graph,
-    f: usize,
-    horizon: u32,
-    policy: &RunPolicy,
-    chain: &mut Vec<ChainLink>,
-) -> Result<Result<u32, Certificate>, RefuteError> {
-    let [stim_run, quiet_run] = all_correct_pair(
-        protocol,
-        g,
-        [Input::Bool(true), Input::Bool(false)],
-        horizon,
-        f,
-        policy,
-    );
-    let (stim_link, stim_behavior, stim_pins) = stim_run?;
-    let fire_ticks: Vec<Option<Tick>> = stim_pins
-        .iter()
-        .map(|&v| stim_behavior.node(v).fire_tick())
-        .collect();
-    let early = |chain: &mut Vec<ChainLink>, link: ChainLink, violation: Violation| {
-        chain.push(link);
-        Certificate {
-            theorem: Theorem::FiringSquad,
-            protocol: protocol.name(),
-            base: g.clone(),
-            f,
-            covering: "no covering needed: an all-correct run already violates".into(),
-            chain: std::mem::take(chain),
-            policy: *policy,
-            violation,
-        }
-    };
-    if fire_ticks.iter().any(Option::is_none) {
-        let violation = Violation {
-            condition: Condition::Validity,
-            link: chain.len(),
-            evidence: format!(
-                "stimulus at every node yet fire ticks are {fire_ticks:?} by horizon {horizon}"
-            ),
-        };
-        return Ok(Err(early(chain, stim_link, violation)));
-    }
-    if fire_ticks.windows(2).any(|w| w[0] != w[1]) {
-        let violation = Violation {
-            condition: Condition::Agreement,
-            link: chain.len(),
-            evidence: format!("correct nodes fired at different times: {fire_ticks:?}"),
-        };
-        return Ok(Err(early(chain, stim_link, violation)));
-    }
-    let t_fire = fire_ticks[0]
-        .expect("pins are non-empty and every None fire tick returned early above")
-        .0;
-    chain.push(stim_link);
-    let (quiet_link, quiet_behavior, quiet_pins) = quiet_run?;
-    if let Some(v) = quiet_pins
-        .iter()
-        .copied()
-        .find(|&v| quiet_behavior.node(v).fire_tick().is_some())
-    {
-        let violation = Violation {
-            condition: Condition::Validity,
-            link: chain.len(),
-            evidence: format!("no stimulus occurred yet {v} fired"),
-        };
-        return Ok(Err(early(chain, quiet_link, violation)));
-    }
-    chain.push(quiet_link);
-    Ok(Ok(t_fire))
-}
-
-/// Theorem 4, general node bound, proven directly: `m` ring-connected
-/// copies of an `n ≤ 3f` graph with `a`–`c` class links crossed, stimulus
-/// on the first half of the copies. The ablation partner of the collapse
-/// route [`super::firing_squad_general`].
-///
-/// # Errors
-///
-/// [`RefuteError::GraphIsAdequate`] when `n ≥ 3f + 1`.
-pub fn firing_squad_direct_general(
-    protocol: &dyn Protocol,
-    g: &Graph,
-    f: usize,
-) -> Result<Certificate, RefuteError> {
-    let [a, b, c] = crate::refute::partition_with_crossing_link(g, f)?;
-    let horizon = protocol.horizon(g);
-    let policy = crate::refute::current_policy();
-    let mut chain = Vec::new();
-    let t_fire = match firing_squad_pins(protocol, g, f, horizon, &policy, &mut chain)? {
-        Ok(t) => t,
-        Err(cert) => return Ok(cert),
-    };
-    let m = (4 * (t_fire as usize + 1)).max(4);
-    let cov = Covering::cyclic_crossed_cover(g, &a, &c, m)?;
-    let n = g.node_count();
-    let ring_horizon = horizon.max(m as u32 / 4 + 1);
-    let inputs = move |s: NodeId| Input::Bool(s.index() / n < m / 2);
-    let cover_behavior = run_cover(protocol, &cov, &inputs, ring_horizon, &policy)?;
-    let lift = |class: &BTreeSet<NodeId>, copy: usize| {
-        class
-            .iter()
-            .map(move |v| NodeId((copy * n) as u32 + v.0))
-            .collect::<Vec<_>>()
-    };
-    let scenarios = (0..m).flat_map(|i| {
-        // c_i is adjacent to a_{i-1} under the crossing (see the weak
-        // refuter): that pairing keeps all border edges at the faulty class.
-        let j = (i + m - 1) % m;
-        [
-            lift(&a, i)
-                .into_iter()
-                .chain(lift(&b, i))
-                .collect::<BTreeSet<_>>(),
-            lift(&b, i).into_iter().chain(lift(&c, i)).collect(),
-            lift(&c, i).into_iter().chain(lift(&a, j)).collect(),
-        ]
-    });
-    let Some(u_set) = first_non_uniform_scenario(&cover_behavior, scenarios, &fire_obs) else {
-        return Err(RefuteError::Unrefuted {
-            reason: "every class-copy scenario fired uniformly, contradicting the \
-                     deep-copy argument"
-                .into(),
-        });
-    };
-    let (link, behavior, correct) = transplant(
-        protocol,
-        &cov,
-        &cover_behavior,
-        &u_set,
-        Input::None,
-        ring_horizon,
-        f,
-        &policy,
-    )?;
-    let violation = crate::problems::firing_squad(&behavior, &correct, false, chain.len())
-        .err()
-        .ok_or_else(|| RefuteError::Unrefuted {
-            reason: "transplanted scenario satisfied the firing-squad conditions".into(),
-        })?;
-    chain.push(link);
-    Ok(Certificate {
-        theorem: Theorem::FiringSquad,
-        protocol: protocol.name(),
-        base: g.clone(),
-        f,
-        covering: format!(
-            "cyclic crossed cover: {m} copies of the {n}-node graph, a-c links crossed"
-        ),
-        chain,
-        policy,
-        violation,
-    })
-}
-
-/// Theorem 4, connectivity half (also new in the paper): the cut-class
-/// crossed cyclic cover with stimulus on half the copies.
-///
-/// # Errors
-///
-/// [`RefuteError::GraphIsAdequate`] when `κ(G) ≥ 2f + 1`.
-pub fn firing_squad_direct_connectivity(
-    protocol: &dyn Protocol,
-    g: &Graph,
-    f: usize,
-) -> Result<Certificate, RefuteError> {
-    let classes = crate::refute::ba::cut_classes(g, f)?;
-    let (a, b, c, d) = (classes.a, classes.b, classes.c, classes.d);
-    let horizon = protocol.horizon(g);
-    let policy = crate::refute::current_policy();
-    let mut chain = Vec::new();
-    let t_fire = match firing_squad_pins(protocol, g, f, horizon, &policy, &mut chain)? {
-        Ok(t) => t,
-        Err(cert) => return Ok(cert),
-    };
-    let m = (4 * (t_fire as usize + 1)).max(4);
-    let cov = Covering::cyclic_crossed_cover(g, &a, &b, m)?;
-    let n = g.node_count();
-    let ring_horizon = horizon.max(m as u32 / 4 + 1);
-    let inputs = move |s: NodeId| Input::Bool(s.index() / n < m / 2);
-    let cover_behavior = run_cover(protocol, &cov, &inputs, ring_horizon, &policy)?;
-    let lift = |class: &BTreeSet<NodeId>, copy: usize| {
-        class
-            .iter()
-            .map(move |v| NodeId((copy * n) as u32 + v.0))
-            .collect::<Vec<_>>()
-    };
-    let scenarios = (0..m).flat_map(|i| {
-        let j = (i + 1) % m;
-        [
-            lift(&c, i)
-                .into_iter()
-                .chain(lift(&d, i))
-                .chain(lift(&a, i))
-                .collect::<BTreeSet<_>>(),
-            lift(&a, i)
-                .into_iter()
-                .chain(lift(&b, j))
-                .chain(lift(&c, j))
-                .collect(),
-        ]
-    });
-    let Some(u_set) = first_non_uniform_scenario(&cover_behavior, scenarios, &fire_obs) else {
-        return Err(RefuteError::Unrefuted {
-            reason: "every cut-class scenario fired uniformly, contradicting the \
-                     deep-copy argument"
-                .into(),
-        });
-    };
-    let (link, behavior, correct) = transplant(
-        protocol,
-        &cov,
-        &cover_behavior,
-        &u_set,
-        Input::None,
-        ring_horizon,
-        f,
-        &policy,
-    )?;
-    let violation = crate::problems::firing_squad(&behavior, &correct, false, chain.len())
-        .err()
-        .ok_or_else(|| RefuteError::Unrefuted {
-            reason: "transplanted scenario satisfied the firing-squad conditions".into(),
-        })?;
-    chain.push(link);
-    Ok(Certificate {
-        theorem: Theorem::FiringSquad,
-        protocol: protocol.name(),
-        base: g.clone(),
-        f,
-        covering: format!(
-            "cyclic crossed cover over the vertex cut: {m} copies of the {n}-node graph \
-             (κ={}), a-b links crossed",
-            classes.kappa
-        ),
-        chain,
-        policy,
-        violation,
-    })
-}
-
-/// Dispatching refuter for weak agreement: the triangle ring for the core
-/// case, the direct general crossed cover for `n ≤ 3f`, and the cut-based
-/// crossed cover when only the connectivity bound applies.
-///
-/// # Errors
-///
-/// [`RefuteError::GraphIsAdequate`] when neither bound applies.
-pub fn weak_any(protocol: &dyn Protocol, g: &Graph, f: usize) -> Result<Certificate, RefuteError> {
-    if g.node_count() == 3 && g.links().len() == 3 && f == 1 {
-        return weak_agreement(protocol, g, f);
-    }
-    match weak_agreement_direct_general(protocol, g, f) {
-        Err(RefuteError::GraphIsAdequate { .. }) => {
-            weak_agreement_direct_connectivity(protocol, g, f)
-        }
-        other => other,
-    }
-}
-
-/// Dispatching refuter for the Byzantine firing squad, mirroring
-/// [`weak_any`].
-///
-/// # Errors
-///
-/// [`RefuteError::GraphIsAdequate`] when neither bound applies.
-pub fn firing_squad_any(
-    protocol: &dyn Protocol,
-    g: &Graph,
-    f: usize,
-) -> Result<Certificate, RefuteError> {
-    if g.node_count() == 3 && g.links().len() == 3 && f == 1 {
-        return firing_squad(protocol, g, f);
-    }
-    match firing_squad_direct_general(protocol, g, f) {
-        Err(RefuteError::GraphIsAdequate { .. }) => {
-            firing_squad_direct_connectivity(protocol, g, f)
-        }
-        other => other,
-    }
-}
-
-fn weak_cert(
-    protocol: &dyn Protocol,
-    g: &Graph,
-    chain: Vec<ChainLink>,
-    policy: RunPolicy,
-    violation: Violation,
-    k: usize,
-) -> Certificate {
-    Certificate {
-        theorem: Theorem::WeakAgreement,
-        protocol: protocol.name(),
-        base: g.clone(),
-        f: 1,
-        covering: if k == 0 {
-            "no covering needed: an all-correct run already violates the conditions".into()
-        } else {
-            format!("{}-node ring cover of the triangle (k = {k})", 4 * k)
-        },
-        chain,
-        policy,
-        violation,
-    }
+    let plan = Plan::Cut(cut_classes(g, f)?);
+    refute_ring(protocol, g, f, &WEAK, &plan)
 }
 
 /// Theorem 4: refutes any Byzantine-firing-squad protocol on the triangle
@@ -927,135 +597,77 @@ pub fn firing_squad(
     f: usize,
 ) -> Result<Certificate, RefuteError> {
     require_triangle(g, f)?;
-    let horizon = protocol.horizon(g);
-    let policy = crate::refute::current_policy();
-
-    let mut chain = Vec::new();
-    // Validity pins: with stimulus everywhere all must fire, simultaneously
-    // and by the horizon; with no stimulus nobody may fire.
-    let [stim_run, quiet_run] = all_correct_pair(
-        protocol,
-        g,
-        [Input::Bool(true), Input::Bool(false)],
-        horizon,
-        f,
-        &policy,
-    );
-    let (stim_link, stim_behavior, stim_pins) = stim_run?;
-    let fire_ticks: Vec<Option<Tick>> = stim_pins
-        .iter()
-        .map(|&v| stim_behavior.node(v).fire_tick())
-        .collect();
-    if fire_ticks.iter().any(Option::is_none) {
-        let violation = Violation {
-            condition: Condition::Validity,
-            link: 0,
-            evidence: format!(
-                "stimulus occurred at every node yet fire ticks are {fire_ticks:?} by horizon \
-                 {horizon}"
-            ),
-        };
-        chain.push(stim_link);
-        return Ok(fs_cert(protocol, g, chain, policy, violation, 0));
-    }
-    if fire_ticks.windows(2).any(|w| w[0] != w[1]) {
-        let violation = Violation {
-            condition: Condition::Agreement,
-            link: 0,
-            evidence: format!("correct nodes fired at different times: {fire_ticks:?}"),
-        };
-        chain.push(stim_link);
-        return Ok(fs_cert(protocol, g, chain, policy, violation, 0));
-    }
-    let t_fire = fire_ticks[0]
-        .expect("pins are non-empty and every None fire tick returned early above")
-        .0;
-    chain.push(stim_link);
-
-    let (quiet_link, quiet_behavior, quiet_pins) = quiet_run?;
-    if let Some(v) = quiet_pins
-        .iter()
-        .copied()
-        .find(|&v| quiet_behavior.node(v).fire_tick().is_some())
-    {
-        let violation = Violation {
-            condition: Condition::Validity,
-            link: 1,
-            evidence: format!("no stimulus occurred yet {v} fired"),
-        };
-        chain.push(quiet_link);
-        return Ok(fs_cert(protocol, g, chain, policy, violation, 0));
-    }
-    chain.push(quiet_link);
-
-    // The ring: stimulus on the first half.
-    let k = next_k(t_fire);
-    let cov = ring_cover(k)?;
-    let ring_n = cov.cover().node_count();
-    let ring_horizon = horizon.max(k as u32 + 1);
-    let inputs = move |s: NodeId| Input::Bool(s.index() < ring_n / 2);
-    let cover_behavior = run_cover(protocol, &cov, &inputs, ring_horizon, &policy)?;
-
-    // Find an adjacent pair with different fire ticks. The deep-stimulated
-    // pair fires at t_fire; the deep-quiet pair cannot fire by tick k.
-    let tick_of = |i: usize| cover_behavior.node(NodeId(i as u32)).fire_tick();
-    let mut bad_pair = None;
-    for i in 0..ring_n {
-        let j = (i + 1) % ring_n;
-        if tick_of(i) != tick_of(j) {
-            bad_pair = Some((i, j));
-            break;
-        }
-    }
-    let Some((i, j)) = bad_pair else {
-        return Err(RefuteError::Unrefuted {
-            reason: "all ring pairs fired simultaneously, contradicting Lemma 3".into(),
-        });
-    };
-    let u_set: BTreeSet<NodeId> = [NodeId(i as u32), NodeId(j as u32)].into();
-    let (link, behavior, correct) = transplant(
-        protocol,
-        &cov,
-        &cover_behavior,
-        &u_set,
-        Input::None,
-        ring_horizon,
-        f,
-        &policy,
-    )?;
-    let violation = crate::problems::firing_squad(&behavior, &correct, false, chain.len())
-        .err()
-        .ok_or_else(|| RefuteError::Unrefuted {
-            reason: "transplanted pair satisfied the firing-squad conditions despite \
-                     differing fire ticks"
-                .into(),
-        })?;
-    chain.push(link);
-    Ok(fs_cert(protocol, g, chain, policy, violation, k))
+    refute_ring(protocol, g, f, &FIRING_SQUAD, &Plan::Triangle)
 }
 
-fn fs_cert(
+/// Theorem 4, general node bound, proven directly: `m` ring-connected
+/// copies of an `n ≤ 3f` graph with `a`–`c` class links crossed, stimulus
+/// on the first half of the copies. The ablation partner of the collapse
+/// route [`super::firing_squad_general`].
+///
+/// # Errors
+///
+/// [`RefuteError::GraphIsAdequate`] when `n ≥ 3f + 1`.
+pub fn firing_squad_direct_general(
     protocol: &dyn Protocol,
     g: &Graph,
-    chain: Vec<ChainLink>,
-    policy: RunPolicy,
-    violation: Violation,
-    k: usize,
-) -> Certificate {
-    Certificate {
-        theorem: Theorem::FiringSquad,
-        protocol: protocol.name(),
-        base: g.clone(),
-        f: 1,
-        covering: if k == 0 {
-            "no covering needed: an all-correct run already violates the conditions".into()
-        } else {
-            format!("{}-node ring cover of the triangle (k = {k})", 4 * k)
-        },
-        chain,
-        policy,
-        violation,
+    f: usize,
+) -> Result<Certificate, RefuteError> {
+    let plan = Plan::NodeBound(partition_with_crossing_link(g, f)?);
+    refute_ring(protocol, g, f, &FIRING_SQUAD, &plan)
+}
+
+/// Theorem 4, connectivity half (also new in the paper): the cut-class
+/// crossed cyclic cover with stimulus on half the copies.
+///
+/// # Errors
+///
+/// [`RefuteError::GraphIsAdequate`] when `κ(G) ≥ 2f + 1`.
+pub fn firing_squad_direct_connectivity(
+    protocol: &dyn Protocol,
+    g: &Graph,
+    f: usize,
+) -> Result<Certificate, RefuteError> {
+    let plan = Plan::Cut(cut_classes(g, f)?);
+    refute_ring(protocol, g, f, &FIRING_SQUAD, &plan)
+}
+
+/// The plan the dispatching refuters pick: the triangle ring for the core
+/// case, the node-bound crossed cover for `n ≤ 3f`, and the cut crossed
+/// cover when only the connectivity bound applies.
+fn any_plan(g: &Graph, f: usize) -> Result<Plan, RefuteError> {
+    if g.node_count() == 3 && g.links().len() == 3 && f == 1 {
+        return Ok(Plan::Triangle);
     }
+    match partition_with_crossing_link(g, f) {
+        Err(RefuteError::GraphIsAdequate { .. }) => Ok(Plan::Cut(cut_classes(g, f)?)),
+        classes => Ok(Plan::NodeBound(classes?)),
+    }
+}
+
+/// Dispatching refuter for weak agreement: the triangle ring for the core
+/// case, the direct general crossed cover for `n ≤ 3f`, and the cut-based
+/// crossed cover when only the connectivity bound applies.
+///
+/// # Errors
+///
+/// [`RefuteError::GraphIsAdequate`] when neither bound applies.
+pub fn weak_any(protocol: &dyn Protocol, g: &Graph, f: usize) -> Result<Certificate, RefuteError> {
+    refute_ring(protocol, g, f, &WEAK, &any_plan(g, f)?)
+}
+
+/// Dispatching refuter for the Byzantine firing squad, mirroring
+/// [`weak_any`].
+///
+/// # Errors
+///
+/// [`RefuteError::GraphIsAdequate`] when neither bound applies.
+pub fn firing_squad_any(
+    protocol: &dyn Protocol,
+    g: &Graph,
+    f: usize,
+) -> Result<Certificate, RefuteError> {
+    refute_ring(protocol, g, f, &FIRING_SQUAD, &any_plan(g, f)?)
 }
 
 #[cfg(test)]

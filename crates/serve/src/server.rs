@@ -809,13 +809,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         shared.busy_workers.fetch_add(1, Ordering::SeqCst);
-        // A request that panics (a protocol asserting a graph-shape
-        // invariant the query violates, say) is answered `Internal` in its
-        // own slot, and the worker lives on to serve the next job.
-        let response =
-            flm_sim::contain_panics(|| dispatch(job.request, shared)).unwrap_or_else(|panic| {
-                Response::error(ErrorCode::Internal, format!("request panicked: {panic}"))
-            });
+        let response = contained(|| dispatch(job.request, shared));
         shared.busy_workers.fetch_sub(1, Ordering::SeqCst);
         relock(shared.completions.lock()).push(Completion {
             conn: job.conn,
@@ -824,6 +818,15 @@ fn worker_loop(shared: &Shared) {
         });
         shared.waker.wake();
     }
+}
+
+/// Runs one job with its panics contained: a request that panics (a bug in
+/// a protocol or a refuter, say) is answered `Internal` in its own slot,
+/// and the worker lives on to serve the next job.
+fn contained(job: impl FnOnce() -> Response) -> Response {
+    flm_sim::contain_panics(job).unwrap_or_else(|panic| {
+        Response::error(ErrorCode::Internal, format!("request panicked: {panic}"))
+    })
 }
 
 /// Executes one CPU-bound request. Inline kinds (zero-hold pings, stats)
@@ -1101,6 +1104,19 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_job_is_answered_internal_and_the_worker_goes_on() {
+        match contained(|| panic!("refuter invariant broken")) {
+            Response::Error { code, detail } => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(detail.contains("refuter invariant broken"), "{detail}");
+            }
+            other => panic!("expected a typed Internal error, got {other:?}"),
+        }
+        let next = contained(|| Response::Pong { payload: vec![7] });
+        assert!(matches!(next, Response::Pong { payload } if payload == [7]));
     }
 
     #[test]

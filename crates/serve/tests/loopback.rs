@@ -324,10 +324,11 @@ fn explicit_query_parameters_and_typed_failures() {
     server.shutdown();
 }
 
-/// A request that panics inside the refuter (EIG asserts a complete graph;
-/// a 5-cycle is not one) is answered with a typed `Internal` error, and
-/// the only worker survives: the next refute on the same connection still
-/// returns a certificate.
+/// A protocol that cannot run on the query's graph (EIG asserts a complete
+/// graph; a 5-cycle is not one) is a typed `RefuteFailed` error from the
+/// refuter, and the only worker stays available: the next refute on the
+/// same connection still returns a certificate. Panics that do reach the
+/// worker are covered by `server::tests`.
 #[test]
 fn a_panicking_request_is_a_typed_error_and_the_worker_survives() {
     let server = Server::start(ServeConfig {
@@ -342,10 +343,13 @@ fn a_panicking_request_is_a_typed_error_and_the_worker_survives() {
     let cycle = flm_graph::builders::cycle(5);
     match client.refute("ba-nodes", Some("EIG(f=2)"), Some(&cycle), 2, None) {
         Err(ClientError::ErrorResponse { code, detail }) => {
-            assert_eq!(code, flm_serve::rpc::ErrorCode::Internal);
-            assert!(detail.contains("panicked"), "detail: {detail}");
+            assert_eq!(code, flm_serve::rpc::ErrorCode::RefuteFailed);
+            assert!(
+                detail.contains("EIG requires the complete graph"),
+                "detail: {detail}"
+            );
         }
-        other => panic!("expected a typed Internal error, got {other:?}"),
+        other => panic!("expected a typed RefuteFailed error, got {other:?}"),
     }
     assert_eq!(server.busy_workers(), 0);
     let wire = client.refute("ba-nodes", None, None, 1, None).unwrap();

@@ -3,8 +3,8 @@
 # Everything must pass with zero warnings.
 #
 # `--smoke` runs the fast subset only — debug build plus the core and
-# simulator unit tests — for a quick pre-push signal; the default (full)
-# mode is the gate that counts.
+# simulator unit tests and the refuter certificate-byte pins — for a quick
+# pre-push signal; the default (full) mode is the gate that counts.
 #
 # `--bench-gate` re-measures every labeled speedup ratio and compares it
 # against the committed BENCH_*.json snapshots: any ratio that lands below
@@ -202,6 +202,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo build --workspace
     echo "==> smoke: cargo test (core + sim + par libs)"
     cargo test -p flm-core -p flm-sim -p flm-par --lib --quiet
+    echo "==> smoke: refuter certificate-byte pins"
+    cargo test --test refuter_bytes --quiet
     echo "Smoke checks passed (run without --smoke for the full gate)."
     exit 0
 fi
