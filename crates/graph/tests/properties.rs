@@ -197,3 +197,67 @@ fn adequacy_monotone_in_f() {
         assert!(!adequacy::is_adequate(&g, fmax + 1));
     });
 }
+
+/// A global minimum vertex cut and the pair `(s, t)` it separates.
+type Cut = (BTreeSet<NodeId>, NodeId, NodeId);
+
+/// The full-pair Menger scan `min_vertex_cut` used to run: every
+/// non-adjacent pair `s < t` in order, keeping the first strictly smaller
+/// cut.
+fn min_vertex_cut_full_scan(g: &flm_graph::Graph) -> Option<Cut> {
+    if g.node_count() == 0 || !g.is_connected() || g.is_complete() {
+        return None;
+    }
+    let mut best: Option<Cut> = None;
+    for s in g.nodes() {
+        for t in g.nodes() {
+            if s < t && !g.has_link(s, t) {
+                let cut = connectivity::min_vertex_cut_between(g, s, t);
+                if best.as_ref().is_none_or(|(b, _, _)| cut.len() < b.len()) {
+                    best = Some((cut, s, t));
+                }
+            }
+        }
+    }
+    best
+}
+
+/// Checks `min_vertex_cut` and `vertex_connectivity` against the full scan.
+fn assert_matches_full_scan(g: &flm_graph::Graph, what: &str) {
+    let full = min_vertex_cut_full_scan(g);
+    assert_eq!(connectivity::min_vertex_cut(g), full, "{what}");
+    let kappa = full.map_or(g.node_count().saturating_sub(1), |(cut, _, _)| cut.len());
+    assert_eq!(connectivity::vertex_connectivity(g), kappa, "{what}");
+}
+
+#[test]
+fn pruned_min_cut_matches_the_full_pair_scan() {
+    let off_zero = std::cell::Cell::new(0);
+    flm_prop::cases(2_000, 0x61F9, |rng| {
+        let n = rng.usize(3..14);
+        let extra = rng.usize(0..2 * n);
+        let seed = rng.range_u64(0..1_000_000);
+        let g = builders::random_connected(n, extra, seed);
+        assert_matches_full_scan(&g, &format!("random_connected({n}, {extra}, {seed})"));
+        if connectivity::min_vertex_cut(&g).is_some_and(|(_, s, _)| s != NodeId(0)) {
+            off_zero.set(off_zero.get() + 1);
+        }
+    });
+    // The sample must exercise sources past node 0.
+    assert!(off_zero.get() > 0);
+    assert_matches_full_scan(&builders::cycle(64), "cycle64");
+    for n in 4..10 {
+        assert_matches_full_scan(&builders::wheel(n), &format!("wheel({n})"));
+    }
+    for d in 1..6 {
+        assert_matches_full_scan(&builders::hypercube(d), &format!("hypercube({d})"));
+    }
+    for a in 1..5 {
+        for b in a..6 {
+            assert_matches_full_scan(
+                &builders::complete_bipartite(a, b),
+                &format!("complete_bipartite({a}, {b})"),
+            );
+        }
+    }
+}

@@ -8,6 +8,7 @@
 
 use flm_core::refute::{self, RefuteError};
 use flm_graph::{builders, Graph, NodeId};
+use flm_protocols::Eig;
 use flm_sim::device::{snapshot, NodeCtx, Payload};
 use flm_sim::devices::NaiveMajorityDevice;
 use flm_sim::{Device, Input, MisbehaviorKind, Protocol, RunPolicy, System, Tick};
@@ -219,4 +220,25 @@ fn honest_protocols_never_record_misbehavior() {
     assert!(cert.chain.iter().all(|l| l.misbehavior.is_empty()));
     assert!(cert.chain.iter().all(|l| l.degraded.is_empty()));
     cert.verify(&Honest).unwrap();
+}
+
+/// `EIG(f=6)` on K18, a query any RPC client can send: its information
+/// tree outgrows the payload limit at tick 4, and the refuter answers with
+/// the same typed diagnostic, byte for byte, that it always has.
+#[test]
+fn an_oversized_eig_tree_is_a_structured_diagnostic() {
+    let err = refute::ba_nodes(&Eig::new(6), &builders::complete(18), 6).unwrap_err();
+    assert!(matches!(err, RefuteError::Misbehavior { .. }), "{err}");
+    let flooders: Vec<String> = [1, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17]
+        .iter()
+        .map(|v| format!("n{v} at tick 4: sent 1028164 B on port 0 (limit 65536 B)"))
+        .collect();
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "device misbehavior exceeds the fault budget: \
+             6 masquerading + 12 degraded nodes > f = 6; {}",
+            flooders.join("; ")
+        )
+    );
 }

@@ -3,7 +3,10 @@
 //! and direct-connectivity), every three-link chain refuter (`ba_nodes`,
 //! `ba_connectivity`, `simple_approx`, `simple_approx_connectivity`), the
 //! early-exit certificates of each validity-pin wording, and a run under a
-//! non-default `RunPolicy`.
+//! non-default `RunPolicy`; and the simulation- and cut-heavy shapes: EIG
+//! with `f = 3` on K7 and K9, and the connectivity refuters on a 64-cycle,
+//! a path (κ = 1) and a random graph whose first minimum-cut pair does not
+//! start at node 0.
 //!
 //! Certificate bytes are what the serve store caches on disk and what an
 //! auditor re-verifies, so a refactor of the refuters must not move a single
@@ -12,7 +15,7 @@
 
 use flm_core::refute::{self, RefuteError};
 use flm_core::Certificate;
-use flm_graph::{builders, Graph, NodeId};
+use flm_graph::{builders, connectivity, Graph, NodeId};
 use flm_protocols::registry::NaiveMajority;
 use flm_protocols::{Dlpsw, Eig, FiringSquadViaBa, WeakViaBa};
 use flm_sim::device::{snapshot, Device, NodeCtx, Payload};
@@ -36,9 +39,34 @@ const PINNED: &[(&str, usize, &str)] = &[
         "9b425892b7fd5b8bb5aa83dcc789af32eaf3f0fc9ffe931467c9c01a3e6fc5a8",
     ),
     (
+        "ba_connectivity/cycle64/NaiveMajority",
+        3652,
+        "1522e612876c82faa6745bd4aa7a2bc1706194315d5a8ee0a6c28cedd0781631",
+    ),
+    (
+        "ba_connectivity/path6/NaiveMajority",
+        583,
+        "17906872e1929967b4ff5f10f1dc925b52374a4c7593be81401f6122726795c1",
+    ),
+    (
+        "ba_connectivity/random_connected(7,4,36)/NaiveMajority",
+        786,
+        "f0a1d98663f46759bedb3f189d9ceebc45c97fef4c97b54be163e1d13dddd016",
+    ),
+    (
         "ba_nodes/K5/EIG",
         4111,
         "732b450c60af85eff6ef18731c3b1e33332a27125fb18ba3cbad5c46b5d822ae",
+    ),
+    (
+        "ba_nodes/K7/EIG(f=3)",
+        87219,
+        "eaa7b5401e84049c584e34b986cffc0930948c095c26258d944df6651db32a82",
+    ),
+    (
+        "ba_nodes/K9/EIG(f=3)",
+        386509,
+        "e66485df473fc5f83d1e94d2d11b36063db404d343777ec41dec73b2a02285d7",
     ),
     (
         "ba_nodes/triangle/EIG",
@@ -189,6 +217,16 @@ const PINNED: &[(&str, usize, &str)] = &[
         "weak_agreement_direct_connectivity/cycle6/NaiveMajority",
         631,
         "7a4d2daae4e8ce8a2b0df51f6fc2b3540b015967669a22f6ab7ecf6b03f5409b",
+    ),
+    (
+        "weak_agreement_direct_connectivity/cycle64/NaiveMajority",
+        3644,
+        "3e6c6f0bff9cd92cd21225e43fac7abd578353729b2d69b3943211dcf89ca737",
+    ),
+    (
+        "weak_agreement_direct_connectivity/random_connected(7,4,36)/NaiveMajority",
+        730,
+        "2ec4f6bda8d05709162d0dbfb40600db48eb23def1d6a9f917ce5c06a86c9748",
     ),
     (
         "weak_agreement_direct_general/K5/Stubborn",
@@ -628,4 +666,52 @@ fn under_a_non_default_policy() {
             refute::simple_approx_connectivity(&ECHO, &builders::cycle(4), 1),
         );
     });
+}
+
+/// EIG with `f = 3`: the largest information trees the chain refuter
+/// transplants (the K9 certificate is about 387 KB).
+#[test]
+fn deep_eig_chains() {
+    for n in [7, 9] {
+        pin(
+            &format!("ba_nodes/K{n}/EIG(f=3)"),
+            refute::ba_nodes(&Eig::new(3), &builders::complete(n), 3),
+        );
+    }
+}
+
+/// The connectivity refuters on graphs whose minimum vertex cut is found
+/// away from the small defaults: a 64-cycle, a path (κ = 1), and a random
+/// graph whose first minimum-cut pair `(s, t)` has `s ≠ 0`.
+#[test]
+fn cut_heavy_connectivity_refuters() {
+    let c64 = builders::cycle(64);
+    pin(
+        "ba_connectivity/cycle64/NaiveMajority",
+        refute::ba_connectivity(&NaiveMajority, &c64, 1),
+    );
+    pin(
+        "weak_agreement_direct_connectivity/cycle64/NaiveMajority",
+        refute::weak_agreement_direct_connectivity(&NaiveMajority, &c64, 1),
+    );
+    pin(
+        "ba_connectivity/path6/NaiveMajority",
+        refute::ba_connectivity(&NaiveMajority, &builders::path(6), 1),
+    );
+    let g = builders::random_connected(7, 4, 36);
+    let (cut, s, _t) = connectivity::min_vertex_cut(&g).expect("not complete");
+    assert_eq!(cut.len(), 2);
+    assert_ne!(
+        s,
+        NodeId(0),
+        "the first minimum-cut pair must not start at 0"
+    );
+    pin(
+        "ba_connectivity/random_connected(7,4,36)/NaiveMajority",
+        refute::ba_connectivity(&NaiveMajority, &g, 1),
+    );
+    pin(
+        "weak_agreement_direct_connectivity/random_connected(7,4,36)/NaiveMajority",
+        refute::weak_agreement_direct_connectivity(&NaiveMajority, &g, 1),
+    );
 }
