@@ -175,13 +175,16 @@ pub(crate) fn cut_classes(g: &Graph, f: usize) -> Result<CutClasses, RefuteError
             reason: "graph is disconnected".into(),
         });
     }
-    let kappa = connectivity::vertex_connectivity(g);
+    // One Menger scan gives both κ and the cut (a complete graph has no
+    // cut, and κ = n − 1).
+    let min_cut = connectivity::min_vertex_cut(g);
+    let kappa = min_cut.as_ref().map_or(n - 1, |(cut, _, _)| cut.len());
     if f == 0 || kappa > 2 * f {
         return Err(RefuteError::GraphIsAdequate {
             reason: format!("connectivity {kappa} ≥ 2f+1 = {}", 2 * f + 1),
         });
     }
-    let Some((cut, s, _t)) = connectivity::min_vertex_cut(g) else {
+    let Some((cut, s, _t)) = min_cut else {
         return Err(RefuteError::BadGraph {
             reason: "complete graph has no vertex cut; use the node-bound refuter".into(),
         });

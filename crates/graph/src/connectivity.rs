@@ -5,9 +5,9 @@
 //! disconnects it. This module computes that quantity exactly by max-flow on
 //! the node-split graph (each node becomes an `in`/`out` pair joined by a
 //! unit-capacity arc), extracts minimum vertex cuts (the `b`/`d` sets of the
-//! §3.2 construction), and extracts systems of internally vertex-disjoint
-//! paths (the substrate for the Dolev-style relay overlay in
-//! `flm-protocols`).
+//! §3.2 construction) with Even's scan over at most `κ + 1` sources, and
+//! extracts systems of internally vertex-disjoint paths (the substrate for
+//! the Dolev-style relay overlay in `flm-protocols`).
 
 use std::collections::BTreeSet;
 
@@ -43,8 +43,15 @@ impl FlowNet {
     /// Edmonds–Karp max flow. Unit-ish capacities keep this fast for the
     /// graph sizes the refuters and relay overlay use.
     fn max_flow(&mut self, s: usize, t: usize) -> u32 {
+        self.max_flow_upto(s, t, u32::MAX)
+    }
+
+    /// Edmonds–Karp max flow, stopped as soon as the flow reaches `limit`.
+    /// A result below `limit` is the maximum flow, and the residual graph
+    /// is then the one [`FlowNet::max_flow`] leaves.
+    fn max_flow_upto(&mut self, s: usize, t: usize, limit: u32) -> u32 {
         let mut flow = 0;
-        loop {
+        while flow < limit {
             // BFS for a shortest augmenting path.
             let mut pred: Vec<Option<usize>> = vec![None; self.adj.len()];
             let mut queue = std::collections::VecDeque::new();
@@ -84,6 +91,7 @@ impl FlowNet {
             }
             flow += bottleneck;
         }
+        flow
     }
 
     /// Nodes reachable from `s` in the residual graph (after `max_flow`).
@@ -101,6 +109,16 @@ impl FlowNet {
             }
         }
         seen
+    }
+
+    /// The vertex cut a maximum flow of the split network of `g` leaves
+    /// (after `max_flow` from `s_out`): the nodes whose internal split arc
+    /// crosses from the residual-reachable side to the rest.
+    fn vertex_cut(&self, g: &Graph, s_out: usize) -> BTreeSet<NodeId> {
+        let reach = self.residual_reachable(s_out);
+        g.nodes()
+            .filter(|v| reach[2 * v.index()] && !reach[2 * v.index() + 1])
+            .collect()
     }
 }
 
@@ -150,31 +168,13 @@ pub fn local_connectivity(g: &Graph, s: NodeId, t: NodeId) -> usize {
 ///
 /// Disconnected graphs have κ = 0; the empty and one-node graphs have κ = 0
 /// and the two-node linked graph κ = 1 (complete-graph convention).
+/// Otherwise κ is the size of [`min_vertex_cut`].
 pub fn vertex_connectivity(g: &Graph) -> usize {
     let n = g.node_count();
-    if n == 0 {
+    if n == 0 || !g.is_connected() {
         return 0;
     }
-    if !g.is_connected() {
-        return 0;
-    }
-    // Complete graph: no non-adjacent pair exists.
-    if g.is_complete() {
-        return n - 1;
-    }
-    // κ = min over non-adjacent pairs of local connectivity. It suffices to
-    // scan pairs (s, t) where s ranges over a dominating prefix, but graphs
-    // here are small; the full non-adjacent scan keeps the code obviously
-    // correct.
-    let mut best = usize::MAX;
-    for s in g.nodes() {
-        for t in g.nodes() {
-            if s < t && !g.has_link(s, t) {
-                best = best.min(local_connectivity(g, s, t));
-            }
-        }
-    }
-    best
+    min_vertex_cut(g).map_or(n - 1, |(cut, _, _)| cut.len())
 }
 
 /// A minimum vertex cut separating `t` from `s` (excluding `s` and `t`),
@@ -193,38 +193,55 @@ pub fn min_vertex_cut_between(g: &Graph, s: NodeId, t: NodeId) -> BTreeSet<NodeI
     );
     let mut net = split_network(g, s, t);
     net.max_flow(2 * s.index() + 1, 2 * t.index());
-    let reach = net.residual_reachable(2 * s.index() + 1);
-    let mut cut = BTreeSet::new();
-    for v in g.nodes() {
-        // Internal arc v_in -> v_out crosses the cut iff v_in is reachable
-        // and v_out is not.
-        if reach[2 * v.index()] && !reach[2 * v.index() + 1] {
-            cut.insert(v);
-        }
-    }
-    cut
+    net.vertex_cut(g, 2 * s.index() + 1)
 }
 
 /// A global minimum vertex cut of a connected, non-complete graph, together
 /// with a pair `(s, t)` it separates.
 ///
+/// The pair is the lexicographically first non-adjacent pair `s < t` whose
+/// local connectivity is κ(G), and the cut is [`min_vertex_cut_between`]
+/// of that pair. Two observations keep the Menger scan short without
+/// changing that answer (Even's algorithm):
+///
+/// - Some node among `0..=κ` lies outside any minimum cut `C`, and it has
+///   a non-neighbor on the other side of `C`, so the first optimal pair
+///   has `s ≤ κ`. Sources past the best cut size found so far are skipped.
+/// - Each flow stops once it reaches the best cut size found so far; only a
+///   pair that comes in strictly below it replaces the best, so the first
+///   optimal pair wins ties.
+///
 /// Returns `None` for complete or disconnected graphs, where no such cut
 /// exists or it is trivial.
 pub fn min_vertex_cut(g: &Graph) -> Option<(BTreeSet<NodeId>, NodeId, NodeId)> {
-    let n = g.node_count();
-    if n == 0 || !g.is_connected() {
+    if g.node_count() == 0 || !g.is_connected() || g.is_complete() {
         return None;
     }
-    if g.is_complete() {
-        return None;
-    }
-    let mut best: Option<(BTreeSet<NodeId>, NodeId, NodeId)> = None;
+    let mut best = None;
+    // The size of `best`'s cut.
+    let mut bound = u32::MAX;
+    // One network serves every pair. Arc `2v` is node `v`'s split arc, and
+    // a non-adjacent pair's `split_network` is the endpoint-free network
+    // (node 0's self-pair network with arc 0 back at unit capacity) with
+    // its endpoints' split arcs opened to INF.
+    let mut net = split_network(g, NodeId(0), NodeId(0));
+    net.edges[0].1 = 1;
+    let unit: Vec<u32> = net.edges.iter().map(|&(_, cap)| cap).collect();
     for s in g.nodes() {
+        if s.index() > bound as usize {
+            break;
+        }
         for t in g.nodes() {
             if s < t && !g.has_link(s, t) {
-                let cut = min_vertex_cut_between(g, s, t);
-                if best.as_ref().is_none_or(|(b, _, _)| cut.len() < b.len()) {
-                    best = Some((cut, s, t));
+                for (arc, &cap) in net.edges.iter_mut().zip(&unit) {
+                    arc.1 = cap;
+                }
+                net.edges[2 * s.index()].1 = INF;
+                net.edges[2 * t.index()].1 = INF;
+                let flow = net.max_flow_upto(2 * s.index() + 1, 2 * t.index(), bound);
+                if flow < bound {
+                    bound = flow;
+                    best = Some((net.vertex_cut(g, 2 * s.index() + 1), s, t));
                 }
             }
         }

@@ -8,16 +8,16 @@
 //! Combined with [`crate::relay::Relayed`] it runs on every adequate graph,
 //! completing the tightness picture.
 
-use std::collections::BTreeMap;
-
 use flm_graph::{Graph, NodeId};
 use flm_sim::auth::mix64;
 use flm_sim::device::{snapshot, Device, NodeCtx, Payload};
 use flm_sim::wire::{Reader, Writer};
 use flm_sim::{Protocol, Tick};
 
-/// A label in the EIG tree: a sequence of distinct node ids.
-type Label = Vec<u32>;
+/// A tree cell with no reported value. A stored value `v` is `1 + v`.
+const ABSENT: u8 = 0;
+/// A tree cell holding `true`.
+const TRUE: u8 = 2;
 
 /// The EIG protocol for `f` faults. See the [module docs](self).
 ///
@@ -79,11 +79,20 @@ pub struct EigDevice {
     f: usize,
     me: u32,
     input: bool,
-    /// The information-gathering tree: label → reported value.
-    vals: BTreeMap<Label, bool>,
+    /// The information-gathering tree, one dense level per label length.
+    /// A label is a sequence of distinct ids below `n`; `levels[d][r]` is
+    /// the cell of the length-`d` label of lexicographic rank `r`
+    /// ([`EigDevice::rank`]). A level is allocated on its first store.
+    levels: Vec<Vec<u8>>,
     decided: Option<bool>,
     /// Port → neighbor node id, fixed at init.
     port_ids: Vec<u32>,
+}
+
+/// The number of labels of length `d` over `n` ids, `n·(n−1)···(n−d+1)`,
+/// if it fits a `usize`.
+fn level_len(n: usize, d: usize) -> Option<usize> {
+    (0..d).try_fold(1usize, |len, i| len.checked_mul(n.checked_sub(i)?))
 }
 
 impl EigDevice {
@@ -94,86 +103,193 @@ impl EigDevice {
             f,
             me: me.0,
             input: false,
-            vals: BTreeMap::new(),
+            levels: Vec::new(),
             decided: None,
             port_ids: Vec::new(),
+        }
+    }
+
+    /// The rank of `label` among the labels of its length, in lexicographic
+    /// order: mixed radix, where digit `i` (radix `n − i`) counts the ids
+    /// below `label[i]` that the label has not used before position `i`.
+    /// `None` if an id repeats or is not below `n`.
+    fn rank(&self, label: &[u32]) -> Option<usize> {
+        let mut rank = 0usize;
+        for (i, &id) in label.iter().enumerate() {
+            let earlier = &label[..i];
+            if id as usize >= self.n || earlier.contains(&id) {
+                return None;
+            }
+            let digit = id as usize - earlier.iter().filter(|&&e| e < id).count();
+            rank = rank.checked_mul(self.n - i)?.checked_add(digit)?;
+        }
+        Some(rank)
+    }
+
+    /// Whether any label of length `d` has been stored.
+    fn allocated(&self, d: usize) -> bool {
+        self.levels.get(d).is_some_and(|level| !level.is_empty())
+    }
+
+    /// The cell of the length-`d` label of rank `rank`.
+    fn cell(&self, d: usize, rank: usize) -> u8 {
+        self.levels
+            .get(d)
+            .and_then(|level| level.get(rank))
+            .copied()
+            .unwrap_or(ABSENT)
+    }
+
+    /// The cell of `label`, allocating its level on first use. `None` for a
+    /// label with no cell (see [`EigDevice::rank`]) or a level too large to
+    /// allocate.
+    fn slot_mut(&mut self, label: &[u32]) -> Option<&mut u8> {
+        let rank = self.rank(label)?;
+        let d = label.len();
+        if self.levels.len() <= d {
+            self.levels.resize_with(d + 1, Vec::new);
+        }
+        let level = &mut self.levels[d];
+        if level.is_empty() {
+            let len = level_len(self.n, d)?;
+            level.try_reserve_exact(len).ok()?;
+            level.resize(len, ABSENT);
+        }
+        level.get_mut(rank)
+    }
+
+    /// Stores `val(label) = v` unless `label` already has a value: the first
+    /// report wins.
+    fn store(&mut self, label: &[u32], v: bool) {
+        if let Some(cell) = self.slot_mut(label) {
+            if *cell == ABSENT {
+                *cell = 1 + u8::from(v);
+            }
+        }
+    }
+
+    /// Visits every label of length `1..=depth`, with its cell, in the
+    /// tree's order: lexicographic, each label before its extensions. With
+    /// `skip_me`, labels containing `me` (and so their extensions) are
+    /// skipped. Callers keep `depth` at or below an allocated level, so
+    /// every rank on the way fits a `usize`.
+    fn walk(&self, depth: usize, skip_me: bool, visit: &mut impl FnMut(&[u32], u8)) {
+        let mut label = Vec::with_capacity(depth);
+        let mut used = vec![false; self.n];
+        if depth > 0 {
+            self.walk_from(0, depth, skip_me, &mut label, &mut used, visit);
+        }
+    }
+
+    /// [`EigDevice::walk`] below `label`, whose rank is `rank`.
+    fn walk_from(
+        &self,
+        rank: usize,
+        depth: usize,
+        skip_me: bool,
+        label: &mut Vec<u32>,
+        used: &mut [bool],
+        visit: &mut impl FnMut(&[u32], u8),
+    ) {
+        let d = label.len() + 1;
+        let radix = self.n - label.len();
+        let mut digit = 0;
+        for id in 0..self.n {
+            if used[id] {
+                continue;
+            }
+            let child = rank * radix + digit;
+            digit += 1;
+            if skip_me && id == self.me as usize {
+                continue;
+            }
+            label.push(id as u32);
+            visit(label, self.cell(d, child));
+            if d < depth {
+                used[id] = true;
+                self.walk_from(child, depth, skip_me, label, used, visit);
+                used[id] = false;
+            }
+            label.pop();
+        }
+    }
+
+    /// Visits the stored level-`level` labels **not containing `me`**, with
+    /// their values, in the tree's order.
+    fn for_each_report(&self, level: usize, mut visit: impl FnMut(&[u32], bool)) {
+        if self.allocated(level) {
+            self.walk(level, true, &mut |sigma, cell| {
+                if sigma.len() == level && cell != ABSENT {
+                    visit(sigma, cell == TRUE);
+                }
+            });
         }
     }
 
     /// Encodes all level-`level` labels **not containing `me`** for
     /// broadcast.
     fn encode_level(&self, level: usize) -> Payload {
-        let pairs: Vec<(&Label, &bool)> = self
-            .vals
-            .iter()
-            .filter(|(sigma, _)| sigma.len() == level && !sigma.contains(&self.me))
-            .collect();
         let mut w = Writer::new();
-        w.u32(pairs.len() as u32);
-        for (sigma, v) in pairs {
-            w.u8(sigma.len() as u8);
+        // The entry count, patched in below.
+        w.u32(0);
+        let mut count = 0u32;
+        self.for_each_report(level, |sigma, v| {
+            count += 1;
+            w.u8(level as u8);
             for &id in sigma {
                 w.u32(id);
             }
-            w.bool(*v);
-        }
-        w.finish().into()
+            w.bool(v);
+        });
+        let mut bytes = w.finish();
+        bytes[..4].copy_from_slice(&count.to_be_bytes());
+        bytes.into()
     }
 
     /// Applies the receive rule for round `round` to a payload from node
     /// `from`: store `val(σ·from) = v` for each valid pair `(σ, v)` with
     /// `|σ| = round − 1` and `from ∉ σ`. Malformed or out-of-spec entries
-    /// are ignored (Byzantine senders may emit anything).
+    /// are ignored (Byzantine senders may emit anything): a `σ·from` with a
+    /// repeated id or an id not below `n` has no cell.
     fn absorb(&mut self, round: usize, from: u32, payload: &[u8]) {
         let mut r = Reader::new(payload);
         let Ok(count) = r.u32() else { return };
+        let mut label = Vec::new();
         for _ in 0..count {
             let Ok(len) = r.u8() else { return };
-            let mut sigma = Vec::with_capacity(len as usize);
+            label.clear();
             for _ in 0..len {
                 match r.u32() {
-                    Ok(id) => sigma.push(id),
+                    Ok(id) => label.push(id),
                     Err(_) => return,
                 }
             }
             let Ok(v) = r.bool() else { return };
-            let distinct = {
-                let mut s = sigma.clone();
-                s.sort_unstable();
-                s.dedup();
-                s.len() == sigma.len()
-            };
-            if sigma.len() == round - 1
-                && distinct
-                && !sigma.contains(&from)
-                && sigma.iter().all(|&id| (id as usize) < self.n)
-            {
-                let mut label = sigma;
+            if label.len() == round - 1 {
                 label.push(from);
-                self.vals.entry(label).or_insert(v);
+                self.store(&label, v);
             }
         }
     }
 
-    /// Bottom-up resolution: leaves read the stored value (default `false`),
-    /// internal labels take the strict majority of their children.
-    fn resolve(&self, sigma: &Label) -> bool {
-        if sigma.len() == self.f + 1 {
-            return self.vals.get(sigma).copied().unwrap_or(false);
+    /// The decision: the root's bottom-up resolution. Only leaves are
+    /// read, so with no leaf stored every label resolves to `false`.
+    fn decide(&self) -> bool {
+        self.allocated(self.f + 1) && self.resolve(0, 0)
+    }
+
+    /// Bottom-up resolution of the length-`depth` label of rank `rank`:
+    /// leaves read the stored value (default `false`), internal labels take
+    /// the strict majority of their `n − depth` children, whose ranks are
+    /// `rank·(n − depth) + 0, 1, …`.
+    fn resolve(&self, depth: usize, rank: usize) -> bool {
+        if depth == self.f + 1 {
+            return self.cell(depth, rank) == TRUE;
         }
-        let mut ones = 0usize;
-        let mut total = 0usize;
-        for j in 0..self.n as u32 {
-            if sigma.contains(&j) {
-                continue;
-            }
-            let mut child = sigma.clone();
-            child.push(j);
-            total += 1;
-            if self.resolve(&child) {
-                ones += 1;
-            }
-        }
+        let total = self.n - depth;
+        let ones = (0..total)
+            .filter(|&digit| self.resolve(depth + 1, rank * total + digit))
+            .count();
         2 * ones > total
     }
 }
@@ -201,11 +317,11 @@ impl Device for EigDevice {
             }
         }
         if tick == self.f + 1 && self.decided.is_none() {
-            self.decided = Some(self.resolve(&Vec::new()));
+            self.decided = Some(self.decide());
         }
         // Send phase: tick r sends round r+1 (labels of level r).
         if tick == 0 {
-            self.vals.insert(vec![self.me], self.input);
+            self.store(&[self.me], self.input);
             // Round 1: broadcast the input as the empty-label report.
             let mut w = Writer::new();
             w.u32(1).u8(0).bool(self.input);
@@ -215,15 +331,15 @@ impl Device for EigDevice {
         if tick <= self.f {
             let level = tick;
             // Self-delivery first: extend own level-`level` labels by `me`.
-            let own: Vec<(Label, bool)> = self
-                .vals
-                .iter()
-                .filter(|(s, _)| s.len() == level && !s.contains(&self.me))
-                .map(|(s, v)| (s.clone(), *v))
-                .collect();
-            for (mut s, v) in own {
-                s.push(self.me);
-                self.vals.entry(s).or_insert(v);
+            let mut own = Vec::new();
+            let mut vals = Vec::new();
+            self.for_each_report(level, |sigma, v| {
+                own.extend_from_slice(sigma);
+                own.push(self.me);
+                vals.push(v);
+            });
+            for (label, &v) in own.chunks(level + 1).zip(&vals) {
+                self.store(label, v);
             }
             let payload = self.encode_level(level);
             return inbox.iter().map(|_| Some(payload.clone())).collect();
@@ -234,12 +350,15 @@ impl Device for EigDevice {
     fn snapshot(&self) -> Vec<u8> {
         // Canonical digest of the tree (full serialization would be large).
         let mut h = mix64(0xE16);
-        for (sigma, v) in &self.vals {
-            for &id in sigma {
-                h = mix64(h ^ u64::from(id));
+        let depth = self.levels.iter().rposition(|level| !level.is_empty());
+        self.walk(depth.unwrap_or(0), false, &mut |sigma, cell| {
+            if cell != ABSENT {
+                for &id in sigma {
+                    h = mix64(h ^ u64::from(id));
+                }
+                h = mix64(h ^ 0xFF ^ u64::from(cell == TRUE));
             }
-            h = mix64(h ^ 0xFF ^ u64::from(*v));
-        }
+        });
         match self.decided {
             Some(b) => snapshot::decided_bool(b, &h.to_be_bytes()),
             None => snapshot::undecided(&h.to_be_bytes()),
@@ -290,18 +409,36 @@ mod tests {
         testkit::assert_byzantine_agreement(&Eig::new(2), &builders::complete(7), 2, 8);
     }
 
+    impl EigDevice {
+        /// The stored value of `label`, if any.
+        fn value(&self, label: &[u32]) -> Option<bool> {
+            let rank = self.rank(label)?;
+            match self.cell(label.len(), rank) {
+                ABSENT => None,
+                cell => Some(cell == TRUE),
+            }
+        }
+
+        /// Whether no label has a stored value.
+        fn is_empty(&self) -> bool {
+            self.levels.iter().flatten().all(|&cell| cell == ABSENT)
+        }
+    }
+
     #[test]
     fn resolve_majority_logic() {
         let mut d = EigDevice::new(4, 1, NodeId(0));
         // Leaves for σ = [1]: children [1,0], [1,2], [1,3].
-        d.vals.insert(vec![1, 0], true);
-        d.vals.insert(vec![1, 2], true);
-        d.vals.insert(vec![1, 3], false);
-        assert!(d.resolve(&vec![1]));
-        d.vals.insert(vec![1, 2], false);
-        // Re-resolve: entry API means or_insert won't overwrite; set directly.
-        *d.vals.get_mut(&vec![1, 2]).unwrap() = false;
-        assert!(!d.resolve(&vec![1]));
+        d.store(&[1, 0], true);
+        d.store(&[1, 2], true);
+        d.store(&[1, 3], false);
+        let sigma = d.rank(&[1]).unwrap();
+        assert!(d.resolve(1, sigma));
+        d.store(&[1, 2], false);
+        // Re-resolve: the first report wins, so `store` won't overwrite;
+        // set directly.
+        *d.slot_mut(&[1, 2]).unwrap() = 1;
+        assert!(!d.resolve(1, sigma));
     }
 
     #[test]
@@ -311,14 +448,38 @@ mod tests {
         let mut w = Writer::new();
         w.u32(1).u8(1).u32(2).bool(true);
         d.absorb(1, 3, &w.finish());
-        assert!(d.vals.is_empty());
+        assert!(d.is_empty());
         // Truncated garbage.
         d.absorb(1, 3, &[9, 9]);
-        assert!(d.vals.is_empty());
+        assert!(d.is_empty());
         // Valid round-1 report from node 3.
         let mut w = Writer::new();
         w.u32(1).u8(0).bool(true);
         d.absorb(1, 3, &w.finish());
-        assert_eq!(d.vals.get(&vec![3]), Some(&true));
+        assert_eq!(d.value(&[3]), Some(true));
+    }
+
+    #[test]
+    fn a_huge_tree_is_grown_lazily() {
+        // 64·63···24 leaves: no usize holds the tree's size, let alone RAM.
+        let (n, f) = (64, 40);
+        assert_eq!(level_len(n, f + 1), None);
+        let inbox = vec![None; n - 1];
+        for v in 0..n as u32 {
+            let mut d = EigDevice::new(n, f, NodeId(v));
+            d.init(&NodeCtx {
+                node: NodeId(v),
+                ports: (0..n as u32).filter(|&w| w != v).map(NodeId).collect(),
+                input: Input::Bool(v % 2 == 0),
+            });
+            let out = d.step(Tick(0), &inbox);
+            assert_eq!(out.len(), n - 1);
+            assert!(out.iter().all(Option::is_some));
+            assert_eq!(snapshot::decision_in(&d.snapshot()), None);
+            // Only level 1 exists, holding the node's own input.
+            let cells: usize = d.levels.iter().map(Vec::capacity).sum();
+            assert_eq!(cells, n);
+            assert_eq!(d.value(&[v]), Some(v % 2 == 0));
+        }
     }
 }

@@ -3,7 +3,8 @@
 # Everything must pass with zero warnings.
 #
 # `--smoke` runs the fast subset only — debug build plus the core and
-# simulator unit tests and the refuter certificate-byte pins — for a quick
+# simulator unit tests, the graph suite (its minimum-cut oracle), the EIG
+# lockstep oracle and the refuter certificate-byte pins — for a quick
 # pre-push signal; the default (full) mode is the gate that counts.
 #
 # `--bench-gate` re-measures every labeled speedup ratio and compares it
@@ -202,6 +203,10 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo build --workspace
     echo "==> smoke: cargo test (core + sim + par libs)"
     cargo test -p flm-core -p flm-sim -p flm-par --lib --quiet
+    echo "==> smoke: cargo test (graph, with the full-scan minimum-cut oracle)"
+    cargo test -p flm-graph --quiet
+    echo "==> smoke: EIG lockstep oracle"
+    cargo test -p flm-protocols --test eig_oracle --quiet
     echo "==> smoke: refuter certificate-byte pins"
     cargo test --test refuter_bytes --quiet
     echo "Smoke checks passed (run without --smoke for the full gate)."
