@@ -6,11 +6,10 @@
 //! min/median/mean ns/op via [`crate::harness::measure`]. The substrate suite pits the dense
 //! edge-indexed message plane against [`System::run_reference`] — the
 //! original map-per-delivery loop kept in-tree as a differential baseline.
-//! The refuter suite pits the full run-reuse engine (adaptive dispatch,
-//! warm run cache) against the cold sequential baseline, and the runcache
-//! suite isolates each engine layer — memoization, scratch arena, adaptive
-//! dispatch — and the serve suite round-trips FLMC-RPC requests against an
-//! in-process `flm-serve` server — so regressions in any direction show up
+//! The refuter suite pits a warm run cache against the cold baseline, the
+//! runcache suite isolates memoization on one refutation, and the serve
+//! suite round-trips FLMC-RPC requests against an in-process `flm-serve`
+//! server — so regressions in any direction show up
 //! as a speedup ratio drifting in the JSON snapshots
 //! (`scripts/check.sh --bench-gate` fails on a >25% drop against the
 //! committed numbers).
@@ -177,10 +176,13 @@ pub fn substrate_suite(samples: usize) -> Suite {
     Suite { rows, speedups }
 }
 
-/// The refuter suite: the full run-reuse engine (adaptive dispatch plus a
-/// warm run cache — the steady state of a refute-then-verify pipeline)
-/// against the cold baseline (inline-sequential execution with the cache
-/// bypassed, re-simulating every run).
+/// The refuter suite: a refutation served from a warm run cache (the
+/// steady state of a refute-then-verify pipeline) against the cold
+/// baseline, the cache bypassed so every run re-simulates. Both legs run
+/// on the calling thread. The labels and row names still say `adaptive`,
+/// `parallel` and `sequential`, from when the warm leg fanned out across
+/// a worker pool; they stay because `BENCH_refuters.json` and the bench
+/// gate key on them.
 pub fn refuter_suite(samples: usize) -> Suite {
     let config = cfg(samples);
     let mut rows = Vec::new();
@@ -190,9 +192,7 @@ pub fn refuter_suite(samples: usize) -> Suite {
     let eig = EigUnderTest { f: 2 };
     let par = measure(config, || refute::ba_nodes(&eig, &k6, 2).unwrap());
     let seq = measure(config, || {
-        flm_par::sequential(|| {
-            flm_sim::runcache::bypass(|| refute::ba_nodes(&eig, &k6, 2).unwrap())
-        })
+        flm_sim::runcache::bypass(|| refute::ba_nodes(&eig, &k6, 2).unwrap())
     });
     speedups.push((
         "ba_nodes_k6_f2_eig: engine (adaptive, warm cache) vs cold sequential".into(),
@@ -211,9 +211,7 @@ pub fn refuter_suite(samples: usize) -> Suite {
     let table = TableUnderTest { seed: 11 };
     let par = measure(config, || refute::weak_agreement(&table, &tri, 1).unwrap());
     let seq = measure(config, || {
-        flm_par::sequential(|| {
-            flm_sim::runcache::bypass(|| refute::weak_agreement(&table, &tri, 1).unwrap())
-        })
+        flm_sim::runcache::bypass(|| refute::weak_agreement(&table, &tri, 1).unwrap())
     });
     speedups.push((
         "weak_agreement_table: engine (adaptive, warm cache) vs cold sequential".into(),
@@ -236,9 +234,7 @@ pub fn refuter_suite(samples: usize) -> Suite {
     let prey = flm_protocols::resolve("WaitForAll").unwrap();
     let warm = measure(config, || refute::flp_async(&*prey, &k4).unwrap());
     let cold = measure(config, || {
-        flm_par::sequential(|| {
-            flm_sim::runcache::bypass(|| refute::flp_async(&*prey, &k4).unwrap())
-        })
+        flm_sim::runcache::bypass(|| refute::flp_async(&*prey, &k4).unwrap())
     });
     speedups.push((
         "flp_async_k4_waitforall: engine (warm async cache) vs cold sequential".into(),
@@ -283,10 +279,8 @@ pub fn refuter_suite(samples: usize) -> Suite {
     Suite { rows, speedups }
 }
 
-/// The run-reuse suite: each row isolates one layer of the engine —
-/// memoization (warm vs cold cache on a refutation sweep), the scratch
-/// arena (reused vs fresh buffers over a system sweep), and adaptive
-/// dispatch (cost-aware vs naive pool fan-out on sub-dispatch work).
+/// The run-reuse suite: memoization, a refutation served warm from the
+/// run cache against the same refutation with the cache cleared.
 pub fn runcache_suite(samples: usize) -> Suite {
     let config = cfg(samples);
     let mut rows = Vec::new();
@@ -313,74 +307,6 @@ pub fn runcache_suite(samples: usize) -> Suite {
     rows.push(BenchRow {
         name: "ba_nodes_k6_f2_eig_refute/cold".into(),
         stats: cold,
-    });
-
-    // Scratch arena: a sweep of short-horizon K16 table systems, reusing
-    // one scratch vs allocating fresh edge tables and inboxes per run.
-    // The short horizon keeps per-run setup (what the scratch elides)
-    // a measurable share of the total, unlike long refuter runs where
-    // stepping dominates.
-    let g = builders::complete(16);
-    let build = |seed: u64| {
-        let mut sys = System::new(g.clone());
-        for v in g.nodes() {
-            sys.assign(
-                v,
-                Box::new(TableDevice::new(seed ^ u64::from(v.0), 50)),
-                Input::Bool(v.0.is_multiple_of(2)),
-            );
-        }
-        sys
-    };
-    let scratch = measure(config, || {
-        let mut scratch = flm_sim::RunScratch::new();
-        for seed in 0..32 {
-            std::hint::black_box(build(seed).try_run_with_scratch(2, &mut scratch).unwrap());
-        }
-    });
-    let fresh = measure(config, || {
-        for seed in 0..32 {
-            std::hint::black_box(build(seed).try_run(2).unwrap());
-        }
-    });
-    speedups.push((
-        "table_sweep_k16_t2_x32: reused scratch arena vs fresh buffers".into(),
-        ratio(fresh, scratch),
-    ));
-    rows.push(BenchRow {
-        name: "table_sweep_k16_t2_x32/scratch".into(),
-        stats: scratch,
-    });
-    rows.push(BenchRow {
-        name: "table_sweep_k16_t2_x32/fresh".into(),
-        stats: fresh,
-    });
-
-    // Adaptive dispatch: 64 sub-microsecond items. The naive mapper pays a
-    // pool dispatch; the adaptive mapper sees the cost hint and inlines.
-    let items: Vec<u64> = (0..64).collect();
-    let work = |x: u64| {
-        let mut acc = x;
-        for i in 0..50u64 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        std::hint::black_box(acc)
-    };
-    let adaptive = measure(config, || {
-        flm_par::par_map_adaptive(items.clone(), 100, work)
-    });
-    let naive = measure(config, || flm_par::par_map(items.clone(), work));
-    speedups.push((
-        "par_map_tiny_x64: adaptive dispatch vs naive pool fan-out".into(),
-        ratio(naive, adaptive),
-    ));
-    rows.push(BenchRow {
-        name: "par_map_tiny_x64/adaptive".into(),
-        stats: adaptive,
-    });
-    rows.push(BenchRow {
-        name: "par_map_tiny_x64/naive".into(),
-        stats: naive,
     });
 
     Suite { rows, speedups }
@@ -657,10 +583,10 @@ pub fn serve_suite(samples: usize) -> Suite {
 /// The campaign suite: a trimmed fixed-seed chaos sweep (4 protocols × 2
 /// topology families × 2 plan sizes = 16 runs, violations shrunk and
 /// certified) measured cold — the run cache is cleared before every
-/// iteration — with adaptive parallel dispatch and forced-sequential rows
-/// for comparison. The runs are tiny, so the two timings sit near parity
-/// by design (adaptive dispatch declines to spawn for sub-spawn-cost work);
-/// they are recorded as rows, not gated ratios. The gated headline is not
+/// iteration — with worker-pool and forced-sequential rows for
+/// comparison. The runs are tiny, so the two timings sit near parity (the
+/// pool's dispatch cost eats its gain on 16 short runs); they are recorded
+/// as rows, not gated ratios. The gated headline is not
 /// a timing at all: the campaign's mean shrink ratio in nodes, which is
 /// seed-deterministic, so the bench gate catches regressions in shrink
 /// *quality* on any host. Derive sweep throughput as
@@ -796,14 +722,10 @@ mod tests {
         for name in [
             "ba_nodes_k6_f2_eig_refute/warm",
             "ba_nodes_k6_f2_eig_refute/cold",
-            "table_sweep_k16_t2_x32/scratch",
-            "table_sweep_k16_t2_x32/fresh",
-            "par_map_tiny_x64/adaptive",
-            "par_map_tiny_x64/naive",
         ] {
             assert!(suite.rows.iter().any(|r| r.name == name), "missing {name}");
         }
-        assert_eq!(suite.speedups.len(), 3);
+        assert_eq!(suite.speedups.len(), 1);
         assert!(suite.speedups.iter().all(|(_, r)| *r > 0.0));
     }
 

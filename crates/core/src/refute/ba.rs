@@ -69,20 +69,18 @@ pub(super) fn chain_certificate(
     check: fn(&SystemBehavior, &BTreeSet<NodeId>, usize) -> Result<(), Violation>,
 ) -> Result<Certificate, RefuteError> {
     let horizon = protocol.horizon(cov.base());
-    // Captured once at entry: `with_policy` is thread-local, and the
-    // transplants below fan out to pool workers that never see this
-    // thread's scope.
+    // Read once at entry: every run of the chain and the certificate
+    // itself carry this one policy.
     let policy = super::current_policy();
     let cover_behavior = run_cover(protocol, cov, inputs, horizon, &policy)?;
 
     // The chain links are independent re-executions against the same cover
-    // behavior: fan them out (the adaptive mapper inlines when the base runs
-    // are too small to amortize thread dispatch), then fold the results in
-    // input order so the certificate (first error, first violated link) is
-    // byte-identical to the sequential scan.
-    let cost_hint = super::run_cost_hint_ns(cov.base().node_count(), horizon);
-    let transplants = flm_par::par_map_adaptive(scenarios, cost_hint, |(u_set, faulty_input)| {
-        transplant(
+    // behavior. They run in input order, so the certificate (first error,
+    // first violated link) is fixed by the order of `scenarios`.
+    let mut chain = Vec::new();
+    let mut violation: Option<Violation> = None;
+    for (i, (u_set, faulty_input)) in scenarios.into_iter().enumerate() {
+        let (link, behavior, correct) = transplant(
             protocol,
             cov,
             &cover_behavior,
@@ -91,12 +89,7 @@ pub(super) fn chain_certificate(
             horizon,
             f,
             &policy,
-        )
-    });
-    let mut chain = Vec::new();
-    let mut violation: Option<Violation> = None;
-    for (i, result) in transplants.into_iter().enumerate() {
-        let (link, behavior, correct) = result?;
+        )?;
         if violation.is_none() {
             violation = check(&behavior, &correct, i).err();
         }

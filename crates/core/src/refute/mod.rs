@@ -136,9 +136,9 @@ thread_local! {
 ///
 /// Each refuter reads the policy exactly once at entry ([`current_policy`])
 /// and passes it explicitly into its cover runs, transplants, and the
-/// certificate it emits — so the scope composes with [`flm_par::par_map`]
-/// even though worker threads never see this thread's scope: by the time
-/// work fans out, the policy is a captured value, not thread state.
+/// certificate it emits, so one refutation never mixes two policies. The
+/// scope is per thread: a refuter started on another thread (a test's
+/// worker pool, a server worker) runs under that thread's scope.
 pub fn with_policy<R>(policy: RunPolicy, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<RunPolicy>);
     impl Drop for Restore {
@@ -155,17 +155,6 @@ pub fn with_policy<R>(policy: RunPolicy, f: impl FnOnce() -> R) -> R {
 /// innermost [`with_policy`] scope, or [`RunPolicy::default`] outside one.
 pub fn current_policy() -> RunPolicy {
     ACTIVE_POLICY.with(std::cell::Cell::get).unwrap_or_default()
-}
-
-/// Rough wall-clock estimate of one contained run, for
-/// [`flm_par::par_map_adaptive`]'s dispatch decision: the simulator touches
-/// every node each tick at roughly 2 µs per node-tick (device construction
-/// included). Only the order of magnitude matters — the mapper compares the
-/// estimate against thread-dispatch overhead.
-pub(crate) fn run_cost_hint_ns(nodes: usize, horizon: u32) -> u64 {
-    (nodes as u64)
-        .saturating_mul(u64::from(horizon) + 1)
-        .saturating_mul(2_000)
 }
 
 /// Builds `protocol`'s device for node `v` of `g`. A constructor that

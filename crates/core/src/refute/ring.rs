@@ -34,9 +34,7 @@ use flm_sim::{Decision, Input, Protocol, RunPolicy, System, SystemBehavior, Tick
 
 use crate::certificate::{Certificate, ChainLink, Condition, Theorem, Violation};
 use crate::refute::ba::{copy_of, cut_classes, CutClasses};
-use crate::refute::{
-    device_for, partition_with_crossing_link, run_cost_hint_ns, run_cover, transplant, RefuteError,
-};
+use crate::refute::{device_for, partition_with_crossing_link, run_cover, transplant, RefuteError};
 
 /// Requires the triangle with `f = 1`.
 fn require_triangle(g: &Graph, f: usize) -> Result<(), RefuteError> {
@@ -108,11 +106,9 @@ type AllCorrectRun = Result<
     RefuteError,
 >;
 
-/// Runs both validity-pin executions concurrently and hands the results
-/// back in input order. Call sites consume `[0]` before `[1]`, so errors
-/// and early-exit certificates surface exactly as in the sequential code.
-/// The adaptive mapper inlines the pair when the pool is idle-sized or the
-/// runs are too small to amortize a dispatch.
+/// Runs both validity-pin executions in input order. Call sites consume
+/// `[0]` before `[1]`, so errors and early-exit certificates surface in
+/// that order.
 fn all_correct_pair(
     protocol: &dyn Protocol,
     g: &Graph,
@@ -121,13 +117,7 @@ fn all_correct_pair(
     f: usize,
     policy: &RunPolicy,
 ) -> [AllCorrectRun; 2] {
-    let cost_hint = run_cost_hint_ns(g.node_count(), horizon);
-    let mut results = flm_par::par_map_adaptive(inputs.to_vec(), cost_hint, |input| {
-        all_correct_run(protocol, g, input, horizon, f, policy)
-    });
-    let second = results.pop().expect("two runs");
-    let first = results.pop().expect("two runs");
-    [first, second]
+    inputs.map(|input| all_correct_run(protocol, g, input, horizon, f, policy))
 }
 
 /// The problem a ring refuter addresses.

@@ -1,19 +1,21 @@
 //! A dependency-free scoped worker pool for the FLM workspace.
 //!
-//! The refutation engine is embarrassingly parallel — every transplanted
-//! scenario in a certificate chain is an independent re-run of the protocol,
-//! and the adversarial test matrices sweep independent (protocol, fault,
-//! strategy) combinations. The workspace is deliberately offline (no rayon),
-//! so this crate provides the minimal primitive those consumers need:
-//! [`par_map`] / [`par_map_indexed`] over [`std::thread::scope`].
+//! Its consumers are sweeps of many independent jobs: the chaos campaign's
+//! probe, shrink and audit sweeps, `flm_prop::cases_par`, and the test
+//! matrices over (protocol, fault, strategy) combinations. The library
+//! crates do not use it: one refutation runs on its caller's thread,
+//! because spreading a single chain across the pool measured no faster end
+//! to end. The workspace is deliberately offline (no rayon), so this crate
+//! provides the one primitive those consumers need: [`par_map`] over
+//! [`std::thread::scope`].
 //!
 //! # Determinism contract
 //!
 //! Results are returned **in input order**, regardless of which worker ran
 //! which item or in what order items finished. For a pure `f`, the output of
 //! `par_map(items, f)` is byte-identical to `items.into_iter().map(f)` — the
-//! refuters rely on this to guarantee parallel and sequential refutations
-//! produce identical certificates.
+//! campaign relies on this for reports that do not depend on the host's
+//! core count.
 //!
 //! # Panic contract
 //!
@@ -45,10 +47,10 @@ thread_local! {
     static FORCE_SEQUENTIAL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `f` with all [`par_map`]/[`par_map_indexed`] calls on *this thread*
-/// forced onto the inline sequential path (nested calls included).
+/// Runs `f` with all [`par_map`] calls on *this thread* forced onto the
+/// inline sequential path (nested calls included).
 ///
-/// This is the reference mode for determinism tests: a refuter run under
+/// This is the reference mode for determinism tests: a campaign run under
 /// `sequential` must produce byte-identical output to the same run without
 /// it.
 pub fn sequential<R>(f: impl FnOnce() -> R) -> R {
@@ -110,97 +112,21 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    par_map_indexed(items, |_, item| f(item))
+    par_map_with(worker_count(), items, f)
 }
 
-/// Like [`par_map`], but `f` also receives the item's input index.
-pub fn par_map_indexed<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    par_map_indexed_with(worker_count(), items, f)
-}
-
-/// Estimated total work (item count × cost hint) below which
-/// [`par_map_adaptive`] runs inline: on the recorded bench hosts the pool's
-/// spawn-and-join overhead is in the hundreds of microseconds, so fanning
-/// out work smaller than ~1 ms can only lose to the sequential loop.
-const ADAPTIVE_INLINE_NS: u64 = 1_000_000;
-
-/// Target per-chunk work for [`par_map_adaptive`]: items cheaper than this
-/// are grouped so each cross-thread handoff moves enough work to pay for
-/// itself.
-const ADAPTIVE_CHUNK_NS: u64 = 250_000;
-
-/// Maps `f` over `items` like [`par_map`], but *adaptively*: `cost_hint_ns`
-/// is the caller's rough per-item cost estimate, and the call runs inline —
-/// no thread spawn at all — when the pool resolves to one worker or the
-/// estimated total work is below [`ADAPTIVE_INLINE_NS`]. Above the
-/// threshold, cheap items are grouped into contiguous chunks of roughly
-/// [`ADAPTIVE_CHUNK_NS`] each before hitting the pool.
-///
-/// The determinism contract is unchanged: results are input-ordered and
-/// byte-identical to the sequential loop for pure `f`, whichever path is
-/// taken. The panic contract is unchanged too — the lowest-index panic is
-/// re-raised (chunks are contiguous and each chunk runs its items in input
-/// order, so the lowest panicking index still surfaces first).
-///
-/// The cost hint only steers scheduling; a wrong hint can cost time, never
-/// correctness.
-pub fn par_map_adaptive<T, R, F>(items: Vec<T>, cost_hint_ns: u64, f: F) -> Vec<R>
+/// [`par_map`] with an explicit pool size, so the threaded path's
+/// ordering/panic contracts stay testable on hosts where [`worker_count`]
+/// resolves to 1 (single detected core ⇒ inline sequential).
+fn par_map_with<T, R, F>(pool: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let workers = worker_count().min(items.len());
-    let estimated = cost_hint_ns.saturating_mul(items.len() as u64);
-    if is_sequential() || workers <= 1 || estimated < ADAPTIVE_INLINE_NS {
-        return items.into_iter().map(f).collect();
-    }
-    // Chunk size: enough items to reach the per-chunk work target, but never
-    // so many that the pool is left idle.
-    let by_cost = (ADAPTIVE_CHUNK_NS / cost_hint_ns.max(1)).max(1) as usize;
-    let by_balance = items.len().div_ceil(workers);
-    let per_chunk = by_cost.min(by_balance).max(1);
-    if per_chunk == 1 {
-        return par_map_indexed_with(workers, items, |_, item| f(item));
-    }
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(items.len().div_ceil(per_chunk));
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(per_chunk).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    par_map_indexed_with(workers.min(chunks.len()), chunks, |_, chunk| {
-        chunk.into_iter().map(&f).collect::<Vec<R>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// [`par_map_indexed`] with an explicit pool size, so the threaded path's
-/// ordering/panic contracts stay testable on hosts where [`worker_count`]
-/// resolves to 1 (single detected core ⇒ inline sequential).
-fn par_map_indexed_with<T, R, F>(pool: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
     let workers = pool.min(items.len());
     if is_sequential() || workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
+        return items.into_iter().map(f).collect();
     }
 
     let n = items.len();
@@ -223,7 +149,7 @@ where
                     .expect("item slot poisoned: claimed index was taken twice")
                     .take()
                     .expect("cursor hands each index to exactly one worker");
-                let outcome = catch_unwind(AssertUnwindSafe(|| f(i, item)));
+                let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
                 *results[i]
                     .lock()
                     .expect("result slot poisoned: claimed index was taken twice") = Some(outcome);
@@ -271,7 +197,7 @@ mod tests {
         let items: Vec<u64> = (0..200).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
         // Stagger work so completion order scrambles under real parallelism.
-        let got = par_map_indexed_with(4, items, |_, x| {
+        let got = par_map_with(4, items, |x| {
             let mut acc = x;
             for _ in 0..((x * 7919) % 256) {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -280,12 +206,6 @@ mod tests {
             x * x
         });
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn indexed_variant_sees_input_indices() {
-        let got = par_map_indexed(vec!['a', 'b', 'c'], |i, c| format!("{i}{c}"));
-        assert_eq!(got, vec!["0a", "1b", "2c"]);
     }
 
     #[test]
@@ -298,7 +218,7 @@ mod tests {
     #[test]
     fn lowest_index_panic_wins() {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            par_map_indexed_with(4, (0..64).collect::<Vec<u32>>(), |_, x| {
+            par_map_with(4, (0..64).collect::<Vec<u32>>(), |x| {
                 if x == 13 || x == 50 {
                     panic!("boom at {x}");
                 }
@@ -318,7 +238,7 @@ mod tests {
         // only the re-raise is deferred to the ordered sweep.
         let ran = AtomicU32::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            par_map_indexed_with(4, (0..32).collect::<Vec<u32>>(), |_, x| {
+            par_map_with(4, (0..32).collect::<Vec<u32>>(), |x| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 if x == 0 {
                     panic!("early");
@@ -353,8 +273,8 @@ mod tests {
 
     #[test]
     fn nested_par_map_completes() {
-        let got = par_map_indexed_with(4, (0..8u32).collect::<Vec<_>>(), |_, x| {
-            par_map_indexed_with(4, (0..8u32).collect::<Vec<_>>(), move |_, y| x * 8 + y)
+        let got = par_map_with(4, (0..8u32).collect::<Vec<_>>(), |x| {
+            par_map_with(4, (0..8u32).collect::<Vec<_>>(), move |y| x * 8 + y)
                 .into_iter()
                 .sum::<u32>()
         });
@@ -368,7 +288,7 @@ mod tests {
         // `par_map` uses when `worker_count() == 1`) must execute every item
         // on the calling thread — no spawn, no handoff cells.
         let me = thread::current().id();
-        let ids = par_map_indexed_with(1, vec![1, 2, 3], |_, _| thread::current().id());
+        let ids = par_map_with(1, vec![1, 2, 3], |_| thread::current().id());
         assert!(ids.into_iter().all(|id| id == me));
     }
 
@@ -377,7 +297,7 @@ mod tests {
         // Converse of the contract above: with real workers and enough
         // items, at least one item runs off the calling thread.
         let me = thread::current().id();
-        let ids = par_map_indexed_with(4, (0..64).collect::<Vec<u32>>(), |_, _| {
+        let ids = par_map_with(4, (0..64).collect::<Vec<u32>>(), |_| {
             std::thread::sleep(std::time::Duration::from_micros(50));
             thread::current().id()
         });
@@ -385,58 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_small_work_runs_inline() {
-        // 64 items at a 10 ns hint is far below the inline threshold: every
-        // item must run on the calling thread regardless of the host pool.
-        let me = thread::current().id();
-        let ids = par_map_adaptive((0..64u32).collect::<Vec<_>>(), 10, |_| {
-            thread::current().id()
-        });
-        assert!(ids.into_iter().all(|id| id == me));
-    }
-
-    #[test]
-    fn adaptive_preserves_order_across_paths() {
-        let expected: Vec<u64> = (0..500).map(|x: u64| x * 3 + 1).collect();
-        // Sweep hints that land on the inline, chunked, and per-item paths.
-        for hint in [0, 1, 10_000, 10_000_000] {
-            let got = par_map_adaptive((0..500u64).collect::<Vec<_>>(), hint, |x| x * 3 + 1);
-            assert_eq!(got, expected, "hint {hint}");
-        }
-    }
-
-    #[test]
-    fn adaptive_equals_sequential_byte_for_byte() {
-        let items: Vec<u64> = (0..200).collect();
-        let f = |x: u64| format!("{:x}", x.wrapping_mul(0x9E3779B97F4A7C15));
-        let adaptive = par_map_adaptive(items.clone(), 50_000, f);
-        let seq: Vec<String> = sequential(|| par_map_adaptive(items, 50_000, f));
-        assert_eq!(adaptive, seq);
-    }
-
-    #[test]
-    fn adaptive_lowest_index_panic_wins() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // Cost hint high enough to cross the threshold and chunk.
-            par_map_adaptive((0..64).collect::<Vec<u32>>(), 100_000, |x| {
-                if x == 9 || x == 40 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
-        }));
-        let payload = result.expect_err("a worker panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("panic! with args carries a String payload");
-        assert_eq!(msg, "boom at 9");
-    }
-
-    #[test]
     fn parallel_equals_sequential_byte_for_byte() {
         let items: Vec<u64> = (0..100).collect();
         let f = |x: u64| format!("{:x}", x.wrapping_mul(0x9E3779B97F4A7C15));
-        let par: Vec<String> = par_map_indexed_with(4, items.clone(), |_, x| f(x));
+        let par: Vec<String> = par_map_with(4, items.clone(), f);
         let seq: Vec<String> = sequential(|| par_map(items, f));
         assert_eq!(par, seq);
     }

@@ -6,20 +6,12 @@
 //! specs: deliberately simple, exhaustive over small fault subsets, and
 //! driven by the adversary zoo in [`flm_sim::adversary`].
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use flm_graph::{Graph, NodeId};
 use flm_sim::adversary::{strategy, STRATEGY_COUNT};
 use flm_sim::device::Device;
-use flm_sim::{Decision, Input, Protocol, RunScratch, System, SystemBehavior};
-
-thread_local! {
-    // One scratch arena per test thread: the exhaustive suites run thousands
-    // of small systems back to back, and reusing the edge-table and inbox
-    // buffers keeps the sweeps out of the allocator.
-    static SCRATCH: RefCell<RunScratch> = RefCell::new(RunScratch::new());
-}
+use flm_sim::{Decision, Input, Protocol, System, SystemBehavior};
 
 /// Runs `protocol` on `graph` with every node honest and the given inputs.
 pub fn run_honest(
@@ -48,8 +40,7 @@ pub fn run_with_faults(
     for (v, d) in faulty {
         sys.assign(v, d, Input::None);
     }
-    SCRATCH
-        .with(|s| sys.try_run_with_scratch(protocol.horizon(graph), &mut s.borrow_mut()))
+    sys.try_run(protocol.horizon(graph))
         .unwrap_or_else(|e| panic!("{e}"))
 }
 

@@ -175,11 +175,7 @@ fn fault_injector_matrix_preserves_agreement_on_adequate_graphs() {
                 combos.push((label.clone(), plan.clone(), strat));
             }
         }
-        // ~2 µs per node-tick of simulation per combo; the adaptive mapper
-        // chunks the matrix (or inlines it on a one-worker pool) instead of
-        // paying one dispatch per tiny run.
-        let cost_hint = (g.node_count() as u64) * (u64::from(horizon) + 1) * 2_000;
-        flm_par::par_map_adaptive(combos, cost_hint, |(label, plan, strat)| {
+        flm_par::par_map(combos, |(label, plan, strat)| {
             // strat == STRATEGY_COUNT wraps the honest device; the rest
             // stack the injector on a zoo adversary.
             let inner = if strat == STRATEGY_COUNT {

@@ -78,8 +78,7 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7115` or `127.0.0.1:0` (ephemeral).
     pub addr: String,
     /// Worker threads for CPU-bound work (refute/verify/audit/held pings).
-    /// Refutations themselves additionally fan out on the process-wide
-    /// `flm-par` pool.
+    /// Each request runs on one worker.
     pub workers: usize,
     /// Worker-bound requests allowed to wait in the job queue before
     /// further worker-bound requests are shed with a typed answer.

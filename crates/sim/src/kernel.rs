@@ -10,8 +10,8 @@
 //!   inboxes skips the payload slab entirely for silent edges;
 //! * `snap_bytes` / `snap_ends` — an arena of device snapshots with
 //!   cumulative end offsets, one entry per node per tick;
-//! * the port tables (`RunScratch`) — flat in/out edge-index arrays with a
-//!   per-node prefix-sum offset table, and one flat inbox buffer.
+//! * the port tables — flat in/out edge-index arrays with a per-node
+//!   prefix-sum offset table, and one flat inbox buffer.
 //!
 //! `System::run_reference`, the map-per-delivery loop, remains the
 //! differential oracle for this kernel.
@@ -23,7 +23,7 @@ use flm_graph::{Graph, NodeId};
 
 use crate::behavior::{DeviceMisbehavior, MisbehaviorKind, NodeBehavior, SystemBehavior};
 use crate::device::{snapshot, Payload};
-use crate::system::{RunPolicy, RunScratch, Slot, SystemError};
+use crate::system::{RunPolicy, Slot, SystemError};
 use crate::Tick;
 
 fn words_for(e_count: usize) -> usize {
@@ -40,7 +40,6 @@ pub(crate) fn run(
     slots: &mut [Option<Slot>],
     horizon: u32,
     policy: Option<&RunPolicy>,
-    scratch: &mut RunScratch,
 ) -> Result<SystemBehavior, SystemError> {
     let n = graph.node_count();
     for v in graph.nodes() {
@@ -60,10 +59,10 @@ pub(crate) fn run(
     let edge_list = graph.directed_edges();
     let e_count = edge_list.len();
     let words = words_for(e_count);
-    scratch.port_off.clear();
-    scratch.port_off.push(0);
-    scratch.in_edges.clear();
-    scratch.out_edges.clear();
+    let mut port_off: Vec<u32> = Vec::with_capacity(n + 1);
+    port_off.push(0);
+    let mut in_edges: Vec<u32> = Vec::with_capacity(e_count);
+    let mut out_edges: Vec<u32> = Vec::with_capacity(e_count);
     for v in graph.nodes() {
         let slot = slots[v.index()]
             .as_ref()
@@ -73,26 +72,15 @@ pub(crate) fn run(
                 node: v,
                 reason: format!("port wired to {w}, which is not a neighbor of {v}"),
             };
-            scratch
-                .in_edges
-                .push(edge_list.binary_search(&(w, v)).map_err(bad_wire)? as u32);
-            scratch
-                .out_edges
-                .push(edge_list.binary_search(&(v, w)).map_err(bad_wire)? as u32);
+            in_edges.push(edge_list.binary_search(&(w, v)).map_err(bad_wire)? as u32);
+            out_edges.push(edge_list.binary_search(&(v, w)).map_err(bad_wire)? as u32);
         }
-        scratch.port_off.push(scratch.in_edges.len() as u32);
+        port_off.push(in_edges.len() as u32);
     }
-    let port_off = &scratch.port_off;
-    let in_edges = &scratch.in_edges;
-    let out_edges = &scratch.out_edges;
-    scratch.inbox.clear();
-    scratch.inbox.resize(in_edges.len(), None);
-    let inbox = &mut scratch.inbox;
-    scratch.quarantined.clear();
-    scratch.quarantined.resize(n, false);
-    let quarantined = &mut scratch.quarantined;
+    let mut inbox: Vec<Option<Payload>> = vec![None; in_edges.len()];
+    let mut quarantined = vec![false; n];
 
-    // Time-major slabs; outputs, so always freshly allocated.
+    // Time-major slabs.
     let mut traces: Vec<Option<Payload>> = Vec::with_capacity(horizon as usize * e_count);
     let mut delivered: Vec<u64> = Vec::with_capacity(horizon as usize * words);
     let mut snap_bytes: Vec<u8> = Vec::new();

@@ -73,5 +73,5 @@ pub use behavior::{
 pub use device::{Decision, Device, Input, NodeCtx, Payload};
 pub use faults::{FaultAction, FaultPlan, FaultRule};
 pub use protocol::{ClockProtocol, Protocol};
-pub use system::{contain_panics, RunPolicy, RunScratch, System};
+pub use system::{contain_panics, RunPolicy, System};
 pub use time::Tick;

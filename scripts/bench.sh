@@ -4,13 +4,12 @@
 #   BENCH_substrate.json — dense message plane vs the reference loop, on
 #                          all-table systems and on a chain-link-shaped
 #                          system with a replay node
-#   BENCH_refuters.json  — run-reuse engine (adaptive dispatch, warm run
-#                          cache) vs the cold sequential baseline, plus
-#                          certificate encode/decode/verify throughput
-#                          (the three legs flm-audit runs per file)
-#   BENCH_runcache.json  — each engine layer isolated: warm vs cold cache,
-#                          scratch arena vs fresh buffers, adaptive vs
-#                          naive pool dispatch
+#   BENCH_refuters.json  — refutations from a warm run cache vs the cold
+#                          baseline, plus certificate encode/decode/verify
+#                          throughput (the three legs flm-audit runs per
+#                          file)
+#   BENCH_runcache.json  — memoization isolated: one refutation warm vs
+#                          cold cache
 #   BENCH_serve.json     — FLMC-RPC round trips against an in-process
 #                          flm-serve server: ping floor, refute requests
 #                          warm vs cold, mixed-load generator throughput,

@@ -4,8 +4,9 @@
 #
 # `--smoke` runs the fast subset only — debug build plus the core and
 # simulator unit tests, the graph suite (its minimum-cut oracle), the EIG
-# lockstep oracle and the refuter certificate-byte pins — for a quick
-# pre-push signal; the default (full) mode is the gate that counts.
+# lockstep oracle, the refuter certificate-byte pins and the run-cache and
+# cross-thread determinism suites — for a quick pre-push signal; the
+# default (full) mode is the gate that counts.
 #
 # `--bench-gate` re-measures every labeled speedup ratio and compares it
 # against the committed BENCH_*.json snapshots: any ratio that lands below
@@ -209,6 +210,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo test -p flm-protocols --test eig_oracle --quiet
     echo "==> smoke: refuter certificate-byte pins"
     cargo test --test refuter_bytes --quiet
+    echo "==> smoke: run-cache and cross-thread certificate determinism"
+    cargo test --test runcache_determinism --test parallel_determinism --quiet
     echo "Smoke checks passed (run without --smoke for the full gate)."
     exit 0
 fi

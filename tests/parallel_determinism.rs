@@ -1,9 +1,10 @@
-//! The byte-determinism guarantee of the parallel refutation engine: every
+//! The byte-determinism guarantee of the refuters across threads: every
 //! refuter must produce *identical* certificates — same chain, same
-//! decisions, same violation, same rendering — whether its transplants and
-//! validity pins run on the `flm-par` worker pool or inline under
-//! [`flm_par::sequential`]. The theorems are about executions, not
-//! schedules; parallelism must be unobservable in the output.
+//! decisions, same violation, same rendering — whether it runs on a
+//! `flm-par` worker thread (the `flm_prop::cases_par` sweep below) or on
+//! the calling thread, inside or outside [`flm_par::sequential`]. The
+//! theorems are about executions, not schedules; the thread a refutation
+//! runs on must be unobservable in the output.
 
 use flm_core::refute;
 use flm_graph::{builders, Graph, NodeId};
