@@ -45,6 +45,41 @@ fn cfg(samples: usize) -> Config {
     }
 }
 
+/// [`measure`] for `variants` bodies at once: each round times one
+/// iteration of every variant in turn, so a shift in host speed mid-suite
+/// lands on all of them alike and the ratios between them hold steady.
+fn measure_alternating<R>(
+    config: Config,
+    variants: usize,
+    mut f: impl FnMut(usize) -> R,
+) -> Vec<Stats> {
+    for k in 0..variants {
+        for _ in 0..config.warmup_iters {
+            std::hint::black_box(f(k));
+        }
+    }
+    let once = Config {
+        samples: 1,
+        warmup_iters: 0,
+    };
+    let mut ns = vec![Vec::with_capacity(config.samples); variants];
+    for _ in 0..config.samples {
+        for (k, ns) in ns.iter_mut().enumerate() {
+            ns.push(measure(once, || f(k)).min_ns);
+        }
+    }
+    ns.into_iter()
+        .map(|mut ns| {
+            ns.sort_unstable();
+            Stats {
+                min_ns: ns[0],
+                median_ns: ns[ns.len() / 2],
+                mean_ns: ns.iter().sum::<u128>() / ns.len() as u128,
+            }
+        })
+        .collect()
+}
+
 // Headline ratios compare minimum times, not medians: the minimum is the
 // classic noise-floor estimator, and on a single-core bench host it is the
 // only statistic stable enough for `check.sh --bench-gate` to compare
@@ -580,23 +615,61 @@ pub fn serve_suite(samples: usize) -> Suite {
     Suite { rows, speedups }
 }
 
-/// The campaign suite: a trimmed fixed-seed chaos sweep (4 protocols × 2
-/// topology families × 2 plan sizes = 16 runs, violations shrunk and
-/// certified) measured cold — the run cache is cleared before every
-/// iteration — with worker-pool and forced-sequential rows for
-/// comparison. The runs are tiny, so the two timings sit near parity (the
-/// pool's dispatch cost eats its gain on 16 short runs); they are recorded
-/// as rows, not gated ratios. The gated headline is not
-/// a timing at all: the campaign's mean shrink ratio in nodes, which is
+/// The campaign suite: the asynchronous scheduler's per-delivery cost, and
+/// the shrink quality of a trimmed fixed-seed chaos sweep.
+///
+/// Every `async-fair` campaign cell is a fair run of the scheduler, so the
+/// suite times fair `WaitForAll` runs on the campaign's smallest and
+/// largest covering rings: 100 runs on `cover3w4` (24 deliveries each)
+/// against one on `cover3w400` (2,400), so both rows time 2,400 deliveries
+/// and the small ring's sample is not lost in timer noise. Its gated ratio,
+/// `async_delivery_flatness`, divides the small ring's nanoseconds per
+/// delivery by the large ring's: a delivery whose cost grows with the edge
+/// count drives it far below 1. The second headline is not a timing at
+/// all: the trimmed sweep's mean shrink ratio in nodes, which is
 /// seed-deterministic, so the bench gate catches regressions in shrink
-/// *quality* on any host. Derive sweep throughput as
-/// `16 runs ÷ (min_ns / 1e9)` from the parallel row.
+/// *quality* on any host.
 pub fn campaign_suite(samples: usize) -> Suite {
     use crate::campaign::{run_campaign, smoke_config};
+    use flm_sim::async_sched::{AsyncSystem, Strategy};
+    use flm_sim::RunPolicy;
 
     let config = cfg(samples);
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
+
+    let prey = flm_protocols::resolve("WaitForAll").unwrap();
+    let rings = [(4, 100, "100_runs"), (400, 1, "run")].map(|(weight, runs, variant)| {
+        let g = builders::ring_cover(3, weight).unwrap();
+        (g, runs, format!("async_fair_cover3w{weight}/{variant}"))
+    });
+    let fair_runs = |k: usize| {
+        let (g, runs, _) = &rings[k];
+        (0..*runs)
+            .map(|_| {
+                let mut sys = AsyncSystem::new(g.clone());
+                for v in g.nodes() {
+                    sys.assign(v, prey.device(g, v), Input::Bool(v.0 % 2 == 0));
+                }
+                sys.run(&Strategy::Fair, &RunPolicy::default()).unwrap()
+            })
+            .map(|run| run.schedule.len())
+            .sum::<usize>()
+    };
+    let deliveries: Vec<usize> = (0..rings.len()).map(fair_runs).collect();
+    let stats = measure_alternating(config, rings.len(), fair_runs);
+    let ns_per_delivery: Vec<f64> = stats
+        .iter()
+        .zip(&deliveries)
+        .map(|(s, &d)| s.min_ns as f64 / d as f64)
+        .collect();
+    for ((_, _, name), stats) in rings.into_iter().zip(stats) {
+        rows.push(BenchRow { name, stats });
+    }
+    speedups.push((
+        "async_delivery_flatness: ns per fair delivery, cover3w4 vs cover3w400".into(),
+        ns_per_delivery[0] / ns_per_delivery[1],
+    ));
 
     // Trim the smoke sweep to its fastest representative slice so the
     // suite stays cheap enough for debug-mode test runs.
@@ -611,26 +684,6 @@ pub fn campaign_suite(samples: usize) -> Suite {
         .contains(&name.as_str())
     });
     sweep.graphs.truncate(2);
-    let runs = sweep.protocols.len() * sweep.graphs.len() * sweep.rule_counts.len();
-
-    let par = measure(config, || {
-        flm_sim::runcache::clear();
-        run_campaign(&sweep)
-    });
-    let seq = measure(config, || {
-        flm_par::sequential(|| {
-            flm_sim::runcache::clear();
-            run_campaign(&sweep)
-        })
-    });
-    rows.push(BenchRow {
-        name: format!("campaign_sweep_{runs}runs/parallel"),
-        stats: par,
-    });
-    rows.push(BenchRow {
-        name: format!("campaign_sweep_{runs}runs/sequential"),
-        stats: seq,
-    });
 
     // Deterministic shrink quality: same seed, same ratio, every host.
     let outcome = run_campaign(&sweep);
@@ -699,16 +752,19 @@ mod tests {
     #[test]
     fn campaign_suite_rows_and_deterministic_shrink_quality() {
         let suite = campaign_suite(2);
-        for name in [
-            "campaign_sweep_16runs/parallel",
-            "campaign_sweep_16runs/sequential",
-        ] {
+        for name in ["async_fair_cover3w4/100_runs", "async_fair_cover3w400/run"] {
             assert!(suite.rows.iter().any(|r| r.name == name), "missing {name}");
         }
-        assert_eq!(suite.speedups.len(), 1);
+        assert_eq!(suite.speedups.len(), 2);
+        let (label, flatness) = &suite.speedups[0];
+        assert!(label.contains("async_delivery_flatness"));
+        assert!(
+            *flatness > 0.0,
+            "flatness must be a finite ratio: {flatness}"
+        );
         // The shrink-quality headline is deterministic, not a timing: the
         // gate can hold it to a tight band across hosts.
-        let (label, ratio) = &suite.speedups[0];
+        let (label, ratio) = &suite.speedups[1];
         assert!(label.contains("campaign_shrink_quality"));
         assert!(
             *ratio > 1.0,

@@ -275,7 +275,7 @@ impl AsyncSystem {
             _ => unreachable!("assemble only raises system errors"),
         })?;
         let budget = policy.max_ticks;
-        let mut chooser = Chooser::new(*strategy);
+        let mut chooser = Chooser::new(*strategy, &exec);
         while (exec.schedule.len() as u32) < budget {
             let Some(edge) = chooser.pick(&mut exec) else {
                 // Quiescent or deliberately starved: both end the run with
@@ -284,7 +284,7 @@ impl AsyncSystem {
             };
             exec.deliver(edge);
         }
-        let quiescent = exec.pending_edges().is_empty();
+        let quiescent = exec.pending_count == 0;
         Ok(exec.finish(!quiescent))
     }
 
@@ -314,8 +314,7 @@ impl AsyncSystem {
             }
             exec.deliver(edge);
         }
-        let budget_exhausted =
-            schedule.len() as u32 == policy.max_ticks && !exec.pending_edges().is_empty();
+        let budget_exhausted = schedule.len() as u32 == policy.max_ticks && exec.pending_count > 0;
         Ok(exec.finish(budget_exhausted))
     }
 }
@@ -327,6 +326,12 @@ struct Exec {
     edge_list: Vec<(NodeId, NodeId)>,
     /// Per directed edge: the FIFO channel.
     queues: Vec<VecDeque<Payload>>,
+    /// The pending-channel index: bit `e` of word `e / 64` is set exactly
+    /// while `queues[e]` is non-empty, so the chooser finds pending edges
+    /// by scanning words instead of every channel.
+    pending: Vec<u64>,
+    /// Set bits in `pending`.
+    pending_count: usize,
     /// Receiver-side port index per directed edge `(u, v)`: `u`'s position
     /// among `v`'s sorted neighbors.
     in_port: Vec<usize>,
@@ -378,6 +383,8 @@ impl Exec {
         let mut exec = Exec {
             edge_count,
             queues: (0..edge_count).map(|_| VecDeque::new()).collect(),
+            pending: vec![0; edge_count.div_ceil(64)],
+            pending_count: 0,
             edge_list,
             in_port,
             out_edges,
@@ -469,6 +476,10 @@ impl Exec {
         for (p, payload) in out.into_iter().enumerate() {
             if let Some(payload) = payload {
                 let e = self.out_edges[self.port_off[i] + p] as usize;
+                if self.queues[e].is_empty() {
+                    self.pending[e / 64] |= 1 << (e % 64);
+                    self.pending_count += 1;
+                }
                 self.queues[e].push_back(payload);
             }
         }
@@ -480,9 +491,14 @@ impl Exec {
     /// Delivers the oldest message on directed edge `e` (which must be
     /// pending) and records the choice in the schedule.
     fn deliver(&mut self, e: u32) {
-        let payload = self.queues[e as usize]
+        let queue = &mut self.queues[e as usize];
+        let payload = queue
             .pop_front()
             .expect("deliver is only called on pending edges");
+        if queue.is_empty() {
+            self.pending[e as usize / 64] &= !(1 << (e % 64));
+            self.pending_count -= 1;
+        }
         self.schedule.push(e);
         let (_, v) = self.edge_endpoints(e);
         let i = v.index();
@@ -501,13 +517,6 @@ impl Exec {
     /// [`Graph::directed_edges`]).
     fn edge_endpoints(&self, e: u32) -> (NodeId, NodeId) {
         self.edge_list[e as usize]
-    }
-
-    /// Indices of edges with at least one pending message, ascending.
-    fn pending_edges(&self) -> Vec<u32> {
-        (0..self.edge_count as u32)
-            .filter(|&e| !self.queues[e as usize].is_empty())
-            .collect()
     }
 
     /// One-step-forward / one-step-back probe: would delivering the head
@@ -559,47 +568,56 @@ struct Chooser {
     strategy: Strategy,
     cursor: u32,
     draws: u64,
+    /// Edges the strategy never delivers from, as a mask over the pending
+    /// index's words: the starvation victim's inbound edges, or none.
+    withheld: Vec<u64>,
 }
 
 impl Chooser {
-    fn new(strategy: Strategy) -> Chooser {
+    fn new(strategy: Strategy, exec: &Exec) -> Chooser {
+        let mut withheld = vec![0u64; exec.pending.len()];
+        if let Strategy::Adversarial { victim, .. } = strategy {
+            for (e, &(_, v)) in exec.edge_list.iter().enumerate() {
+                if v == victim {
+                    withheld[e / 64] |= 1 << (e % 64);
+                }
+            }
+        }
         Chooser {
             strategy,
             cursor: 0,
             draws: 0,
+            withheld,
         }
     }
 
     /// Picks the next edge to deliver from, or `None` to end the run
     /// (quiescence, or deliberate starvation for the adversarial
-    /// strategy).
+    /// strategy). Candidates are read off the pending index in ascending
+    /// edge order, so every strategy makes the choice a scan over all
+    /// channels would.
     fn pick(&mut self, exec: &mut Exec) -> Option<u32> {
-        let pending = exec.pending_edges();
-        if pending.is_empty() {
+        if exec.pending_count == 0 {
             return None;
         }
+        let withheld = &self.withheld;
         match self.strategy {
             Strategy::Fair => {
-                let chosen = pending
-                    .iter()
-                    .copied()
-                    .find(|&e| e >= self.cursor)
-                    .unwrap_or(pending[0]);
+                let chosen = next_one(&exec.pending, withheld, self.cursor as usize)
+                    .or_else(|| next_one(&exec.pending, withheld, 0))?;
                 self.cursor = chosen + 1;
                 Some(chosen)
             }
             Strategy::Random { seed } => {
-                let i = mix64(seed ^ self.draws.wrapping_mul(0x9E37)) % pending.len() as u64;
+                let i = mix64(seed ^ self.draws.wrapping_mul(0x9E37)) % exec.pending_count as u64;
                 self.draws += 1;
-                Some(pending[i as usize])
+                Some(nth_one(&exec.pending, withheld, i as usize))
             }
-            Strategy::Adversarial { seed, victim } => {
-                let candidates: Vec<u32> = pending
-                    .iter()
-                    .copied()
-                    .filter(|&e| exec.edge_endpoints(e).1 != victim)
-                    .collect();
-                if candidates.is_empty() {
+            Strategy::Adversarial { seed, .. } => {
+                let count: usize = (exec.pending.iter().zip(withheld))
+                    .map(|(p, x)| (p & !x).count_ones() as usize)
+                    .sum();
+                if count == 0 {
                     // Only victim-bound messages remain: withhold them all.
                     return None;
                 }
@@ -608,16 +626,52 @@ impl Chooser {
                 // whose delivery keeps its receiver undecided (one step
                 // forward, one step back). If every delivery decides — or
                 // look-ahead is unavailable — the rotation's head stands.
-                let rot = (mix64(seed ^ self.draws) % candidates.len() as u64) as usize;
+                let rot = (mix64(seed ^ self.draws) % count as u64) as usize;
                 self.draws += 1;
-                let chosen = (0..candidates.len())
-                    .map(|k| candidates[(rot + k) % candidates.len()])
-                    .find(|&e| exec.delivery_decides(e) == Some(false))
-                    .unwrap_or(candidates[rot]);
-                Some(chosen)
+                let head = nth_one(&exec.pending, withheld, rot);
+                let mut e = head;
+                while exec.delivery_decides(e) != Some(false) {
+                    e = next_one(&exec.pending, withheld, e as usize + 1)
+                        .or_else(|| next_one(&exec.pending, withheld, 0))
+                        .expect("the head is a candidate");
+                    if e == head {
+                        break;
+                    }
+                }
+                Some(e)
             }
         }
     }
+}
+
+/// The lowest edge at or after `from` that is pending and not withheld.
+fn next_one(pending: &[u64], withheld: &[u64], from: usize) -> Option<u32> {
+    let mut w = from / 64;
+    let mut bits = pending.get(w)? & !withheld[w] & (!0u64 << (from % 64));
+    loop {
+        if bits != 0 {
+            return Some((w * 64) as u32 + bits.trailing_zeros());
+        }
+        w += 1;
+        bits = pending.get(w)? & !withheld[w];
+    }
+}
+
+/// The `n`-th (from zero) edge that is pending and not withheld, found by
+/// popcounting whole words; `n` must be below the number of such edges.
+fn nth_one(pending: &[u64], withheld: &[u64], mut n: usize) -> u32 {
+    for (w, (p, x)) in pending.iter().zip(withheld).enumerate() {
+        let mut bits = p & !x;
+        let ones = bits.count_ones() as usize;
+        if n < ones {
+            for _ in 0..n {
+                bits &= bits - 1;
+            }
+            return (w * 64) as u32 + bits.trailing_zeros();
+        }
+        n -= ones;
+    }
+    unreachable!("n is below the number of candidates")
 }
 
 #[cfg(test)]
@@ -854,6 +908,201 @@ mod tests {
         // The run still completes; the other nodes decide.
         assert!(run.decisions[1].is_some());
         assert!(run.decisions[2].is_some());
+    }
+
+    /// The full-scan chooser the pending-channel index replaced: every
+    /// pick rescans all channels. Kept as the differential oracle for
+    /// [`Chooser`].
+    struct ReferenceChooser {
+        strategy: Strategy,
+        cursor: u32,
+        draws: u64,
+    }
+
+    impl ReferenceChooser {
+        fn pick(&mut self, exec: &mut Exec) -> Option<u32> {
+            let pending: Vec<u32> = (0..exec.edge_count as u32)
+                .filter(|&e| !exec.queues[e as usize].is_empty())
+                .collect();
+            if pending.is_empty() {
+                return None;
+            }
+            match self.strategy {
+                Strategy::Fair => {
+                    let chosen = pending
+                        .iter()
+                        .copied()
+                        .find(|&e| e >= self.cursor)
+                        .unwrap_or(pending[0]);
+                    self.cursor = chosen + 1;
+                    Some(chosen)
+                }
+                Strategy::Random { seed } => {
+                    let i = mix64(seed ^ self.draws.wrapping_mul(0x9E37)) % pending.len() as u64;
+                    self.draws += 1;
+                    Some(pending[i as usize])
+                }
+                Strategy::Adversarial { seed, victim } => {
+                    let candidates: Vec<u32> = pending
+                        .iter()
+                        .copied()
+                        .filter(|&e| exec.edge_endpoints(e).1 != victim)
+                        .collect();
+                    if candidates.is_empty() {
+                        return None;
+                    }
+                    let rot = (mix64(seed ^ self.draws) % candidates.len() as u64) as usize;
+                    self.draws += 1;
+                    let chosen = (0..candidates.len())
+                        .map(|k| candidates[(rot + k) % candidates.len()])
+                        .find(|&e| exec.delivery_decides(e) == Some(false))
+                        .unwrap_or(candidates[rot]);
+                    Some(chosen)
+                }
+            }
+        }
+    }
+
+    /// [`AsyncSystem::run`] driven by [`ReferenceChooser`], checking after
+    /// every delivery that the pending index mirrors the channels.
+    fn reference_run(sys: AsyncSystem, strategy: Strategy, policy: &RunPolicy) -> AsyncRun {
+        let mut exec = Exec::assemble(sys, policy).unwrap();
+        let mut chooser = ReferenceChooser {
+            strategy,
+            cursor: 0,
+            draws: 0,
+        };
+        loop {
+            let live: Vec<bool> = exec.queues.iter().map(|q| !q.is_empty()).collect();
+            let indexed: Vec<bool> = (0..exec.edge_count)
+                .map(|e| exec.pending[e / 64] >> (e % 64) & 1 == 1)
+                .collect();
+            assert_eq!(indexed, live, "pending index out of step with the channels");
+            assert_eq!(exec.pending_count, live.iter().filter(|&&p| p).count());
+            if exec.schedule.len() as u32 == policy.max_ticks {
+                return exec.finish(live.contains(&true));
+            }
+            let Some(edge) = chooser.pick(&mut exec) else {
+                return exec.finish(false);
+            };
+            exec.deliver(edge);
+        }
+    }
+
+    /// Rebroadcasts on its first `rounds` steps (skipping every third port
+    /// in rotation), so channels queue several messages and empty out at
+    /// staggered times; decides once it has received `rounds` messages.
+    #[derive(Clone)]
+    struct Chatty {
+        rounds: u32,
+        received: u32,
+        forkable: bool,
+    }
+
+    impl Device for Chatty {
+        fn name(&self) -> &'static str {
+            "test-chatty"
+        }
+        fn init(&mut self, _ctx: &NodeCtx) {}
+        fn step(&mut self, t: Tick, inbox: &[Option<Payload>]) -> Vec<Option<Payload>> {
+            self.received += inbox.iter().flatten().count() as u32;
+            (0..inbox.len())
+                .map(|p| {
+                    (t.0 < self.rounds && !(t.0 as usize + p).is_multiple_of(3))
+                        .then(|| Payload::new(vec![t.0 as u8]))
+                })
+                .collect()
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            if self.received >= self.rounds {
+                snapshot::decided_bool(true, &[])
+            } else {
+                snapshot::undecided(&[])
+            }
+        }
+        fn fork(&self) -> Option<Box<dyn Device>> {
+            self.forkable
+                .then(|| Box::new(self.clone()) as Box<dyn Device>)
+        }
+    }
+
+    /// Panics on its first delivery: the quarantined-receiver path.
+    struct Bomb;
+
+    impl Device for Bomb {
+        fn name(&self) -> &'static str {
+            "test-bomb"
+        }
+        fn init(&mut self, _ctx: &NodeCtx) {}
+        fn step(&mut self, t: Tick, inbox: &[Option<Payload>]) -> Vec<Option<Payload>> {
+            assert!(t.0 == 0, "bomb on delivery");
+            vec![Some(Payload::new(vec![1])); inbox.len()]
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            snapshot::undecided(&[])
+        }
+    }
+
+    #[test]
+    fn indexed_chooser_matches_the_full_scan_reference() {
+        let mut cases = 0;
+        for case in 0..240u64 {
+            let r = |salt: u64| mix64(case.wrapping_mul(0x100) ^ salt);
+            let g = match case % 3 {
+                0 => {
+                    builders::random_connected(3 + (r(1) % 30) as usize, (r(2) % 40) as usize, r(3))
+                }
+                1 => {
+                    builders::ring_cover(3 + (r(1) % 3) as usize, 1 + (r(2) % 24) as usize).unwrap()
+                }
+                _ => builders::complete(2 + (r(1) % 14) as usize),
+            };
+            let n = g.node_count() as u32;
+            let victim = NodeId((r(4) % u64::from(n)) as u32);
+            let strategy = match (case / 3) % 3 {
+                0 => Strategy::Fair,
+                1 => Strategy::Random { seed: r(5) },
+                _ => Strategy::Adversarial { seed: r(5), victim },
+            };
+            let max_ticks = match r(6) % 4 {
+                0 => 1 + (r(7) % 8) as u32,
+                1 => 1 + (r(7) % 256) as u32,
+                2 => 1 + (r(7) % u64::from(RunPolicy::default().max_ticks)) as u32,
+                _ => RunPolicy::default().max_ticks,
+            };
+            let policy = RunPolicy {
+                max_ticks,
+                ..RunPolicy::default()
+            };
+            let devices = r(8);
+            let build = || {
+                let mut sys = AsyncSystem::new(g.clone());
+                for v in g.nodes() {
+                    let pick = mix64(devices ^ u64::from(v.0)) % 8;
+                    let device: Box<dyn Device> = match pick {
+                        0 => Box::new(Bomb),
+                        1..=3 => Box::new(WaitAll::new()),
+                        _ => Box::new(Chatty {
+                            rounds: 1 + (pick as u32 % 3),
+                            received: 0,
+                            forkable: pick != 7,
+                        }),
+                    };
+                    sys.assign(v, device, Input::Bool(v.0 % 2 == 0));
+                }
+                sys
+            };
+            let indexed = build().run(&strategy, &policy).unwrap();
+            let reference = reference_run(build(), strategy, &policy);
+            assert_eq!(
+                indexed,
+                reference,
+                "case {case}: {} on {n} nodes, budget {max_ticks}",
+                strategy.describe()
+            );
+            cases += 1;
+        }
+        assert!(cases >= 200);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 #
 # `--smoke` runs the fast subset only — debug build plus the core and
 # simulator unit tests, the graph suite (its minimum-cut oracle), the EIG
-# lockstep oracle, the refuter certificate-byte pins and the run-cache and
-# cross-thread determinism suites — for a quick pre-push signal; the
+# lockstep oracle, the refuter certificate-byte pins, the run-cache and
+# cross-thread determinism suites, and the asynchronous scheduler's
+# determinism suite and byte pins — for a quick pre-push signal; the
 # default (full) mode is the gate that counts.
 #
 # `--bench-gate` re-measures every labeled speedup ratio and compares it
@@ -212,6 +213,9 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo test --test refuter_bytes --quiet
     echo "==> smoke: run-cache and cross-thread certificate determinism"
     cargo test --test runcache_determinism --test parallel_determinism --quiet
+    echo "==> smoke: asynchronous scheduler determinism and byte pins"
+    cargo test -p flm-sim --test async_determinism --quiet
+    cargo test --test async_bytes --quiet
     echo "Smoke checks passed (run without --smoke for the full gate)."
     exit 0
 fi
