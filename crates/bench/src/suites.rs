@@ -459,7 +459,7 @@ pub fn serve_suite(samples: usize) -> Suite {
     // mix — the flm-client load generator end to end. The row's unit is
     // ns per whole batch (32 requests), not per request.
     let load = measure(config, || {
-        let report = loadgen::run(&addr.to_string(), 4, 8, Mix::default(), Theorem::BaNodes)
+        let report = loadgen::run(&addr.to_string(), 4, 8, Mix::default(), &[Theorem::BaNodes])
             .expect("load generation");
         assert_eq!(
             report.transport_errors + report.abandoned,

@@ -8,8 +8,7 @@
 //! flm-client stats          [--addr HOST:PORT]
 //! flm-client ping           [--addr HOST:PORT] [--hold-ms N]
 //! flm-client load           [--addr HOST:PORT] [--connections N]
-//!                           [--requests M] [--mix R:V:A] [--theorem NAME]
-//!                           [--mode direct|router]
+//!                           [--requests M] [--mix R:V:A] [--theorem NAME|all]
 //! flm-client rebalance      --store-dir DIR --peers ADDR,... --shard-id N
 //!                           [--remove true]
 //! ```
@@ -17,12 +16,13 @@
 //! `refute` prints the certificate bytes to stdout (or `--out FILE`) so the
 //! result pipes straight into `flm-audit`. `audit` mirrors the `flm-audit`
 //! exit-code contract: 0 verified, 1 not reproduced, 2 malformed. `load` is
-//! the generator behind `BENCH_serve.json`; `--mode router` drives all
-//! seven theorem families through an `flm-router` and reports per-key-range
-//! hit rates. `stats` renders whatever answers: a single server's counters
-//! flat, a router's cluster view as a per-shard table. `rebalance` walks a
-//! shard's store directory and ships every certificate it no longer owns
-//! under the given topology to the owning shard.
+//! the generator behind `BENCH_serve.json`; `--theorem all` spreads it over
+//! all eight theorem families, and against an `flm-router` it also prints
+//! each shard's change over the run. `stats` renders whatever answers: a
+//! single server's counters flat, a router's cluster view as a per-shard
+//! table. `rebalance` walks a shard's store directory and ships every
+//! certificate it no longer owns under the given topology to the owning
+//! shard.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -41,7 +41,7 @@ fn usage() -> &'static str {
      \x20      flm-client audit CERT [--addr A]\n\
      \x20      flm-client stats [--addr A]\n\
      \x20      flm-client ping [--addr A] [--hold-ms N]\n\
-     \x20      flm-client load [--addr A] [--connections N] [--requests M] [--mix R:V:A] [--theorem T] [--mode direct|router]\n\
+     \x20      flm-client load [--addr A] [--connections N] [--requests M] [--mix R:V:A] [--theorem T|all]\n\
      \x20      flm-client rebalance --store-dir DIR --peers ADDR,... --shard-id N [--remove true]"
 }
 
@@ -225,40 +225,21 @@ fn cmd_ping(flags: &Flags) -> Result<ExitCode, String> {
 }
 
 fn cmd_load(flags: &Flags) -> Result<ExitCode, String> {
-    flags.reject_unknown(&["addr", "connections", "requests", "mix", "theorem", "mode"])?;
+    flags.reject_unknown(&["addr", "connections", "requests", "mix", "theorem"])?;
     if !flags.positional.is_empty() {
         return Err("load takes flags only".into());
     }
     let connections: usize = flags.parsed("connections", 4)?;
     let requests: usize = flags.parsed("requests", 16)?;
-    if flags.get("mode") == Some("router") {
-        if flags.get("mix").is_some() || flags.get("theorem").is_some() {
-            return Err(
-                "--mode router drives all families refute-only; drop --mix/--theorem".into(),
-            );
-        }
-        let report = loadgen::run_router(flags.addr(), connections, requests)?;
-        print!("{report}");
-        if report.totals.abandoned > 0 || report.totals.transport_errors > 0 {
-            return Ok(ExitCode::FAILURE);
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-    if flags.get("mode").is_some_and(|m| m != "direct") {
-        return Err(format!(
-            "--mode wants direct or router, got {:?}",
-            flags.get("mode").unwrap_or_default()
-        ));
-    }
     let mix = match flags.get("mix") {
         Some(raw) => Mix::parse(raw)?,
         None => Mix::default(),
     };
-    let theorem = match flags.get("theorem") {
-        Some(name) => Theorem::parse(name).map_err(|e| e.to_string())?,
-        None => Theorem::BaNodes,
+    let theorems = match flags.get("theorem").unwrap_or("ba-nodes") {
+        "all" => Theorem::ALL.to_vec(),
+        name => vec![Theorem::parse(name).map_err(|e| e.to_string())?],
     };
-    let report = loadgen::run(flags.addr(), connections, requests, mix, theorem)?;
+    let report = loadgen::run(flags.addr(), connections, requests, mix, &theorems)?;
     println!("{report}");
     // Abandoned requests or transport errors mean the server dropped load —
     // the one thing a load-shedding server must never do.

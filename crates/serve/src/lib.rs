@@ -43,7 +43,9 @@
 //!   and degrades a dead shard to typed [`rpc::Response::ShardDown`]
 //!   answers for that key range only.
 //! * [`client`] / [`loadgen`] — the blocking client and the deterministic
-//!   load generator behind `flm-client` and `BENCH_serve.json`.
+//!   load generator behind `flm-client` and `BENCH_serve.json`: one driver
+//!   for servers and routers, which tells them apart by their Stats answer
+//!   and, for a router, reports each shard's change over the run.
 //!
 //! Every worker shares the process-global run cache, so a certificate one
 //! connection paid to compute is a warm hit for every later connection

@@ -1,22 +1,23 @@
 //! Load generation: `N` client connections firing a deterministic mix of
-//! refute/verify/audit requests at a server, with retry-on-overload.
+//! refute/verify/audit requests over one or more theorem families at a
+//! server or a router, with retry-on-overload.
 //!
 //! This is both a CLI feature (`flm-client load`) and the machinery behind
-//! the `BENCH_serve.json` throughput rows. The request schedule is a pure
-//! function of the mix and the connection index, so two runs against the
-//! same server issue byte-identical request streams — warm-cache behavior
-//! is reproducible.
+//! the `BENCH_serve.json` throughput rows. The request stream is a pure
+//! function of the mix, the family list and the connection index, so two
+//! runs against the same target issue byte-identical request streams —
+//! warm-cache behavior is reproducible. A target that answers Stats with a
+//! cluster view (an `flm-router`) also reports what the run changed on
+//! each shard.
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flm_sim::RunPolicy;
 
 use crate::client::{Client, ClientError, StatsView};
 use crate::query::{self, Theorem};
-use crate::rpc::{RefuteParams, Verdict};
-use crate::shard;
+use crate::rpc::{ClusterStatsReport, Verdict};
 
 /// Relative weights of the request kinds in the generated stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,26 +60,29 @@ impl Mix {
             verify: parse(parts[1])?,
             audit: parse(parts[2])?,
         };
-        if mix.refute + mix.verify + mix.audit == 0 {
+        if mix.total() == 0 {
             return Err("--mix: at least one weight must be positive".into());
         }
         Ok(mix)
     }
 
-    /// The deterministic request schedule: one kind per slot, weights
-    /// interleaved round-robin (`2:1:1` yields `R R V A R R V A …`).
-    fn schedule(&self, len: usize) -> Vec<Kind> {
-        let mut pattern = Vec::new();
-        for _ in 0..self.refute {
-            pattern.push(Kind::Refute);
+    /// The weight sum, in `u64` so three `u32` weights cannot overflow it.
+    fn total(&self) -> u64 {
+        u64::from(self.refute) + u64::from(self.verify) + u64::from(self.audit)
+    }
+
+    /// The deterministic request schedule at `slot`: weights interleaved
+    /// round-robin (`2:1:1` yields `R R V A R R V A …`), computed from
+    /// `slot` modulo the weight sum so no weight-sized pattern is built.
+    fn kind_at(&self, slot: usize) -> Kind {
+        let r = slot as u64 % self.total().max(1);
+        if r < u64::from(self.refute) {
+            Kind::Refute
+        } else if r < u64::from(self.refute) + u64::from(self.verify) {
+            Kind::Verify
+        } else {
+            Kind::Audit
         }
-        for _ in 0..self.verify {
-            pattern.push(Kind::Verify);
-        }
-        for _ in 0..self.audit {
-            pattern.push(Kind::Audit);
-        }
-        (0..len).map(|i| pattern[i % pattern.len()]).collect()
     }
 }
 
@@ -90,7 +94,7 @@ enum Kind {
 }
 
 /// What one load run observed, aggregated over every connection.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadReport {
     /// Connections driven.
     pub connections: usize,
@@ -101,7 +105,8 @@ pub struct LoadReport {
     /// Overloaded answers observed (each is followed by a reconnect and a
     /// retry; an overload is shed load, not an error).
     pub overloaded: u64,
-    /// Typed error responses.
+    /// Typed answers that end a request unserved: error responses,
+    /// `WrongShard` redirects and `ShardDown` notices.
     pub errors: u64,
     /// Transport failures (connection reset, timeout) — real *dropped*
     /// connections, which a healthy load-shedding server never produces.
@@ -112,6 +117,9 @@ pub struct LoadReport {
     pub bytes_received: u64,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
+    /// For a router target, the cluster view's change over the run, less
+    /// the after-run Stats probe; `None` for a plain server.
+    pub cluster: Option<ClusterStatsReport>,
 }
 
 impl LoadReport {
@@ -123,6 +131,16 @@ impl LoadReport {
         } else {
             self.ok as f64 / secs
         }
+    }
+
+    fn absorb(&mut self, other: &LoadReport) {
+        self.requests += other.requests;
+        self.ok += other.ok;
+        self.overloaded += other.overloaded;
+        self.errors += other.errors;
+        self.transport_errors += other.transport_errors;
+        self.abandoned += other.abandoned;
+        self.bytes_received += other.bytes_received;
     }
 }
 
@@ -145,7 +163,11 @@ impl fmt::Display for LoadReport {
             self.transport_errors,
             self.abandoned,
             self.bytes_received / 1024,
-        )
+        )?;
+        if let Some(cluster) = &self.cluster {
+            write!(f, "\n{}", cluster.to_string().trim_end())?;
+        }
+        Ok(())
     }
 }
 
@@ -153,386 +175,148 @@ impl fmt::Display for LoadReport {
 const MAX_ATTEMPTS: u32 = 5;
 
 /// Drives `connections` concurrent clients, each issuing `requests_per_conn`
-/// requests drawn from `mix` against `addr`. Refute requests query
-/// `theorem`'s canonical defaults; verify/audit requests carry a locally
-/// pre-built certificate for the same query, so the server's answer stream
-/// exercises all three code paths. Overloaded answers reconnect and retry
-/// with linear backoff.
+/// requests against `addr`. Slot `i` of connection `c` takes its kind from
+/// `mix` at `i + c` and its family from `theorems[(i + c) % len]`, at the
+/// family's canonical defaults; verify/audit requests carry a locally
+/// pre-built certificate for the same query. Overloaded answers reconnect
+/// and retry with linear backoff; typed error, `WrongShard` and `ShardDown`
+/// answers count in `errors` and end the request.
+///
+/// One Stats request before the run tells a router from a plain server;
+/// for a router a second one after the run fills [`LoadReport::cluster`].
 ///
 /// # Errors
 ///
-/// Returns a message when the local certificate pre-build fails (the server
-/// is never contacted in that case).
+/// Returns a message when `theorems` is empty or the local certificate
+/// pre-build fails (the target is never contacted in either case).
 pub fn run(
     addr: &str,
     connections: usize,
     requests_per_conn: usize,
     mix: Mix,
-    theorem: Theorem,
+    theorems: &[Theorem],
 ) -> Result<LoadReport, String> {
-    // Verify/audit payloads are built locally, once: the same bytes the
-    // server would serve for this query (byte-determinism is the whole
-    // point), so the load stream needs no warm-up request.
-    let cert: Arc<Vec<u8>> = Arc::new(
-        query::refute_to_bytes(theorem, None, None, 1, RunPolicy::default())
-            .map_err(|e| format!("pre-building the verify/audit payload: {e}"))?,
-    );
+    if theorems.is_empty() {
+        return Err("load wants at least one theorem family".into());
+    }
+    // Verify/audit payloads are built locally, once per family: the same
+    // bytes the server would serve for the query (byte-determinism is the
+    // whole point), so the load stream needs no warm-up request.
+    let certs = theorems
+        .iter()
+        .map(|&t| {
+            if mix.verify == 0 && mix.audit == 0 {
+                return Ok(Vec::new());
+            }
+            query::refute_to_bytes(t, None, None, 1, RunPolicy::default())
+                .map_err(|e| format!("pre-building the {} verify/audit payload: {e}", t.name()))
+        })
+        .collect::<Result<Vec<Vec<u8>>, String>>()?;
+    let before = cluster_stats(addr);
     let start = Instant::now();
-    let worker = |conn_index: usize| -> LoadReport {
+    let worker = |conn: usize| -> LoadReport {
         let mut report = LoadReport::default();
-        let schedule = mix.schedule(requests_per_conn);
-        // Stagger each connection's schedule so simultaneous connections
-        // don't issue identical request sequences in lock-step.
-        let offset = conn_index % schedule.len().max(1);
         let mut client = None;
-        for slot in 0..schedule.len() {
-            let kind = schedule[(slot + offset) % schedule.len()];
+        for i in 0..requests_per_conn {
+            let slot = i.wrapping_add(conn); // staggered: connections never run in lock-step
+            let family = slot % theorems.len();
+            let (kind, theorem, cert) = (mix.kind_at(slot), theorems[family], &certs[family]);
             report.requests += 1;
-            let mut done = false;
-            for attempt in 0..MAX_ATTEMPTS {
-                let c = match client.as_mut() {
-                    Some(c) => c,
-                    None => match Client::connect(addr) {
-                        // `Option::insert` hands back the borrow directly —
-                        // the `.expect("just inserted")` it replaces could
-                        // panic the whole campaign instead of counting the
-                        // failure like every other path here.
-                        Ok(c) => client.insert(c),
+            'request: {
+                for attempt in 0..u64::from(MAX_ATTEMPTS) {
+                    let outcome = match client.as_mut() {
+                        Some(c) => Ok(c),
+                        None => Client::connect(addr).map(|c| client.insert(c)),
+                    }
+                    .and_then(|c| send(c, kind, theorem, cert));
+                    match outcome {
+                        Ok(bytes) => {
+                            report.ok += 1;
+                            report.bytes_received += bytes as u64;
+                            break 'request;
+                        }
+                        Err(
+                            ClientError::ErrorResponse { .. }
+                            | ClientError::WrongShard { .. }
+                            | ClientError::ShardDown { .. },
+                        ) => {
+                            report.errors += 1;
+                            break 'request;
+                        }
+                        Err(ClientError::Overloaded { .. }) => {
+                            // Shed: the server answered and closed. Reconnect
+                            // with a linear backoff and retry the same request.
+                            report.overloaded += 1;
+                            client = None;
+                            std::thread::sleep(Duration::from_millis(attempt * 2 + 1));
+                        }
                         Err(_) => {
                             report.transport_errors += 1;
-                            std::thread::sleep(Duration::from_millis(u64::from(attempt) + 1));
-                            continue;
+                            client = None;
+                            std::thread::sleep(Duration::from_millis(attempt + 1));
                         }
-                    },
-                };
-                let outcome = match kind {
-                    Kind::Refute => c
-                        .refute(theorem.name(), None, None, 1, None)
-                        .map(|bytes| bytes.len()),
-                    Kind::Verify => c.verify(&cert).map(|(verdict, detail)| {
-                        if verdict == Verdict::Verified {
-                            detail.len()
-                        } else {
-                            0
-                        }
-                    }),
-                    Kind::Audit => c
-                        .audit(&cert)
-                        .map(|(_, report, diagnostics)| report.len() + diagnostics.len()),
-                };
-                match outcome {
-                    Ok(bytes) => {
-                        report.ok += 1;
-                        report.bytes_received += bytes as u64;
-                        done = true;
-                        break;
-                    }
-                    Err(ClientError::Overloaded { .. }) => {
-                        // Shed: the server answered and closed. Reconnect
-                        // with a linear backoff and retry the same request.
-                        report.overloaded += 1;
-                        client = None;
-                        std::thread::sleep(Duration::from_millis(u64::from(attempt) * 2 + 1));
-                    }
-                    Err(ClientError::ErrorResponse { .. }) => {
-                        report.errors += 1;
-                        done = true;
-                        break;
-                    }
-                    Err(_) => {
-                        report.transport_errors += 1;
-                        client = None;
-                        std::thread::sleep(Duration::from_millis(u64::from(attempt) + 1));
                     }
                 }
-            }
-            if !done {
                 report.abandoned += 1;
             }
         }
         report
     };
-    let reports: Vec<LoadReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|i| scope.spawn(move || worker(i)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
     let mut total = LoadReport {
         connections,
-        elapsed: start.elapsed(),
         ..LoadReport::default()
     };
-    for r in reports {
-        total.requests += r.requests;
-        total.ok += r.ok;
-        total.overloaded += r.overloaded;
-        total.errors += r.errors;
-        total.transport_errors += r.transport_errors;
-        total.abandoned += r.abandoned;
-        total.bytes_received += r.bytes_received;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..connections)
+            .map(|c| scope.spawn(move || worker(c)))
+            .collect();
+        for handle in handles {
+            total.absorb(&handle.join().unwrap_or_default());
+        }
+    });
+    total.elapsed = start.elapsed();
+    if let Some(before) = before {
+        total.cluster = cluster_stats(addr).map(|after| {
+            let mut delta = after.since(&before);
+            // Take the after-run probe out: its connection, its Stats
+            // request, and the fan-out routed to every shard that was up.
+            let router = &mut delta.router;
+            router.connections_accepted = router.connections_accepted.saturating_sub(1);
+            router.requests_local = router.requests_local.saturating_sub(1);
+            for shard in &mut delta.shards {
+                shard.routed = shard.routed.saturating_sub(u64::from(shard.up));
+            }
+            delta
+        });
     }
     Ok(total)
 }
 
-/// One key range's traffic in a router run. A "range" is the slice of the
-/// key space one shard owns; the theorem families landing in it are listed
-/// so the numbers are attributable.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RangeReport {
-    /// The owning shard.
-    pub shard: u32,
-    /// Theorem families whose canonical default query lands in this range.
-    pub families: Vec<&'static str>,
-    /// Refute requests this run sent into the range.
-    pub requests: u64,
-    /// Requests answered with certificate bytes.
-    pub ok: u64,
-    /// Typed `ShardDown` answers (the range's shard was unreachable).
-    pub shard_down: u64,
-    /// Certificate-store hits (memory + disk tiers) the range's shard
-    /// gained during the run, from the before/after cluster stats delta.
-    /// Store hits are per *request* — a request either came off the store
-    /// or paid a simulation — unlike run-cache hits, which count memoized
-    /// sub-runs inside a search and can exceed the request count.
-    pub warm_hits_gained: u64,
-}
-
-impl RangeReport {
-    /// Store hits per answered request — 1.0 means the range served the
-    /// whole run off its certificate store without simulating once.
-    /// Run-cache warmth shows up as latency, not in this rate, so a
-    /// store-less shard reports 0 however warm it runs.
-    pub fn hit_rate(&self) -> f64 {
-        if self.ok == 0 {
-            0.0
-        } else {
-            self.warm_hits_gained as f64 / self.ok as f64
-        }
-    }
-}
-
-/// What one router-mode load run observed: the flat totals plus a
-/// per-key-range breakdown from the cluster-stats delta.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RouterLoadReport {
-    /// The flat request totals, same semantics as [`run`].
-    pub totals: LoadReport,
-    /// Shards the router reported up when the run started.
-    pub shards_up: u32,
-    /// Shards in the topology.
-    pub shard_count: u32,
-    /// One row per key range (= per shard), in shard order.
-    pub ranges: Vec<RangeReport>,
-}
-
-impl fmt::Display for RouterLoadReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}", self.totals)?;
-        writeln!(
-            f,
-            "cluster: {}/{} shards up at start",
-            self.shards_up, self.shard_count
-        )?;
-        writeln!(
-            f,
-            "{:>5}  {:>8}  {:>6}  {:>10}  {:>8}  families",
-            "range", "requests", "ok", "store hits", "hit rate"
-        )?;
-        for range in &self.ranges {
-            writeln!(
-                f,
-                "{:>5}  {:>8}  {:>6}  {:>10}  {:>7.0}%  {}",
-                range.shard,
-                range.requests,
-                range.ok,
-                range.warm_hits_gained,
-                range.hit_rate() * 100.0,
-                if range.families.is_empty() {
-                    "-".to_owned()
-                } else {
-                    range.families.join(",")
-                }
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Router-mode load: drives refute requests for *all seven* theorem
-/// families (at canonical defaults) through a router, then reports per-key
-/// range — requests, successes, typed `ShardDown` answers, and the store
-/// hits each shard gained, read from the router's cluster-stats delta.
-///
-/// # Errors
-///
-/// Returns a message when `addr` does not answer Stats with a cluster view
-/// (i.e. it is a plain shard, not a router).
-pub fn run_router(
-    addr: &str,
-    connections: usize,
-    requests_per_conn: usize,
-) -> Result<RouterLoadReport, String> {
-    let before = cluster_snapshot(addr)?;
-    let shard_count = before.shards.len() as u32;
-    // Which range does each family's canonical default query land in?
-    let owners: Vec<u32> = Theorem::ALL
-        .iter()
-        .map(|t| {
-            let params = RefuteParams {
-                theorem: t.name().into(),
-                protocol: None,
-                graph: None,
-                f: 1,
-                policy: None,
-            };
-            let key = shard::routing_key(&params).expect("canonical family names parse");
-            shard::owner_for_count(shard_count.max(1), key.fingerprint())
-        })
-        .collect();
-
-    let start = Instant::now();
-    let worker = |conn_index: usize| -> (LoadReport, Vec<RangeReport>) {
-        let mut report = LoadReport::default();
-        let mut ranges: Vec<RangeReport> = (0..shard_count)
-            .map(|shard| RangeReport {
-                shard,
-                ..RangeReport::default()
-            })
-            .collect();
-        let offset = conn_index % Theorem::ALL.len();
-        let mut client = None;
-        for slot in 0..requests_per_conn {
-            let family = (slot + offset) % Theorem::ALL.len();
-            let theorem = Theorem::ALL[family];
-            let range = &mut ranges[owners[family] as usize];
-            report.requests += 1;
-            range.requests += 1;
-            let mut done = false;
-            for attempt in 0..MAX_ATTEMPTS {
-                let c = match client.as_mut() {
-                    Some(c) => c,
-                    None => match Client::connect(addr) {
-                        Ok(c) => client.insert(c),
-                        Err(_) => {
-                            report.transport_errors += 1;
-                            std::thread::sleep(Duration::from_millis(u64::from(attempt) + 1));
-                            continue;
-                        }
-                    },
-                };
-                match c.refute(theorem.name(), None, None, 1, None) {
-                    Ok(bytes) => {
-                        report.ok += 1;
-                        report.bytes_received += bytes.len() as u64;
-                        range.ok += 1;
-                        done = true;
-                        break;
-                    }
-                    Err(ClientError::ShardDown { .. }) => {
-                        // The range is degraded; retrying on this
-                        // connection is correct (the router heals it).
-                        range.shard_down += 1;
-                        report.errors += 1;
-                        done = true;
-                        break;
-                    }
-                    Err(ClientError::Overloaded { .. }) => {
-                        report.overloaded += 1;
-                        client = None;
-                        std::thread::sleep(Duration::from_millis(u64::from(attempt) * 2 + 1));
-                    }
-                    Err(ClientError::ErrorResponse { .. } | ClientError::WrongShard { .. }) => {
-                        report.errors += 1;
-                        done = true;
-                        break;
-                    }
-                    Err(_) => {
-                        report.transport_errors += 1;
-                        client = None;
-                        std::thread::sleep(Duration::from_millis(u64::from(attempt) + 1));
-                    }
-                }
+/// Sends one request of `kind` and returns the response payload size.
+fn send(c: &mut Client, kind: Kind, theorem: Theorem, cert: &[u8]) -> Result<usize, ClientError> {
+    match kind {
+        Kind::Refute => c
+            .refute(theorem.name(), None, None, 1, None)
+            .map(|bytes| bytes.len()),
+        Kind::Verify => c.verify(cert).map(|(verdict, detail)| {
+            if verdict == Verdict::Verified {
+                detail.len()
+            } else {
+                0
             }
-            if !done {
-                report.abandoned += 1;
-            }
-        }
-        (report, ranges)
-    };
-    let results: Vec<(LoadReport, Vec<RangeReport>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|i| scope.spawn(move || worker(i)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-    let mut totals = LoadReport {
-        connections,
-        elapsed: start.elapsed(),
-        ..LoadReport::default()
-    };
-    let mut ranges: Vec<RangeReport> = (0..shard_count)
-        .map(|shard| RangeReport {
-            shard,
-            families: Theorem::ALL
-                .iter()
-                .zip(&owners)
-                .filter(|(_, &o)| o == shard)
-                .map(|(t, _)| t.name())
-                .collect(),
-            ..RangeReport::default()
-        })
-        .collect();
-    for (r, conn_ranges) in results {
-        totals.requests += r.requests;
-        totals.ok += r.ok;
-        totals.overloaded += r.overloaded;
-        totals.errors += r.errors;
-        totals.transport_errors += r.transport_errors;
-        totals.abandoned += r.abandoned;
-        totals.bytes_received += r.bytes_received;
-        for (total_range, conn_range) in ranges.iter_mut().zip(conn_ranges) {
-            total_range.requests += conn_range.requests;
-            total_range.ok += conn_range.ok;
-            total_range.shard_down += conn_range.shard_down;
-        }
+        }),
+        Kind::Audit => c
+            .audit(cert)
+            .map(|(_, report, diagnostics)| report.len() + diagnostics.len()),
     }
-    let after = cluster_snapshot(addr)?;
-    for range in &mut ranges {
-        // Store tiers only: per-request warmth. The run cache counts
-        // memoized sub-runs inside a search and would overshoot the
-        // request count on any simulating shard.
-        let warm = |snap: &crate::rpc::ClusterStatsReport| {
-            snap.shards
-                .iter()
-                .find(|s| s.shard == range.shard)
-                .and_then(|s| s.report.as_ref())
-                .map_or(0, |r| r.store_mem_hits + r.store_disk_hits)
-        };
-        range.warm_hits_gained = warm(&after).saturating_sub(warm(&before));
-    }
-    Ok(RouterLoadReport {
-        totals,
-        shards_up: before.shards_up() as u32,
-        shard_count,
-        ranges,
-    })
 }
 
-fn cluster_snapshot(addr: &str) -> Result<crate::rpc::ClusterStatsReport, String> {
-    let mut client =
-        Client::connect(addr).map_err(|e| format!("connecting to router {addr}: {e}"))?;
-    match client.stats_view().map_err(|e| e.to_string())? {
-        StatsView::Cluster(report) => Ok(report),
-        StatsView::Single(_) => Err(format!(
-            "{addr} answered single-server stats; --router mode needs an flm-router address"
-        )),
+/// The target's cluster view, or `None` when it is a plain server (or does
+/// not answer Stats at all; the run itself then counts the failures).
+fn cluster_stats(addr: &str) -> Option<ClusterStatsReport> {
+    match Client::connect(addr).and_then(|mut c| c.stats_view()) {
+        Ok(StatsView::Cluster(report)) => Some(report),
+        _ => None,
     }
 }
 
@@ -653,6 +437,20 @@ mod tests {
         assert!(Mix::parse("a:1:1").is_err());
     }
 
+    /// Weights whose `u32` sum overflows parse: the sum is taken in `u64`.
+    #[test]
+    fn mix_weights_near_u32_max_parse_without_overflow() {
+        let mix = Mix::parse("4294967295:1:0").unwrap();
+        assert_eq!(mix.refute, u32::MAX);
+        assert_eq!(mix.total(), 1 << 32);
+        assert_eq!(mix.kind_at(0), Kind::Refute);
+        assert!(Mix::parse("4294967296:0:0").is_err());
+    }
+
+    fn schedule(mix: Mix, len: usize) -> Vec<Kind> {
+        (0..len).map(|slot| mix.kind_at(slot)).collect()
+    }
+
     #[test]
     fn schedule_is_deterministic_and_weighted() {
         let mix = Mix {
@@ -660,12 +458,28 @@ mod tests {
             verify: 1,
             audit: 1,
         };
-        let s = mix.schedule(8);
+        let s = schedule(mix, 8);
         assert_eq!(s.len(), 8);
         assert_eq!(s.iter().filter(|k| **k == Kind::Refute).count(), 4);
         assert_eq!(s.iter().filter(|k| **k == Kind::Verify).count(), 2);
         assert_eq!(s.iter().filter(|k| **k == Kind::Audit).count(), 2);
-        assert_eq!(s, mix.schedule(8));
+        assert_eq!(s, schedule(mix, 8));
+        assert_eq!(
+            &s[..4],
+            [Kind::Refute, Kind::Refute, Kind::Verify, Kind::Audit]
+        );
+    }
+
+    /// A 4-billion weight is arithmetic on the slot, not a 4-billion-entry
+    /// pattern: the schedule comes back at once, all refutes.
+    #[test]
+    fn huge_weight_schedules_without_a_weight_sized_pattern() {
+        let mix = Mix::parse("4000000000:0:0").unwrap();
+        assert_eq!(schedule(mix, 8), vec![Kind::Refute; 8]);
+        let mix = Mix::parse("4000000000:1:0").unwrap();
+        assert_eq!(mix.kind_at(3_999_999_999), Kind::Refute);
+        assert_eq!(mix.kind_at(4_000_000_000), Kind::Verify);
+        assert_eq!(mix.kind_at(4_000_000_001), Kind::Refute);
     }
 
     /// Regression for the reconnect path: a server that is never reachable
@@ -676,7 +490,7 @@ mod tests {
     fn unreachable_server_is_counted_not_a_panic() {
         // Port 1 on loopback: nothing listens there, so every connect is
         // refused immediately.
-        let report = run("127.0.0.1:1", 2, 2, Mix::default(), Theorem::BaNodes).unwrap();
+        let report = run("127.0.0.1:1", 2, 2, Mix::default(), &[Theorem::BaNodes]).unwrap();
         assert_eq!(report.ok, 0);
         assert_eq!(report.abandoned, 4, "{report}");
         assert_eq!(
@@ -684,6 +498,8 @@ mod tests {
             u64::from(MAX_ATTEMPTS) * 4,
             "{report}"
         );
+        assert_eq!(report.cluster, None);
+        assert!(run("127.0.0.1:1", 1, 1, Mix::default(), &[]).is_err());
     }
 
     #[test]
@@ -697,5 +513,6 @@ mod tests {
         };
         assert!((report.throughput_rps() - 5.0).abs() < 1e-9);
         assert!(report.to_string().contains("2 connections"));
+        assert!(!report.to_string().contains("shards up"));
     }
 }

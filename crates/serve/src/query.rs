@@ -119,7 +119,7 @@ impl fmt::Display for Theorem {
 /// Failure from a refutation query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
-    /// The theorem family name matches none of the seven.
+    /// The theorem family name matches none of the eight.
     UnknownTheorem {
         /// The unparseable name.
         name: String,

@@ -433,6 +433,16 @@ macro_rules! stats_counter_table {
             pub const COUNTER_COUNT: u32 =
                 [$(stringify!($name)),+].len() as u32;
 
+            /// Every counter's change since `earlier` (saturating), the
+            /// gauges (`cache_entries`, `shard_id`, `shard_count`) included;
+            /// `profile` is `self`'s.
+            pub fn since(&self, earlier: &StatsReport) -> StatsReport {
+                StatsReport {
+                    $( $name: self.$name.saturating_sub(earlier.$name), )+
+                    profile: self.profile.clone(),
+                }
+            }
+
             fn encode_into(&self, w: &mut Writer) {
                 w.u32(Self::COUNTER_COUNT);
                 $( w.u64(self.$name); )+
@@ -503,7 +513,7 @@ stats_counter_table! {
     /// Damaged store entries quarantined instead of served.
     store_quarantined,
     /// Entries evicted from the store's bounded in-memory tier (the tier
-    /// whose capacity `--store-mem-cap` / `FLM_STORE_MEM_CAP` sets).
+    /// whose capacity `--store-mem-cap` sets).
     store_mem_evictions,
     /// FetchCert requests served.
     requests_fetch,
@@ -651,6 +661,22 @@ pub struct RouterStatsReport {
 }
 
 impl RouterStatsReport {
+    /// Every counter's change since `earlier` (saturating).
+    pub fn since(&self, earlier: &RouterStatsReport) -> RouterStatsReport {
+        let d = |now: u64, then: u64| now.saturating_sub(then);
+        RouterStatsReport {
+            connections_accepted: d(self.connections_accepted, earlier.connections_accepted),
+            connections_shed: d(self.connections_shed, earlier.connections_shed),
+            requests_routed: d(self.requests_routed, earlier.requests_routed),
+            requests_local: d(self.requests_local, earlier.requests_local),
+            requests_shed: d(self.requests_shed, earlier.requests_shed),
+            responses_error: d(self.responses_error, earlier.responses_error),
+            malformed_frames: d(self.malformed_frames, earlier.malformed_frames),
+            shard_down_answers: d(self.shard_down_answers, earlier.shard_down_answers),
+            backend_reconnects: d(self.backend_reconnects, earlier.backend_reconnects),
+        }
+    }
+
     fn encode_into(&self, w: &mut Writer) {
         w.u64(self.connections_accepted)
             .u64(self.connections_shed)
@@ -709,6 +735,27 @@ impl ClusterStatsReport {
     /// Shards whose backend connection was up.
     pub fn shards_up(&self) -> usize {
         self.shards.iter().filter(|s| s.up).count()
+    }
+
+    /// What changed between `earlier` and `self`, two views of one router:
+    /// router counters and each shard row's `routed` and report, rows
+    /// paired in shard order. `up` is `self`'s; a row whose shard did not
+    /// report both times has no report.
+    pub fn since(&self, earlier: &ClusterStatsReport) -> ClusterStatsReport {
+        let shards = self.shards.iter().zip(&earlier.shards);
+        let shards = shards.map(|(now, then)| ShardStatus {
+            routed: now.routed.saturating_sub(then.routed),
+            report: now
+                .report
+                .as_ref()
+                .zip(then.report.as_ref())
+                .map(|(n, t)| n.since(t)),
+            ..now.clone()
+        });
+        ClusterStatsReport {
+            router: self.router.since(&earlier.router),
+            shards: shards.collect(),
+        }
     }
 }
 

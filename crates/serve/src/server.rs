@@ -109,8 +109,8 @@ pub struct ServeConfig {
     /// This process's place in a sharded cluster; `None` serves unsharded
     /// (every key is owned locally, no ownership checks).
     pub shard: Option<ShardRole>,
-    /// Memory-tier entry capacity for the certificate store; `None` defers
-    /// to `FLM_STORE_MEM_CAP` / the built-in default.
+    /// Memory-tier entry capacity for the certificate store; `None` uses
+    /// [`store::MEMORY_ENTRIES`].
     pub store_mem_cap: Option<usize>,
 }
 
@@ -284,9 +284,7 @@ impl Server {
         let workers = config.workers.max(1);
         let store = match &config.store_dir {
             Some(dir) => {
-                let cap = config
-                    .store_mem_cap
-                    .unwrap_or_else(store::default_memory_capacity);
+                let cap = config.store_mem_cap.unwrap_or(store::MEMORY_ENTRIES);
                 Some(
                     CertStore::open_with_capacity(dir.clone(), cap)
                         .map_err(|e| std::io::Error::other(e.to_string()))?,

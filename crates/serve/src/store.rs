@@ -45,21 +45,6 @@ use flm_sim::runcache::RunKey;
 /// process-global runcache upstream of this store).
 pub const MEMORY_ENTRIES: usize = 256;
 
-/// The effective default memory-tier capacity: `FLM_STORE_MEM_CAP` if set
-/// to a positive integer, else [`MEMORY_ENTRIES`] — the same env-cap
-/// convention as `FLM_RUNCACHE_CAP`. [`CertStore::open_with_capacity`]
-/// overrides both.
-pub fn default_memory_capacity() -> usize {
-    static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("FLM_STORE_MEM_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(MEMORY_ENTRIES)
-    })
-}
-
 /// Counter snapshot for one store (all monotone since open).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -145,13 +130,13 @@ fn key_path(dir: &Path, fp: u64) -> PathBuf {
 
 impl CertStore {
     /// Opens (creating if needed) a store rooted at `dir`, with the
-    /// default memory-tier capacity ([`default_memory_capacity`]).
+    /// default memory-tier capacity ([`MEMORY_ENTRIES`]).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<CertStore, StoreError> {
-        Self::open_with_capacity(dir, default_memory_capacity())
+        Self::open_with_capacity(dir, MEMORY_ENTRIES)
     }
 
     /// Opens a store with an explicit memory-tier capacity (`--store-mem-cap`).

@@ -1,11 +1,11 @@
-//! End-to-end sharded-cluster tests: three in-process shard servers plus a
-//! router, driven over real loopback TCP.
+//! End-to-end sharded-cluster tests: in-process shard servers (three, or
+//! two for the load run) plus a router, driven over real loopback TCP.
 //!
 //! The load-bearing assertions, in order of importance:
 //!
 //! 1. **Byte identity through the router** — a certificate fetched through
 //!    the router is exactly the bytes the library path produces for the
-//!    same query, for all seven theorem families. Sharding is a transport
+//!    same query, for all eight theorem families. Sharding is a transport
 //!    arrangement; it must be invisible in the bytes.
 //! 2. **Deterministic routing** — the same key lands on the same shard
 //!    across router restarts, because ownership is a pure function of
@@ -16,6 +16,9 @@
 //! 4. **Rebalance ships sound certificates** — a store full of misplaced
 //!    entries ends up on the owners, and every shipped certificate still
 //!    audits at exit 0.
+//! 5. **Load through the router is accounted** — `loadgen::run` reads each
+//!    shard's change over the run from the router's cluster view, and a
+//!    dead shard's range counts as typed errors, not dropped load.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -24,6 +27,7 @@ use std::time::Duration;
 use flm_serve::audit::{audit_bytes, EXIT_VERIFIED};
 use flm_serve::client::{Client, ClientError};
 use flm_serve::frame::{read_frame, write_frame, DEFAULT_MAX_BODY_BYTES};
+use flm_serve::loadgen::{self, Mix};
 use flm_serve::query::{canonical_query_key, refute_to_bytes, Theorem};
 use flm_serve::router::{Router, RouterConfig};
 use flm_serve::rpc::{RefuteParams, Request, Response};
@@ -57,7 +61,8 @@ fn reserve_ports(n: usize) -> Vec<u16> {
         .collect()
 }
 
-/// A 3-shard cluster plus router, each shard with its own store directory.
+/// An `n`-shard cluster plus router, each shard with its own store
+/// directory.
 struct Cluster {
     map: ShardMap,
     dirs: Vec<PathBuf>,
@@ -66,12 +71,12 @@ struct Cluster {
 }
 
 impl Cluster {
-    fn start(tag: &str) -> Cluster {
-        let ports = reserve_ports(3);
+    fn start(tag: &str, n: u32) -> Cluster {
+        let ports = reserve_ports(n as usize);
         let addrs: Vec<String> = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
         let map = ShardMap::new(addrs).unwrap();
-        let dirs: Vec<PathBuf> = (0..3).map(|i| temp_dir(&format!("{tag}-s{i}"))).collect();
-        let shards = (0..3u32)
+        let dirs: Vec<PathBuf> = (0..n).map(|i| temp_dir(&format!("{tag}-s{i}"))).collect();
+        let shards = (0..n)
             .map(|id| Some(start_shard(&map, id, &dirs[id as usize])))
             .collect();
         let router = Router::start(RouterConfig::new("127.0.0.1:0", map.clone())).unwrap();
@@ -126,7 +131,7 @@ fn default_key(theorem: Theorem) -> Vec<u8> {
 
 #[test]
 fn certificates_through_the_router_are_byte_identical_for_all_families() {
-    let cluster = Cluster::start("bytes");
+    let cluster = Cluster::start("bytes", 3);
     let mut client = cluster.client();
     let mut owners_seen = std::collections::HashSet::new();
     for theorem in Theorem::ALL {
@@ -160,7 +165,7 @@ fn certificates_through_the_router_are_byte_identical_for_all_families() {
 
 #[test]
 fn routing_is_deterministic_across_router_restarts() {
-    let cluster = Cluster::start("determinism");
+    let cluster = Cluster::start("determinism", 3);
     // Warm one family through the first router and note who owns it.
     let theorem = Theorem::BaNodes;
     let key = default_key(theorem);
@@ -198,7 +203,7 @@ fn routing_is_deterministic_across_router_restarts() {
 
 #[test]
 fn off_owner_requests_answer_typed_wrong_shard_with_the_owner_hint() {
-    let cluster = Cluster::start("wrongshard");
+    let cluster = Cluster::start("wrongshard", 3);
     let theorem = Theorem::BaNodes;
     let key = default_key(theorem);
     let owner = cluster.map.owner_of_bytes(&key);
@@ -229,7 +234,7 @@ fn off_owner_requests_answer_typed_wrong_shard_with_the_owner_hint() {
 
 #[test]
 fn killing_one_shard_degrades_only_its_key_range() {
-    let mut cluster = Cluster::start("degrade");
+    let mut cluster = Cluster::start("degrade", 3);
     let mut client = cluster.client();
     // Warm every family so the survivors can answer from their stores.
     for theorem in Theorem::ALL {
@@ -319,7 +324,7 @@ fn rebalance_ships_misplaced_certificates_that_still_audit_clean() {
         expected.push((theorem, key.bytes().to_vec(), bytes));
     }
 
-    let cluster = Cluster::start("rebalance");
+    let cluster = Cluster::start("rebalance", 3);
     // Ship from the legacy directory as if it were shard 0's store.
     let report = shard::rebalance(&legacy_dir, &cluster.map, 0, true).unwrap();
     let families = Theorem::ALL.len() as u64;
@@ -382,7 +387,7 @@ fn peer_fetch_recovers_a_reassigned_key_without_resimulating() {
     // store while a peer still holds the bytes. The owner must serve the
     // certificate via FetchCert from the peer, not a fresh simulation —
     // observable through peer_fetches and byte identity.
-    let cluster = Cluster::start("peerfetch");
+    let cluster = Cluster::start("peerfetch", 3);
     let theorem = Theorem::BaNodes;
     let key = default_key(theorem);
     let owner = cluster.map.owner_of_bytes(&key);
@@ -467,4 +472,75 @@ fn shard_request_budget_renews_the_backend_instead_of_failing_the_shard() {
     assert!(stats.backend_reconnects >= 14, "{stats:?}");
     router.shutdown();
     shard.shutdown();
+}
+
+/// Each shard's share of a run that sends every family `per_family`
+/// times: the families it owns times `per_family`.
+fn expected_per_shard(map: &ShardMap, per_family: u64) -> Vec<u64> {
+    let mut counts = vec![0; map.count() as usize];
+    for theorem in Theorem::ALL {
+        counts[map.owner_of_bytes(&default_key(theorem)) as usize] += per_family;
+    }
+    counts
+}
+
+/// One load driver for servers and routers: refute-only over all eight
+/// families, 2 connections × 8 slots, so each connection sends each family
+/// once. Through a router the cluster view accounts for every request on
+/// its owner; against a plain shard there is no cluster view and
+/// off-owner keys are typed `WrongShard` errors; with one shard down its
+/// range's requests are typed `ShardDown` errors.
+#[test]
+fn load_through_the_router_reports_each_shards_change() {
+    let mut cluster = Cluster::start("load", 2);
+    let router = cluster.router.local_addr().to_string();
+    let refute_only = Mix::parse("1:0:0").unwrap();
+    let expected = expected_per_shard(&cluster.map, 2);
+
+    let report = loadgen::run(&router, 2, 8, refute_only, &Theorem::ALL).unwrap();
+    assert_eq!((report.requests, report.ok), (16, 16), "{report}");
+    assert_eq!(report.transport_errors + report.abandoned, 0, "{report}");
+    let delta = report
+        .cluster
+        .as_ref()
+        .expect("a router answers a cluster view");
+    assert!(report.to_string().contains("2/2 shards up"), "{report}");
+    let run_only = (
+        delta.router.connections_accepted,
+        delta.router.requests_routed,
+    );
+    assert_eq!(
+        run_only,
+        (2, 16),
+        "the Stats probes are taken out: {report}"
+    );
+    for (row, &want) in delta.shards.iter().zip(&expected) {
+        let shard_report = row.report.as_ref().expect("both shards are up");
+        assert_eq!(shard_report.requests_refute, want, "{report}");
+        assert_eq!(
+            row.routed, want,
+            "routed reads the run's requests: {report}"
+        );
+    }
+
+    // A plain shard answers single-server stats: no cluster view, and the
+    // keys it does not own come back as typed `WrongShard` errors.
+    let report = loadgen::run(cluster.map.addr(0), 2, 8, refute_only, &Theorem::ALL).unwrap();
+    assert_eq!(report.cluster, None);
+    assert_eq!((report.ok, report.errors), (expected[0], 16 - expected[0]));
+    assert_eq!(report.transport_errors + report.abandoned, 0, "{report}");
+
+    // Kill a shard that owns a family: its range answers `ShardDown`, the
+    // other keeps serving.
+    let victim = cluster.map.owner_of_bytes(&default_key(Theorem::BaNodes)) as usize;
+    cluster.shards[victim].take().unwrap().shutdown();
+    std::thread::sleep(Duration::from_millis(100));
+    let report = loadgen::run(&router, 2, 8, refute_only, &Theorem::ALL).unwrap();
+    let down = expected[victim];
+    assert_eq!((report.ok, report.errors), (16 - down, down), "{report}");
+    assert_eq!(report.transport_errors + report.abandoned, 0, "{report}");
+    let delta = report.cluster.as_ref().expect("the router still answers");
+    assert!(!delta.shards[victim].up && delta.shards[victim].report.is_none());
+    assert_eq!(delta.router.shard_down_answers, down, "{report}");
+    cluster.shutdown();
 }

@@ -30,9 +30,9 @@
 //!
 //! # Controls
 //!
-//! * `FLM_RUNCACHE=0` disables the cache process-wide.
-//! * [`bypass`] disables it for the current thread while a closure runs —
-//!   the differential tests and the cold legs of the bench suites use it.
+//! * [`bypass`] disables the cache for the current thread while a closure
+//!   runs — the differential tests and the cold legs of the bench suites
+//!   use it.
 //! * The store is bounded ([`MAX_ENTRIES`] entries by default, overridable
 //!   with `FLM_RUNCACHE_CAP`, and [`MAX_VALUE_BYTES`]) with least-recently-
 //!   used eviction, so long sweeps cannot grow memory without bound while
@@ -241,12 +241,6 @@ thread_local! {
     static BYPASS: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True unless `FLM_RUNCACHE=0` disabled the cache process-wide.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("FLM_RUNCACHE").map_or(true, |v| v.trim() != "0"))
-}
-
 /// Runs `f` with the cache bypassed on *this thread* (nested scopes
 /// included): lookups miss, results are not stored, and no counters move.
 /// The reference mode for differential tests and cold-path benches.
@@ -267,10 +261,6 @@ pub fn is_bypassed() -> bool {
     BYPASS.with(Cell::get)
 }
 
-fn active() -> bool {
-    enabled() && !is_bypassed()
-}
-
 /// The one memoization path behind [`memoize_discrete`], [`memoize_clock`]
 /// and [`memoize_async`]: `wrap` and `unwrap` move a result in and out of
 /// its [`CachedValue`] variant, and `approx_bytes` sizes it for the byte
@@ -282,7 +272,7 @@ fn memoize<T, E>(
     unwrap: fn(CachedValue) -> Option<Arc<T>>,
     approx_bytes: fn(&T) -> u64,
 ) -> Result<Arc<T>, E> {
-    if !active() {
+    if is_bypassed() {
         return run().map(Arc::new);
     }
     {

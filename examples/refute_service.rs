@@ -81,7 +81,7 @@ fn main() {
         4,
         8,
         Mix::parse("2:1:1").expect("mix"),
-        Theorem::BaNodes,
+        &[Theorem::BaNodes],
     )
     .expect("load burst");
     assert_eq!(report.transport_errors, 0);

@@ -20,10 +20,11 @@
 # the local flm-audit.
 #
 # `--shard-smoke` stands up a 2-shard cluster behind an flm-router, all
-# via the release binaries: warm keys through the router, drive the router
-# load mode and cluster stats, kill one shard, restart it over the same
-# store directory, and require the router to serve byte-identical
-# certificates again once the backend heals.
+# via the release binaries: warm keys through the router, drive cluster
+# stats and a load run over all families (its report must carry the
+# cluster table), kill one shard, restart it over the same store
+# directory, and require the router to serve byte-identical certificates
+# again once the backend heals.
 #
 # `--campaign-smoke` runs a tiny fixed-seed chaos campaign end to end:
 # `regen --campaign --scale smoke` sweeps the protocol zoo across graph
@@ -160,10 +161,14 @@ shard_smoke() {
     # Router-served bytes must satisfy the local auditor.
     ./target/release/flm-audit "$tmpdir/ba1.flmc" --quiet
     ./target/release/flm-audit "$tmpdir/clock1.flmc" --quiet
-    # Cluster stats and the router load mode, end to end.
+    # Cluster stats and a load run over every family, end to end; against
+    # a router the load report must carry the per-shard cluster table.
     ./target/release/flm-client stats --addr "$raddr"
-    ./target/release/flm-client load --addr "$raddr" --mode router \
-        --connections 2 --requests 4
+    local load
+    load="$(./target/release/flm-client load --addr "$raddr" --theorem all --mix 1:0:0 \
+        --connections 2 --requests 4)"
+    echo "$load"
+    grep -q 'shards up' <<<"$load" || { echo "router load report lacks the cluster table"; return 1; }
     # Kill shard 0 and restart it on the same port over the same store:
     # once the router reconnects, the answer must come back byte-identical
     # (served disk-warm from the store, not re-simulated — the Rust
