@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use flm_graph::covering::Covering;
-use flm_graph::{builders, NodeId};
+use flm_graph::{builders, Graph, NodeId};
 use flm_sim::behavior::EdgeBehavior;
 use flm_sim::devices::TableDevice;
 use flm_sim::replay::ReplayDevice;
@@ -167,4 +167,93 @@ fn decisions_are_behavior_functions() {
             assert_eq!(first.decision(), b.node(v).decision());
         }
     });
+}
+
+/// The run kernel against `System::run_reference`, the map-per-delivery
+/// loop kept as its differential oracle: identical edge traces, node
+/// behaviors and horizon on graphs past 64 directed edges, on lifted
+/// crossed covers (whose port wiring is not the identity), and at horizons
+/// 0, 1 and beyond.
+#[test]
+fn kernel_matches_reference_loop() {
+    flm_prop::cases(24, 0x51A6, |rng| {
+        let seed = rng.u64();
+        let mask = rng.u32();
+        let k = rng.usize(4..7);
+        let base = builders::complete(k);
+        let x: BTreeSet<NodeId> = [NodeId(0)].into();
+        let y: BTreeSet<NodeId> = (1..=rng.usize(1..k - 1) as u32).map(NodeId).collect();
+        let cover = match rng.usize(0..4) {
+            0 => None,
+            1 => Some(Covering::double_cover_crossing(&base, &x, &y).unwrap()),
+            _ => Some(Covering::cyclic_crossed_cover(&base, &x, &y, rng.usize(2..5)).unwrap()),
+        };
+        let g: Graph = match (&cover, rng.usize(0..2)) {
+            (Some(cov), _) => cov.cover().clone(),
+            (None, 0) => builders::complete(9),
+            (None, _) => builders::random_regular(rng.usize(17..25) & !1, 5, seed % 64).unwrap(),
+        };
+        let build = || {
+            let mut sys = System::new(g.clone());
+            for v in g.nodes() {
+                let input = Input::Bool((mask >> (v.0 % 31)) & 1 == 1);
+                match &cover {
+                    Some(cov) => {
+                        let dev = TableDevice::new(seed ^ u64::from(cov.project(v).0), 3);
+                        sys.assign_lifted(cov, v, Box::new(dev), input).unwrap();
+                    }
+                    None => sys.assign(
+                        v,
+                        Box::new(TableDevice::new(seed ^ u64::from(v.0), 3)),
+                        input,
+                    ),
+                }
+            }
+            sys
+        };
+        for horizon in [0, 1, rng.usize(2..9) as u32] {
+            let kernel = build().try_run(horizon).unwrap();
+            let reference = build().run_reference(horizon).unwrap();
+            assert_eq!(kernel.horizon(), reference.horizon());
+            assert_eq!(kernel.edges(), reference.edges(), "horizon {horizon}");
+            for v in g.nodes() {
+                assert_eq!(
+                    kernel.node(v),
+                    reference.node(v),
+                    "{v} at horizon {horizon}"
+                );
+            }
+            assert!(kernel.misbehavior().is_empty());
+        }
+    });
+}
+
+/// The covers and graphs [`kernel_matches_reference_loop`] draws reach the
+/// shapes it claims: more than 64 directed edges, and non-identity wiring.
+#[test]
+fn kernel_oracle_shapes_are_reached() {
+    assert!(builders::complete(9).directed_edges().len() > 64);
+    assert!(
+        builders::random_regular(18, 5, 0)
+            .unwrap()
+            .directed_edges()
+            .len()
+            > 64
+    );
+    let base = builders::complete(6);
+    let x: BTreeSet<NodeId> = [NodeId(0)].into();
+    let y: BTreeSet<NodeId> = [NodeId(1), NodeId(2)].into();
+    let cov = Covering::cyclic_crossed_cover(&base, &x, &y, 4).unwrap();
+    assert!(cov.cover().directed_edges().len() > 64);
+    let rewired = cov.cover().nodes().any(|s| {
+        let lifted: Vec<NodeId> = base
+            .neighbors(cov.project(s))
+            .map(|t| cov.lift_neighbor(s, t))
+            .collect();
+        !lifted.iter().copied().eq(cov.cover().neighbors(s))
+    });
+    assert!(
+        rewired,
+        "a crossed cover must wire some port off the identity"
+    );
 }

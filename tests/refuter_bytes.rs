@@ -6,18 +6,25 @@
 //! non-default `RunPolicy`; and the simulation- and cut-heavy shapes: EIG
 //! with `f = 3` on K7 and K9, and the connectivity refuters on a 64-cycle,
 //! a path (κ = 1) and a random graph whose first minimum-cut pair does not
-//! start at node 0.
+//! start at node 0. The continuous refuters are pinned too: (ε,δ,γ)-agreement
+//! on the triangle (with a long ring) and through the collapse, the clock
+//! refuter on the triangle and through the clock collapse, and Corollaries
+//! 13–15; and a relayed protocol, whose devices route over `2f + 1`
+//! disjoint paths.
 //!
 //! Certificate bytes are what the serve store caches on disk and what an
 //! auditor re-verifies, so a refactor of the refuters must not move a single
 //! byte. Each case is pinned by its length and its SHA-256 digest (computed
 //! here, dependency-free); a mismatch prints the new digest.
 
+use flm_core::problems::ClockSyncClaim;
 use flm_core::refute::{self, RefuteError};
 use flm_core::Certificate;
 use flm_graph::{builders, connectivity, Graph, NodeId};
-use flm_protocols::registry::NaiveMajority;
-use flm_protocols::{Dlpsw, Eig, FiringSquadViaBa, WeakViaBa};
+use flm_protocols::clock_sync::{AveragingClockSync, TrivialClockSync};
+use flm_protocols::registry::{NaiveMajority, Table};
+use flm_protocols::{Dlpsw, Eig, FiringSquadViaBa, Relayed, WeakViaBa};
+use flm_sim::clock::TimeFn;
 use flm_sim::device::{snapshot, Device, NodeCtx, Payload};
 use flm_sim::{Protocol, RunPolicy, Tick};
 
@@ -59,6 +66,11 @@ const PINNED: &[(&str, usize, &str)] = &[
         "732b450c60af85eff6ef18731c3b1e33332a27125fb18ba3cbad5c46b5d822ae",
     ),
     (
+        "ba_nodes/K6/Relayed(EIG(f=2), f=2)",
+        98163,
+        "1295f3a6d6dacb33c0b43ecfe4d479786a17589dc46cb04a6e42e1bc859ca063",
+    ),
+    (
         "ba_nodes/K7/EIG(f=3)",
         87219,
         "eaa7b5401e84049c584e34b986cffc0930948c095c26258d944df6651db32a82",
@@ -72,6 +84,61 @@ const PINNED: &[(&str, usize, &str)] = &[
         "ba_nodes/triangle/EIG",
         643,
         "a440694c72e97c06d732339262badfb3aecb727de563037c74dfcfd6569e4020",
+    ),
+    (
+        "clock_sync/triangle/AveragingClockSync",
+        354,
+        "3353a0810aa09ce3d789a02fdda730d0c29bf12cbbc1e4eff72613eafb75a602",
+    ),
+    (
+        "clock_sync/triangle/TrivialClockSync",
+        345,
+        "f71717eeb7dc025c48d5000f413c5f2d6613c46ca10c7497953a13142edd6ee1",
+    ),
+    (
+        "clock_sync_general/K6/TrivialClockSync",
+        372,
+        "891abfad05f64a8d5bfd20e31dc84f714c98cf443f93ed7ec005781446ec8fc8",
+    ),
+    (
+        "corollary_13/TrivialClockSync",
+        366,
+        "2311bcd18e88cd0f446b0ae6428de98564e928488e02234a6a2fcd10562ac623",
+    ),
+    (
+        "corollary_14/TrivialClockSync(affine)",
+        364,
+        "1ca088b3d142e01b8344f6688a4847e1a06d7dad815ddad753678561fdb7c1bf",
+    ),
+    (
+        "corollary_15/TrivialClockSync(log2)",
+        325,
+        "28ba49deb0b7aa5827382bc8efe66258b8b3cd229912dc2f0234e4b8693eec32",
+    ),
+    (
+        "eps_delta_gamma/triangle/DLPSW",
+        635,
+        "8ce2bca303a862363eb5dc13c10e06faa5d091ff5d7106847e13d2d976d7ef2e",
+    ),
+    (
+        "eps_delta_gamma/triangle/DLPSW/long_ring",
+        643,
+        "9511ebe4fb10805f533f31cf5e7f8c1a98c21228f474ee9883d7fcc549b99973",
+    ),
+    (
+        "eps_delta_gamma/triangle/EchoReal",
+        307,
+        "916566ec1ef3a6d5f3c05c7bb7cad0593b13c40f58010696101ad11c2126a0af",
+    ),
+    (
+        "eps_delta_gamma/triangle/Table(7)",
+        368,
+        "3b1ada845d4d01599f28d5f8ed8f1b2c26a78d93ea30795a926b3a8cb3e4433c",
+    ),
+    (
+        "eps_delta_gamma_general/K6/DLPSW",
+        2289,
+        "c4496d8ea85461568661305278f3241a7c1d1079f9a9aad072c603a6629e6375",
     ),
     (
         "firing_squad/triangle/FiringSquadViaBA",
@@ -316,8 +383,12 @@ fn sha256(data: &[u8]) -> String {
 /// Checks one refuter result against its pin.
 fn pin(case: &str, result: Result<Certificate, RefuteError>) {
     let cert = result.unwrap_or_else(|e| panic!("{case}: refuter failed: {e}"));
-    let bytes = cert.to_bytes();
-    let got = (bytes.len(), sha256(&bytes));
+    pin_bytes(case, &cert.to_bytes());
+}
+
+/// Checks one certificate's bytes against its pin.
+fn pin_bytes(case: &str, bytes: &[u8]) {
+    let got = (bytes.len(), sha256(bytes));
     let Some(&(_, len, digest)) = PINNED.iter().find(|(name, _, _)| *name == case) else {
         panic!("{case}: no pin; add (\"{case}\", {}, \"{}\")", got.0, got.1);
     };
@@ -713,5 +784,108 @@ fn cut_heavy_connectivity_refuters() {
     pin(
         "weak_agreement_direct_connectivity/random_connected(7,4,36)/NaiveMajority",
         refute::weak_agreement_direct_connectivity(&NaiveMajority, &g, 1),
+    );
+}
+
+/// Theorem 6 on the triangle: DLPSW, a table protocol and the echo device;
+/// δ − ε = 0.05 makes the ring 45 nodes long.
+#[test]
+fn eps_delta_gamma_refuters() {
+    let tri = builders::triangle();
+    pin(
+        "eps_delta_gamma/triangle/DLPSW",
+        refute::eps_delta_gamma(&Dlpsw::new(1, 4), &tri, 1, 0.25, 1.0, 1.0),
+    );
+    pin(
+        "eps_delta_gamma/triangle/Table(7)",
+        refute::eps_delta_gamma(&Table { seed: 7 }, &tri, 1, 0.25, 1.0, 1.0),
+    );
+    pin(
+        "eps_delta_gamma/triangle/EchoReal",
+        refute::eps_delta_gamma(&ECHO, &tri, 1, 0.25, 1.0, 1.0),
+    );
+    pin(
+        "eps_delta_gamma/triangle/DLPSW/long_ring",
+        refute::eps_delta_gamma(&Dlpsw::new(1, 4), &tri, 1, 0.25, 0.3, 1.0),
+    );
+    let (cert, _) = refute::eps_delta_gamma_general(
+        Dlpsw::new(2, 4),
+        &builders::complete(6),
+        2,
+        0.25,
+        1.0,
+        1.0,
+    )
+    .unwrap_or_else(|e| panic!("eps_delta_gamma_general: {e}"));
+    pin_bytes("eps_delta_gamma_general/K6/DLPSW", &cert.to_bytes());
+}
+
+/// Theorem 8 on the triangle and through the clock collapse, and
+/// Corollaries 13–15: linear, affine and logarithmic envelopes.
+#[test]
+fn clock_refuters() {
+    let claim = ClockSyncClaim {
+        p: TimeFn::identity(),
+        q: TimeFn::linear(2.0),
+        l: TimeFn::identity(),
+        u: TimeFn::affine(2.0, 6.0),
+        alpha: 1.5,
+        t_prime: 1.0,
+    };
+    let tri = builders::triangle();
+    let trivial = TrivialClockSync {
+        l: TimeFn::identity(),
+    };
+    let averaging = AveragingClockSync {
+        l: TimeFn::identity(),
+        period: 2.0,
+    };
+    let clock = |case: &str, result: Result<refute::ClockCertificate, RefuteError>| {
+        let cert = result.unwrap_or_else(|e| panic!("{case}: refuter failed: {e}"));
+        pin_bytes(case, &cert.to_bytes());
+    };
+    clock(
+        "clock_sync/triangle/TrivialClockSync",
+        refute::clock_sync(&trivial, &tri, 1, &claim),
+    );
+    clock(
+        "clock_sync/triangle/AveragingClockSync",
+        refute::clock_sync(&averaging, &tri, 1, &claim),
+    );
+    clock(
+        "clock_sync_general/K6/TrivialClockSync",
+        flm_core::clock_reduction::clock_sync_general(
+            trivial.clone(),
+            &builders::complete(6),
+            2,
+            &claim,
+        )
+        .map(|(cert, _)| cert),
+    );
+    clock(
+        "corollary_13/TrivialClockSync",
+        refute::corollary_13(&trivial, 1.5, 1.0, 0.0, TimeFn::affine(1.5, 6.0), 1.0, 1.0),
+    );
+    let half = TrivialClockSync {
+        l: TimeFn::affine(0.5, 0.25),
+    };
+    clock(
+        "corollary_14/TrivialClockSync(affine)",
+        refute::corollary_14(&half, 2.0, 0.5, 0.25, TimeFn::affine(1.0, 5.0), 0.75, 1.0),
+    );
+    let log = TrivialClockSync { l: TimeFn::Log2 };
+    clock(
+        "corollary_15/TrivialClockSync(log2)",
+        refute::corollary_15(&log, 2.0, TimeFn::affine(1.0, 3.0), 0.8, 1.0),
+    );
+}
+
+/// A relayed protocol: EIG over Dolev's `2f + 1`-path overlay on K6, where
+/// every device reads the routing table.
+#[test]
+fn relayed_chain() {
+    pin(
+        "ba_nodes/K6/Relayed(EIG(f=2), f=2)",
+        refute::ba_nodes(&Relayed::new(Eig::new(2), 2), &builders::complete(6), 2),
     );
 }
