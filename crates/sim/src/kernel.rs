@@ -1,17 +1,14 @@
-//! The structure-of-arrays run kernel behind [`crate::System`].
+//! The run kernel behind [`crate::System`].
 //!
 //! [`run`] is the single tick loop every discrete-system execution goes
-//! through (strict and contained). All per-run state lives in flat,
-//! time-major slabs rather than per-edge / per-node nested vectors:
-//!
-//! * `traces` — one `Option<Payload>` slot per directed edge per tick,
-//!   indexed `t * E + e` in `Graph::directed_edges` (lex) order;
-//! * `delivered` — a per-tick bitmask over edge indices, so refilling the
-//!   inboxes skips the payload slab entirely for silent edges;
-//! * `snap_bytes` / `snap_ends` — an arena of device snapshots with
-//!   cumulative end offsets, one entry per node per tick;
-//! * the port tables — flat in/out edge-index arrays with a per-node
-//!   prefix-sum offset table, and one flat inbox buffer.
+//! through (strict and contained). It writes the behavior it returns as it
+//! goes: each send is pushed onto its directed edge's trace, and each
+//! snapshot onto its node's list. Every directed edge is exactly one
+//! node's out-port, so every trace grows by one entry per tick, and the
+//! inbox of tick `t` is refilled from entry `t − 1` of the in-edges'
+//! traces. Ports are resolved once, before the first tick, into flat
+//! in/out edge-index tables with a per-node prefix-sum offset table, and
+//! all inboxes share one flat buffer.
 //!
 //! `System::run_reference`, the map-per-delivery loop, remains the
 //! differential oracle for this kernel.
@@ -26,15 +23,12 @@ use crate::device::{snapshot, Payload};
 use crate::system::{RunPolicy, Slot, SystemError};
 use crate::Tick;
 
-fn words_for(e_count: usize) -> usize {
-    e_count.div_ceil(64)
-}
-
-/// The SoA tick loop.
+/// The tick loop.
 ///
-/// Byte-identical to the pre-SoA loop on every observable: trace order,
-/// snapshot bytes, misbehavior ordering (tick-major, node-ascending),
-/// quarantine semantics, and every error path.
+/// Byte-identical to [`crate::System::run_reference`] on every observable
+/// it shares: trace order, snapshot bytes, and the strict error paths. A
+/// contained run adds misbehavior records (tick-major, node-ascending) and
+/// quarantine.
 pub(crate) fn run(
     graph: &Arc<Graph>,
     slots: &mut [Option<Slot>],
@@ -55,10 +49,10 @@ pub(crate) fn run(
     // flat arrays indexed by `port_off[v] + p`. Resolution can only fail
     // for a wiring that is not a bijection onto the node's neighbors,
     // which `assign`/`assign_wired` already reject — the error path keeps
-    // that invariant structural for slots assembled some other way.
+    // that invariant structural for slots assembled some other way. The
+    // bijection is what makes every directed edge exactly one out-port.
     let edge_list = graph.directed_edges();
     let e_count = edge_list.len();
-    let words = words_for(e_count);
     let mut port_off: Vec<u32> = Vec::with_capacity(n + 1);
     port_off.push(0);
     let mut in_edges: Vec<u32> = Vec::with_capacity(e_count);
@@ -80,34 +74,25 @@ pub(crate) fn run(
     let mut inbox: Vec<Option<Payload>> = vec![None; in_edges.len()];
     let mut quarantined = vec![false; n];
 
-    // Time-major slabs.
-    let mut traces: Vec<Option<Payload>> = Vec::with_capacity(horizon as usize * e_count);
-    let mut delivered: Vec<u64> = Vec::with_capacity(horizon as usize * words);
-    let mut snap_bytes: Vec<u8> = Vec::new();
-    let mut snap_ends: Vec<u32> = Vec::with_capacity(horizon as usize * n);
+    // The behavior, written as the run goes: one trace per directed edge
+    // (in `directed_edges` order) and one snapshot list per node.
+    let mut traces: Vec<Vec<Option<Payload>>> = (0..e_count)
+        .map(|_| Vec::with_capacity(horizon as usize))
+        .collect();
+    let mut snaps: Vec<Vec<Vec<u8>>> = (0..n)
+        .map(|_| Vec::with_capacity(horizon as usize))
+        .collect();
     let mut misbehavior: Vec<DeviceMisbehavior> = Vec::new();
 
     for t in 0..horizon {
         let tick = Tick(t);
-        // Refill the flat inbox from last tick's slab row. The delivery
-        // bitmask keeps silent edges off the payload slab entirely.
+        // Refill the flat inbox from last tick's entry of each in-edge's
+        // trace; every trace holds exactly `t` entries here.
         if t > 0 {
-            let row = &traces[(t as usize - 1) * e_count..t as usize * e_count];
-            let mask = &delivered[(t as usize - 1) * words..t as usize * words];
             for (cell, &e) in inbox.iter_mut().zip(in_edges.iter()) {
-                let e = e as usize;
-                *cell = if mask[e >> 6] & (1 << (e & 63)) != 0 {
-                    row[e].clone()
-                } else {
-                    None
-                };
+                *cell = traces[e as usize][t as usize - 1].clone();
             }
         }
-        // This tick's slab row.
-        traces.resize(traces.len() + e_count, None);
-        delivered.resize(delivered.len() + words, 0);
-        let row = &mut traces[t as usize * e_count..];
-        let mask = &mut delivered[t as usize * words..];
         // Step devices and record sends + snapshots.
         for v in graph.nodes() {
             let slot = slots[v.index()]
@@ -181,66 +166,38 @@ pub(crate) fn run(
                 });
                 quarantined[v.index()] = true;
             }
-            // Sends land in this tick's slab row; `out_edges` was fully
-            // resolved before the loop, so every port has an edge by
-            // construction.
+            // Each port's send is this tick's entry of its out-edge's trace.
             for (p, payload) in out.into_iter().enumerate() {
-                let e = out_edges[off + p] as usize;
-                if payload.is_some() {
-                    mask[e >> 6] |= 1 << (e & 63);
-                }
-                row[e] = payload;
+                traces[out_edges[off + p] as usize].push(payload);
             }
             // A quarantined device is never touched again — its state may
             // be poisoned mid-panic, so the marker stands in for it.
-            let snap = if quarantined[v.index()] {
+            snaps[v.index()].push(if quarantined[v.index()] {
                 snapshot::undecided(b"quarantined")
             } else {
                 slot.device.snapshot()
-            };
-            snap_bytes.extend_from_slice(&snap);
-            snap_ends.push(snap_bytes.len() as u32);
+            });
         }
-    }
-
-    // Regroup the time-major slab into the public per-edge traces. The
-    // payloads are *moved* (t outer, e inner), so this is pointer traffic,
-    // not refcount churn.
-    let mut edge_traces: Vec<Vec<Option<Payload>>> = (0..e_count)
-        .map(|_| Vec::with_capacity(horizon as usize))
-        .collect();
-    let mut drained = traces.into_iter();
-    for _ in 0..horizon {
-        for trace in edge_traces.iter_mut() {
-            trace.push(drained.next().expect("slab holds horizon * E entries"));
-        }
-    }
-    // Snapshots: slice the arena back out into per-node, per-tick vectors.
-    let mut snaps: Vec<Vec<Vec<u8>>> = vec![Vec::with_capacity(horizon as usize); n];
-    let mut prev_end = 0usize;
-    for (i, &end) in snap_ends.iter().enumerate() {
-        snaps[i % n].push(snap_bytes[prev_end..end as usize].to_vec());
-        prev_end = end as usize;
     }
 
     let nodes = graph
         .nodes()
-        .map(|v| {
+        .zip(snaps)
+        .map(|(v, snaps)| {
             let slot = slots[v.index()]
                 .as_ref()
                 .expect("run is only reached after every node is assigned");
             NodeBehavior {
                 device_name: slot.device.name().to_string(),
                 input: slot.ctx.input,
-                snaps: std::mem::take(&mut snaps[v.index()]),
+                snaps,
             }
         })
         .collect();
-    // The public edge map is assembled once, after the run; `zip` pairs
-    // each directed edge with its dense trace because both follow the
-    // `directed_edges` order.
+    // `zip` pairs each directed edge with its trace because both follow
+    // the `directed_edges` order.
     let edges: std::collections::BTreeMap<(NodeId, NodeId), Vec<Option<Payload>>> =
-        edge_list.into_iter().zip(edge_traces).collect();
+        edge_list.into_iter().zip(traces).collect();
     Ok(SystemBehavior::new(
         Arc::clone(graph),
         nodes,
