@@ -12,9 +12,11 @@
 //!
 //! [`Relayed`] wraps an inner [`Protocol`]: logical round `k` of the inner
 //! protocol executes at physical tick `k·L`, where `L` is the longest relay
-//! path in hops; in between, nodes forward copies hop by hop.
+//! path in hops; in between, nodes forward copies hop by hop. The routing
+//! table is built once per graph and shared by every device.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use flm_graph::{connectivity, Graph, NodeId};
 use flm_sim::device::{Device, NodeCtx, Payload};
@@ -26,24 +28,55 @@ use flm_sim::{Protocol, Tick};
 pub struct Relayed<P> {
     inner: P,
     f: usize,
+    /// The routing table of the first graph asked for; a query on another
+    /// graph builds its own table.
+    table: OnceLock<Arc<RouteTable>>,
 }
 
 impl<P: Protocol> Relayed<P> {
     /// Wraps `inner` (written for `K_n`) for execution on `2f+1`-connected
     /// graphs with fault budget `f`.
     pub fn new(inner: P, f: usize) -> Self {
-        Relayed { inner, f }
+        Relayed {
+            inner,
+            f,
+            table: OnceLock::new(),
+        }
     }
 
-    /// The routing table and round length for `g`: `2f+1` vertex-disjoint
-    /// paths per ordered pair, plus the longest path length in hops.
+    /// The routing table for `g`, built on first use and shared by every
+    /// device and every [`Protocol::horizon`] call on the same graph.
     ///
     /// # Panics
     ///
     /// Panics if some pair has fewer than `2f+1` disjoint paths (the graph
     /// is not `2f+1`-connected).
-    fn routes(&self, g: &Graph) -> (Routes, u32) {
-        let needed = 2 * self.f + 1;
+    fn table(&self, g: &Graph) -> Arc<RouteTable> {
+        if let Some(table) = self.table.get().filter(|t| t.graph == *g) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(RouteTable::build(g, self.f));
+        // Only the first graph is kept: a set that loses a race is dropped.
+        let _ = self.table.set(Arc::clone(&table));
+        table
+    }
+}
+
+type Routes = BTreeMap<(NodeId, NodeId), Vec<Vec<NodeId>>>;
+
+/// The routing table for one graph: `2f+1` vertex-disjoint paths per
+/// ordered pair, shortest first, plus the longest path length in hops.
+#[derive(Debug)]
+struct RouteTable {
+    graph: Graph,
+    routes: Routes,
+    /// Ticks per logical round (the longest relay path in hops).
+    hops: u32,
+}
+
+impl RouteTable {
+    fn build(g: &Graph, f: usize) -> Self {
+        let needed = 2 * f + 1;
         let mut routes = BTreeMap::new();
         let mut max_hops = 1u32;
         for u in g.nodes() {
@@ -66,11 +99,13 @@ impl<P: Protocol> Relayed<P> {
                 routes.insert((u, v), paths);
             }
         }
-        (routes, max_hops)
+        RouteTable {
+            graph: g.clone(),
+            routes,
+            hops: max_hops,
+        }
     }
 }
-
-type Routes = BTreeMap<(NodeId, NodeId), Vec<Vec<NodeId>>>;
 
 impl<P: Protocol> Protocol for Relayed<P> {
     fn name(&self) -> String {
@@ -78,14 +113,14 @@ impl<P: Protocol> Protocol for Relayed<P> {
     }
 
     fn device(&self, g: &Graph, v: NodeId) -> Box<dyn Device> {
-        let (routes, hops) = self.routes(g);
+        let table = self.table(g);
         let kn = flm_graph::builders::complete(g.node_count());
         let inner = self.inner.device(&kn, v);
-        Box::new(RelayDevice::new(inner, g.clone(), routes, hops, self.f, v))
+        Box::new(RelayDevice::new(inner, table, self.f, v))
     }
 
     fn horizon(&self, g: &Graph) -> u32 {
-        let (_, hops) = self.routes(g);
+        let hops = self.table(g).hops;
         let kn = flm_graph::builders::complete(g.node_count());
         self.inner.horizon(&kn) * hops + 1
     }
@@ -162,10 +197,8 @@ impl Packet {
 /// The per-node relay state machine wrapping an inner complete-graph device.
 pub struct RelayDevice {
     inner: Box<dyn Device>,
-    graph: Graph,
-    routes: Routes,
-    /// Ticks per logical round (the longest relay path in hops).
-    round_len: u32,
+    /// The shared routing table of the device's graph.
+    table: Arc<RouteTable>,
     f: usize,
     me: NodeId,
     /// Physical neighbors in port order.
@@ -178,19 +211,10 @@ pub struct RelayDevice {
 }
 
 impl RelayDevice {
-    fn new(
-        inner: Box<dyn Device>,
-        graph: Graph,
-        routes: Routes,
-        round_len: u32,
-        f: usize,
-        me: NodeId,
-    ) -> Self {
+    fn new(inner: Box<dyn Device>, table: Arc<RouteTable>, f: usize, me: NodeId) -> Self {
         RelayDevice {
             inner,
-            graph,
-            routes,
-            round_len,
+            table,
             f,
             me,
             phys_ports: Vec::new(),
@@ -205,7 +229,7 @@ impl RelayDevice {
     /// the destination or the packet is bogus and must be dropped).
     fn route_next(&self, p: &Packet, arrived_from: NodeId) -> RouteDecision {
         let (src, dst) = (NodeId(p.src), NodeId(p.dst));
-        let Some(paths) = self.routes.get(&(src, dst)) else {
+        let Some(paths) = self.table.routes.get(&(src, dst)) else {
             return RouteDecision::Drop;
         };
         let Some(path) = paths.get(p.path_idx as usize) else {
@@ -254,7 +278,7 @@ impl Device for RelayDevice {
     fn init(&mut self, ctx: &NodeCtx) {
         self.me = ctx.node;
         self.phys_ports = ctx.ports.clone();
-        self.peers = self.graph.nodes().filter(|&v| v != self.me).collect();
+        self.peers = self.table.graph.nodes().filter(|&v| v != self.me).collect();
         let inner_ctx = NodeCtx {
             node: self.me,
             ports: self.peers.clone(),
@@ -289,7 +313,7 @@ impl Device for RelayDevice {
             }
         }
         // Phase 2: on a round boundary, run the inner device.
-        if t.0.is_multiple_of(self.round_len) {
+        if t.0.is_multiple_of(self.table.hops) {
             let k = self.inner_tick;
             let inner_inbox: Vec<Option<Payload>> = self
                 .peers
@@ -307,7 +331,7 @@ impl Device for RelayDevice {
             // Wrap each logical output (silence included) into path copies.
             for (peer_port, body) in outs.into_iter().enumerate() {
                 let dst = self.peers[peer_port];
-                let paths = &self.routes[&(self.me, dst)];
+                let paths = &self.table.routes[&(self.me, dst)];
                 for (path_idx, path) in paths.iter().enumerate() {
                     let first_hop = path[1];
                     let out_port = self
@@ -360,9 +384,7 @@ impl Device for RelayDevice {
     fn fork(&self) -> Option<Box<dyn Device>> {
         Some(Box::new(RelayDevice {
             inner: self.inner.fork()?,
-            graph: self.graph.clone(),
-            routes: self.routes.clone(),
-            round_len: self.round_len,
+            table: Arc::clone(&self.table),
             f: self.f,
             me: self.me,
             phys_ports: self.phys_ports.clone(),
