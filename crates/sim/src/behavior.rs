@@ -208,15 +208,6 @@ impl NodeBehavior {
             .position(|s| s.first() == Some(&snapshot::FIRE))
             .map(|i| Tick(i as u32))
     }
-
-    /// The prefix of this behavior through tick `t` inclusive.
-    pub fn prefix(&self, t: Tick) -> NodeBehavior {
-        NodeBehavior {
-            device_name: self.device_name.clone(),
-            input: self.input,
-            snaps: self.snaps[..self.snaps.len().min(t.index() + 1)].to_vec(),
-        }
-    }
 }
 
 /// The complete behavior of one system run.
@@ -505,13 +496,6 @@ mod tests {
         );
         assert_eq!(b.fire_tick(), Some(Tick(1)));
         assert_eq!(b.decision(), Some(Decision::Fire));
-    }
-
-    #[test]
-    fn prefix_truncates() {
-        let b = nb("D", Input::None, vec![vec![0], vec![0, 1], vec![0, 2]]);
-        assert_eq!(b.prefix(Tick(1)).snaps.len(), 2);
-        assert_eq!(b.prefix(Tick(9)).snaps.len(), 3);
     }
 
     #[test]

@@ -272,7 +272,7 @@ impl ProblemKind {
     /// Whether the asynchronous scheduler axis probes this kind: the async
     /// refuter assigns boolean inputs and checks agreement/termination, so
     /// only the boolean-agreement problems are probeable.
-    pub fn async_probeable(self) -> bool {
+    fn async_probeable(self) -> bool {
         matches!(
             self,
             ProblemKind::ByzantineAgreement | ProblemKind::WeakAgreement
@@ -564,7 +564,7 @@ impl CampaignReport {
 
 /// Renders `s` as a JSON string literal (quotes, backslashes, and control
 /// characters escaped).
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -256,11 +256,6 @@ impl NodeCtx {
     pub fn port_count(&self) -> usize {
         self.ports.len()
     }
-
-    /// The port connected to base neighbor `v`, if any.
-    pub fn port_to(&self, v: NodeId) -> Option<usize> {
-        self.ports.iter().position(|&w| w == v)
-    }
 }
 
 /// A deterministic message-passing state machine.
@@ -435,7 +430,5 @@ mod tests {
             input: Input::None,
         };
         assert_eq!(ctx.port_count(), 2);
-        assert_eq!(ctx.port_to(NodeId(5)), Some(1));
-        assert_eq!(ctx.port_to(NodeId(9)), None);
     }
 }

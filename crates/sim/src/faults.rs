@@ -94,7 +94,7 @@ impl FaultPlan {
     }
 
     /// Adds a rule (builder style).
-    pub fn with_rule(mut self, rule: FaultRule) -> Self {
+    fn with_rule(mut self, rule: FaultRule) -> Self {
         self.rules.push(rule);
         self
     }
@@ -330,7 +330,7 @@ impl FaultInjector {
     }
 
     /// Transforms the payloads a device produced at tick `t`.
-    pub fn transform(&mut self, t: Tick, mut out: Vec<Option<Payload>>) -> Vec<Option<Payload>> {
+    fn transform(&mut self, t: Tick, mut out: Vec<Option<Payload>>) -> Vec<Option<Payload>> {
         debug_assert_eq!(out.len(), self.ports.len(), "injector not bound");
         // Equivocate: every matched port gets the first non-silent output,
         // tagged with a per-port salt so recipients see conflicting bytes.
