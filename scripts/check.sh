@@ -3,7 +3,8 @@
 # Everything must pass with zero warnings.
 #
 # `--smoke` runs the fast subset only — debug build plus the core and
-# simulator unit tests, the graph suite (its minimum-cut oracle), the EIG
+# simulator unit tests, the simulator's property suite (its kernel-vs-
+# `run_reference` oracle), the graph suite (its minimum-cut oracle), the EIG
 # lockstep oracle, the refuter certificate-byte pins, the run-cache and
 # cross-thread determinism suites, and the asynchronous scheduler's
 # determinism suite and byte pins — for a quick pre-push signal; the
@@ -210,6 +211,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo build --workspace
     echo "==> smoke: cargo test (core + sim + par libs)"
     cargo test -p flm-core -p flm-sim -p flm-par --lib --quiet
+    echo "==> smoke: simulator properties, with the kernel-vs-reference oracle"
+    cargo test -p flm-sim --test properties --quiet
     echo "==> smoke: cargo test (graph, with the full-scan minimum-cut oracle)"
     cargo test -p flm-graph --quiet
     echo "==> smoke: EIG lockstep oracle"
