@@ -564,6 +564,24 @@ mod tests {
         }
     }
 
+    /// Node `v` of `K_n` with fault budget `f`, input `input` and ports to
+    /// the nodes `ports`.
+    fn device(n: usize, f: usize, v: u32, ports: &[u32], input: bool) -> EigDevice {
+        let mut d = EigDevice::new(n, f, NodeId(v));
+        let ports = ports.iter().copied().map(NodeId).collect();
+        d.init(&NodeCtx {
+            node: NodeId(v),
+            ports,
+            input: Input::Bool(input),
+        });
+        d
+    }
+
+    /// Every node of `K_n` but `v`, by id.
+    fn others(n: usize, v: u32) -> Vec<u32> {
+        (0..n as u32).filter(|&w| w != v).collect()
+    }
+
     #[test]
     fn resolve_majority_logic() {
         let mut d = EigDevice::new(4, 1, NodeId(0));
@@ -621,13 +639,7 @@ mod tests {
 
     #[test]
     fn self_delivery_is_derived_not_stored() {
-        let (n, f) = (5, 2);
-        let mut d = EigDevice::new(n, f, NodeId(1));
-        d.init(&NodeCtx {
-            node: NodeId(1),
-            ports: [0, 2, 3, 4].map(NodeId).to_vec(),
-            input: Input::Bool(true),
-        });
+        let mut d = device(5, 2, 1, &[0, 2, 3, 4], true);
         d.step(Tick(0), &[None, None, None, None]);
         // Round 1: node 0 reports `false`, node 3 `true`.
         let report = |v: bool| {
@@ -645,21 +657,68 @@ mod tests {
         assert_eq!(d.value(&[1, 0]), None);
     }
 
+    /// `sent[t][u]`: the `(σ, v)` entries node `u` sends at tick `t`.
+    type Sent = [Vec<Vec<(Vec<u32>, bool)>>];
+
+    /// Node 0 of K5 (`f = 2`) with ports to `order`, stepped through
+    /// `sent`: its snapshot after each tick.
+    fn snapshots(order: &[u32], sent: &Sent) -> Vec<Vec<u8>> {
+        let mut d = device(5, 2, 0, order, true);
+        let payload = |entries: &[(Vec<u32>, bool)]| {
+            let mut out = (entries.len() as u32).to_be_bytes().to_vec();
+            for (sigma, v) in entries {
+                out.push(sigma.len() as u8);
+                out.extend(sigma.iter().flat_map(|id| id.to_be_bytes()));
+                out.push(u8::from(*v));
+            }
+            Some(Payload::from(out))
+        };
+        let mut snapshots = Vec::new();
+        for (t, row) in (0..).zip(sent) {
+            let inbox: Vec<_> = order.iter().map(|&u| payload(&row[u as usize])).collect();
+            d.step(Tick(t), &inbox);
+            snapshots.push(d.snapshot());
+        }
+        snapshots
+    }
+
+    #[test]
+    fn the_snapshot_is_a_function_of_the_cells() {
+        flm_prop::cases(40, 0x5AB, |rng| {
+            // At tick t node u reports labels of length t − 1 that avoid u.
+            let mut sent = vec![vec![Vec::new(); 5]; 4];
+            for (t, by_node) in sent.iter_mut().enumerate() {
+                for (u, entries) in (0..).zip(by_node) {
+                    for _ in 0..rng.usize(1..5) {
+                        let mut ids: Vec<u32> = (0..5).filter(|&id| id != u).collect();
+                        let sigma = (1..t).map(|_| ids.swap_remove(rng.usize(0..ids.len())));
+                        entries.push((sigma.collect(), rng.bool()));
+                    }
+                }
+            }
+            let ports = [1, 2, 3, 4];
+            let base = snapshots(&ports, &sent);
+            assert_eq!(snapshots(&[3, 1, 4, 2], &sent), base, "port order matters");
+            let (t, u) = (rng.usize(1..4), rng.usize(1..5));
+            // Repeats with the opposite value: the first report wins.
+            let mut repeated = sent.clone();
+            repeated[t][u].extend(sent[t][u].iter().map(|(sigma, v)| (sigma.clone(), !v)));
+            assert_eq!(snapshots(&ports, &repeated), base, "a repeat counts");
+            // One cell apart, from tick t on.
+            sent[t][u][0].1 ^= true;
+            let other = snapshots(&ports, &sent);
+            assert_eq!(other[..t], base[..t]);
+            assert!(other[t..].iter().zip(&base[t..]).all(|(a, b)| a != b));
+        });
+    }
+
     #[test]
     fn an_oversized_level_allocates_no_deeper_level() {
         // On K20 the level-3 broadcast, 19·18·17 entries of 14 B, is over
         // the kernel's default payload limit, which stops the run at tick 3.
         let (n, f) = (20usize, 5usize);
         let mut devices: Vec<EigDevice> = (0..n as u32)
-            .map(|v| {
-                let mut d = EigDevice::new(n, f, NodeId(v));
-                d.init(&NodeCtx {
-                    node: NodeId(v),
-                    ports: (0..n as u32).filter(|&w| w != v).map(NodeId).collect(),
-                    input: Input::Bool(v % 3 == 0),
-                });
-                d
-            })
+            .map(|v| device(n, f, v, &others(n, v), v % 3 == 0))
             .collect();
         // Each device broadcasts one payload per tick.
         let mut sent: Vec<Payload> = Vec::new();
@@ -693,12 +752,7 @@ mod tests {
         assert_eq!(level_len(n, f + 1), None);
         let inbox = vec![None; n - 1];
         for v in 0..n as u32 {
-            let mut d = EigDevice::new(n, f, NodeId(v));
-            d.init(&NodeCtx {
-                node: NodeId(v),
-                ports: (0..n as u32).filter(|&w| w != v).map(NodeId).collect(),
-                input: Input::Bool(v % 2 == 0),
-            });
+            let mut d = device(n, f, v, &others(n, v), v % 2 == 0);
             let out = d.step(Tick(0), &inbox);
             assert_eq!(out.len(), n - 1);
             assert!(out.iter().all(Option::is_some));

@@ -4,8 +4,8 @@
 //! send the same payloads and report the same snapshot — under every zoo
 //! adversary, under seeded `FaultInjector` plans, and on seeded malformed
 //! inboxes (duplicate ids, ids ≥ n, wrong levels, truncation, edge ids
-//! around 64 and `n`, bad value bytes, runs cut mid-id), on `K_n` with `n`
-//! both within and past 64.
+//! around 64 and `n`, bad value bytes, runs cut mid-id, labels repeated with
+//! contradicting values), on `K_n` with `n` both within and past 64.
 
 use std::collections::BTreeMap;
 
@@ -467,6 +467,45 @@ fn lockstep_on_edge_ids_bad_values_and_cut_runs() {
     for (n, f, cases) in [(4usize, 1usize, 200u32), (9, 3, 12), (64, 2, 4), (66, 2, 4)] {
         flm_prop::cases(cases, 0xED6E + n as u64, |rng| {
             lockstep_on_inboxes(rng, n, f, edge_payload);
+        });
+    }
+}
+
+/// One seeded payload for round `round` from `from` that reports a few
+/// well-formed labels of the right level several times each, with values
+/// drawn afresh for every report, so later reports contradict earlier ones.
+fn repeated_payload(rng: &mut Rng, n: usize, round: usize, from: u32) -> Payload {
+    let labels: Vec<Vec<u32>> = (0..rng.usize(1..4))
+        .map(|_| {
+            let mut sigma = Vec::new();
+            while sigma.len() < (round - 1).min(n - 1) {
+                let id = rng.usize(0..n) as u32;
+                if !sigma.contains(&id) && id != from {
+                    sigma.push(id);
+                }
+            }
+            sigma
+        })
+        .collect();
+    let count = rng.usize(1..10);
+    let mut w = Writer::new();
+    w.u32(count as u32);
+    for _ in 0..count {
+        let sigma = &labels[rng.usize(0..labels.len())];
+        w.u8(sigma.len() as u8);
+        for &id in sigma {
+            w.u32(id);
+        }
+        w.bool(rng.bool());
+    }
+    w.finish().into()
+}
+
+#[test]
+fn lockstep_on_repeated_labels() {
+    for (n, f, cases) in [(4usize, 1usize, 200u32), (7, 2, 40), (9, 3, 8), (66, 1, 20)] {
+        flm_prop::cases(cases, 0x2E9 + n as u64, |rng| {
+            lockstep_on_inboxes(rng, n, f, repeated_payload);
         });
     }
 }

@@ -10,7 +10,8 @@
 //! on the triangle (with a long ring) and through the collapse, the clock
 //! refuter on the triangle and through the clock collapse, and Corollaries
 //! 13–15; and a relayed protocol, whose devices route over `2f + 1`
-//! disjoint paths.
+//! disjoint paths. The benchmark's `refute-cold` queries are pinned too,
+//! through the query path (`flm_serve::query::refute_to_bytes`).
 //!
 //! Certificate bytes are what the serve store caches on disk and what an
 //! auditor re-verifies, so a refactor of the refuters must not move a single
@@ -219,6 +220,71 @@ const PINNED: &[(&str, usize, &str)] = &[
         "policy/weak_agreement/triangle/WeakViaBA",
         455,
         "fe3f18e705042f7c41176a6fe329f8a588b156f5dfb8abc4a842b767bcb18ccf",
+    ),
+    (
+        "refute_cold/ba-connectivity/-/-/f=1",
+        537,
+        "ee4b38aa359cd8afa9420788e64ef7ba7eb3c6fa3c9b632fd45a7b711ad2f4a9",
+    ),
+    (
+        "refute_cold/ba-connectivity/-/cycle64/f=1",
+        3652,
+        "1522e612876c82faa6745bd4aa7a2bc1706194315d5a8ee0a6c28cedd0781631",
+    ),
+    (
+        "refute_cold/ba-nodes/-/-/f=1",
+        643,
+        "a440694c72e97c06d732339262badfb3aecb727de563037c74dfcfd6569e4020",
+    ),
+    (
+        "refute_cold/ba-nodes/EIG(f=3)/complete7/f=3",
+        87219,
+        "eaa7b5401e84049c584e34b986cffc0930948c095c26258d944df6651db32a82",
+    ),
+    (
+        "refute_cold/ba-nodes/EIG(f=3)/complete8/f=3",
+        193747,
+        "f1f7a32531e15179b967bc35ec8ec190269fbced3b8dc29bb6f50ce366275995",
+    ),
+    (
+        "refute_cold/ba-nodes/EIG(f=3)/complete9/f=3",
+        386509,
+        "e66485df473fc5f83d1e94d2d11b36063db404d343777ec41dec73b2a02285d7",
+    ),
+    (
+        "refute_cold/clock-sync/-/-/f=1",
+        345,
+        "b498c1e4f9974d7157651fb1bbc5bcadbc966d2cd33dd171eb9b3654c189e919",
+    ),
+    (
+        "refute_cold/eps-delta-gamma/-/-/f=1",
+        635,
+        "8ce2bca303a862363eb5dc13c10e06faa5d091ff5d7106847e13d2d976d7ef2e",
+    ),
+    (
+        "refute_cold/firing-squad/-/-/f=1",
+        613,
+        "13bf24b6b917547710a4a7bef1708a014bc3214a013b83fa304d89cf922e6022",
+    ),
+    (
+        "refute_cold/flp-async/-/-/f=1",
+        305,
+        "1ccb08799547a014ebce11c4a43c1c4bc6d60e0ae11c915e04d594aed21f1295",
+    ),
+    (
+        "refute_cold/flp-async/-/complete32/f=1",
+        8398,
+        "94e8975b2c281c146dbdf8df5228361cdbe104ec47829486407d673ea3045f3d",
+    ),
+    (
+        "refute_cold/simple-approx/-/-/f=1",
+        871,
+        "269d474a1957c8649f1645ca8e516871c46e5a6798a8fec68f3ea717509bcc3c",
+    ),
+    (
+        "refute_cold/weak-agreement/-/-/f=1",
+        455,
+        "c89455faa41ab47be56a84edbf82db1e040834f6c53d1dc1d4ede1440b32875d",
     ),
     (
         "simple_approx/triangle/DLPSW",
@@ -888,4 +954,57 @@ fn relayed_chain() {
         "ba_nodes/K6/Relayed(EIG(f=2), f=2)",
         refute::ba_nodes(&Relayed::new(Eig::new(2), 2), &builders::complete(6), 2),
     );
+}
+
+/// `(theorem, protocol, graph, f)`: the benchmark's `refute-cold` query
+/// list, every family at its defaults plus EIG with `f = 3` on K7–K9, the
+/// connectivity ring over a 64-cycle and the FLP search on K32.
+const REFUTE_COLD: &[(&str, Option<&str>, Option<&str>, usize)] = &[
+    ("ba-nodes", None, None, 1),
+    ("ba-connectivity", None, None, 1),
+    ("weak-agreement", None, None, 1),
+    ("firing-squad", None, None, 1),
+    ("simple-approx", None, None, 1),
+    ("eps-delta-gamma", None, None, 1),
+    ("clock-sync", None, None, 1),
+    ("flp-async", None, None, 1),
+    ("ba-nodes", Some("EIG(f=3)"), Some("complete7"), 3),
+    ("ba-nodes", Some("EIG(f=3)"), Some("complete8"), 3),
+    ("ba-nodes", Some("EIG(f=3)"), Some("complete9"), 3),
+    ("ba-connectivity", None, Some("cycle64"), 1),
+    ("flp-async", None, Some("complete32"), 1),
+];
+
+/// The query-path bytes of each `refute-cold` query (refute, self-verify,
+/// encode), pinned; two cold calls and a warm one must agree, and the
+/// bytes must decode and re-encode canonically.
+#[test]
+fn refute_cold_queries() {
+    use flm_serve::query::{self, Theorem};
+    use flm_sim::runcache;
+    for &(theorem, protocol, graph, f) in REFUTE_COLD {
+        let case = format!(
+            "refute_cold/{theorem}/{}/{}/f={f}",
+            protocol.unwrap_or("-"),
+            graph.unwrap_or("-")
+        );
+        let family = Theorem::parse(theorem).expect("a real family");
+        let graph = graph.map(|g| query::parse_graph(g).expect("a real graph"));
+        let refute = || {
+            query::refute_to_bytes(family, protocol, graph.as_ref(), f, RunPolicy::default())
+                .unwrap_or_else(|e| panic!("{case}: {e}"))
+        };
+        runcache::clear();
+        let cold = refute();
+        runcache::clear();
+        assert_eq!(refute(), cold, "{case}: two cold calls differ");
+        assert_eq!(
+            refute(),
+            cold,
+            "{case}: a warm call differs from a cold one"
+        );
+        let canonical = flm_core::codec::decode_any(&cold).map(|c| c.to_bytes());
+        assert_eq!(canonical.as_ref(), Ok(&cold), "{case}: not canonical");
+        pin_bytes(&case, &cold);
+    }
 }
