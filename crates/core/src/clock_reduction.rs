@@ -6,7 +6,7 @@
 //! argument with classes in place of nodes. In the §7 construction **all
 //! nodes of a class share the same hardware clock** (`q·h^{−j}` depends
 //! only on the ring position `j`), which is precisely what makes a clock
-//! collapse well-defined: a [`CollapsedClockDevice`] owns one hardware
+//! collapse well-defined: a `CollapsedClockDevice` owns one hardware
 //! clock and simulates its whole class against it — fanning events out to
 //! the members, carrying intra-class messages via timers (one hardware unit
 //! of delay, exactly the simulator's link semantics), and bundling

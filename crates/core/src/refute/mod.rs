@@ -178,7 +178,7 @@ pub(crate) fn device_for(
 ///
 /// The key is derived from the arguments alone, so every
 /// caller that would execute the same link run shares one execution:
-/// [`transplant`] when it records a link, `Certificate::rebuild` when it
+/// `transplant` when it records a link, `Certificate::rebuild` when it
 /// re-executes one during verification, and the chaos-campaign probe
 /// driver's replay run (which is the behavior a campaign certificate's
 /// self-check later rebuilds). `build` assembles the system only on a

@@ -90,6 +90,11 @@ pub struct EigDevice {
     /// are derived on read, never stored: only self-delivery writes a label
     /// ending in `me`, and it copies a level that is frozen by then.
     extended: Vec<bool>,
+    /// The snapshot digest: the wrapping sum of [`term`] over every label
+    /// with a value, stored or derived. A term is added when its label
+    /// gets its value, which happens once, so the sum is the same in
+    /// whatever order the cells fill.
+    digest: u64,
     decided: Option<bool>,
     /// Port → neighbor node id, fixed at init.
     port_ids: Vec<u32>,
@@ -101,16 +106,20 @@ fn level_len(n: usize, d: usize) -> Option<usize> {
     (0..d).try_fold(1usize, |len, i| len.checked_mul(n.checked_sub(i)?))
 }
 
+/// The ids of a label's wire form, big-endian `u32`s.
+fn wire_ids(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|id| u32::from_be_bytes(id.try_into().expect("chunks of four bytes")))
+}
+
 /// [`EigDevice::rank`] of the label `ids·last` for `n ≤ 64`, with the used
 /// ids kept as one bitmask; `ids` holds big-endian `u32`s. The caller
 /// guarantees that the labels of this length fit a `usize` ([`level_len`]).
 fn rank_within_64(n: usize, ids: &[u8], last: u32) -> Option<usize> {
-    let ids = ids
-        .chunks_exact(4)
-        .map(|id| u32::from_be_bytes(id.try_into().expect("chunks of four bytes")));
     let mut used = 0u64;
     let mut rank = 0usize;
-    for (i, id) in ids.chain([last]).enumerate() {
+    for (i, id) in wire_ids(ids).chain([last]).enumerate() {
         if id as usize >= n {
             return None;
         }
@@ -125,20 +134,25 @@ fn rank_within_64(n: usize, ids: &[u8], last: u32) -> Option<usize> {
     Some(rank)
 }
 
-/// Stores `v` in `cell` unless the cell already has a value: the first
-/// report wins.
-fn put(cell: &mut u8, v: bool) {
-    if *cell == ABSENT {
+/// Stores `v` in `cell` unless the cell already has a value (the first
+/// report wins), and returns whether it did.
+fn put(cell: &mut u8, v: bool) -> bool {
+    let fresh = *cell == ABSENT;
+    if fresh {
         *cell = 1 + u8::from(v);
     }
+    fresh
 }
 
-/// Chains one stored label and its cell into the snapshot digest.
-fn digest_cell(h: &mut u64, label: &[u32], cell: u8) {
-    for &id in label {
-        *h = mix64(*h ^ u64::from(id));
-    }
-    *h = mix64(*h ^ 0xFF ^ u64::from(cell == TRUE));
+/// Folds one more id into a label's chain. A label's chain starts from
+/// `mix64(0xE16)` and folds its ids in order.
+fn chain(h: u64, id: u32) -> u64 {
+    mix64(h ^ u64::from(id))
+}
+
+/// The digest term of a label with chain `chain` and value `v`.
+fn term(chain: u64, v: bool) -> u64 {
+    mix64(chain ^ 0xFF ^ u64::from(v))
 }
 
 impl EigDevice {
@@ -151,6 +165,7 @@ impl EigDevice {
             input: false,
             levels: Vec::new(),
             extended: Vec::new(),
+            digest: 0,
             decided: None,
             port_ids: Vec::new(),
         }
@@ -240,18 +255,17 @@ impl EigDevice {
                 rank_within_64(n, ids, from)
             } else {
                 label.clear();
-                label
-                    .extend(ids.chunks_exact(4).map(|id| {
-                        u32::from_be_bytes(id.try_into().expect("chunks of four bytes"))
-                    }));
-                label.push(from);
+                label.extend(wire_ids(ids).chain([from]));
                 self.rank(&label)
             };
             let Some(r) = r else { continue };
             let Some(cells) = self.level_mut(round) else {
                 return;
             };
-            put(&mut cells[r], v);
+            if put(&mut cells[r], v) {
+                let h = wire_ids(ids).chain([from]).fold(mix64(0xE16), chain);
+                self.digest = self.digest.wrapping_add(term(h, v));
+            }
         }
     }
 
@@ -259,17 +273,19 @@ impl EigDevice {
     /// `σ` not containing `me`, in the tree's order, as `(|σ|, σ, val(σ))`
     /// after an entry count. Sending them is also the self-delivery: if
     /// there is any, level `level + 1` becomes extended
-    /// ([`EigDevice::extended`]).
+    /// ([`EigDevice::extended`]) and each `σ·me` adds its term to the
+    /// digest.
     fn send_level(&mut self, level: usize) -> Payload {
         let cells = self.level(level);
         let mut out = vec![0; 4];
-        let mut count = 0;
+        let (mut count, mut derived) = (0, 0);
         if !cells.is_empty() {
             let stored = cells.iter().filter(|&&cell| cell != ABSENT).count();
             out.reserve(stored * (2 + 4 * level));
             let mut prefix = Vec::with_capacity(4 * level);
             let mut used = vec![false; self.n];
-            count = self.encode_from(level, 0, &mut prefix, &mut used, &mut out);
+            (count, derived) =
+                self.encode_from(level, 0, mix64(0xE16), &mut prefix, &mut used, &mut out);
         }
         out[..4].copy_from_slice(&count.to_be_bytes());
         // Only labels `σ·me` that have a cell are extended.
@@ -278,25 +294,28 @@ impl EigDevice {
                 self.extended.resize(level + 2, false);
             }
             self.extended[level + 1] = true;
+            self.digest = self.digest.wrapping_add(derived);
         }
         out.into()
     }
 
     /// [`EigDevice::send_level`]'s walk below the label whose ids are
-    /// `prefix` (big-endian) and whose rank is `rank`: appends the entries
-    /// of its length-`level` extensions that avoid `me`, and counts them.
+    /// `prefix` (big-endian), whose rank is `rank` and whose chain is `h`:
+    /// appends the entries of its length-`level` extensions `σ` that avoid
+    /// `me`, and returns their count and the sum of their `σ·me` terms.
     fn encode_from(
         &self,
         level: usize,
         rank: usize,
+        h: u64,
         prefix: &mut Vec<u8>,
         used: &mut [bool],
         out: &mut Vec<u8>,
-    ) -> u32 {
+    ) -> (u32, u64) {
         let d = prefix.len() / 4 + 1;
         let radix = self.n - (d - 1);
         let cells = self.level(level);
-        let mut count = 0;
+        let (mut count, mut derived) = (0, 0u64);
         let mut digit = 0;
         for id in 0..self.n {
             if used[id] {
@@ -311,84 +330,23 @@ impl EigDevice {
             if d < level {
                 used[id] = true;
                 prefix.extend_from_slice(&id_bytes);
-                count += self.encode_from(level, child, prefix, used, out);
+                let (c, sum) =
+                    self.encode_from(level, child, chain(h, id as u32), prefix, used, out);
                 prefix.truncate(prefix.len() - 4);
                 used[id] = false;
+                count += c;
+                derived = derived.wrapping_add(sum);
             } else if cells[child] != ABSENT {
                 out.push(level as u8);
                 out.extend_from_slice(prefix);
                 out.extend_from_slice(&id_bytes);
                 out.push(cells[child] - 1);
                 count += 1;
+                let sigma_me = chain(chain(h, id as u32), self.me);
+                derived = derived.wrapping_add(term(sigma_me, cells[child] == TRUE));
             }
         }
-        count
-    }
-
-    /// The canonical digest of the tree: every label with a value, in the
-    /// tree's order (lexicographic, each label before its extensions),
-    /// chained through [`digest_cell`].
-    fn digest(&self) -> u64 {
-        let mut h = mix64(0xE16);
-        let depth = (1..self.levels.len().max(self.extended.len()))
-            .rev()
-            .find(|&d| self.present(d));
-        if let Some(depth) = depth {
-            let deepest = self.levels.iter().rposition(|level| !level.is_empty());
-            let mut walk = DigestWalk {
-                depth,
-                deepest: deepest.unwrap_or(0),
-                label: Vec::with_capacity(depth),
-                used: vec![false; self.n],
-                h,
-            };
-            self.digest_from(&mut walk, 0, ABSENT);
-            h = walk.h;
-        }
-        h
-    }
-
-    /// [`EigDevice::digest`] below `walk.label`, whose rank is `rank` and
-    /// whose cell is `cell`.
-    fn digest_from(&self, walk: &mut DigestWalk, rank: usize, cell: u8) {
-        let d = walk.label.len() + 1;
-        let cells = self.level(d);
-        let me = self.me as usize;
-        let derived = self.extended(d) && !walk.used[me];
-        if cells.is_empty() && d > walk.deepest {
-            // Nothing below is stored: only the derived `σ·me` has a value.
-            if derived && cell != ABSENT {
-                walk.label.push(self.me);
-                digest_cell(&mut walk.h, &walk.label, cell);
-                walk.label.pop();
-            }
-            return;
-        }
-        let radix = self.n - (d - 1);
-        let mut digit = 0;
-        for id in 0..self.n {
-            if walk.used[id] {
-                continue;
-            }
-            let child = rank * radix + digit;
-            digit += 1;
-            let child_cell = if derived && id == me {
-                cell
-            } else {
-                cells.get(child).copied().unwrap_or(ABSENT)
-            };
-            walk.label.push(id as u32);
-            if child_cell != ABSENT {
-                digest_cell(&mut walk.h, &walk.label, child_cell);
-            }
-            // Below an empty label only stored levels can hold a value.
-            if d < walk.depth && (child_cell != ABSENT || d < walk.deepest) {
-                walk.used[id] = true;
-                self.digest_from(walk, child, child_cell);
-                walk.used[id] = false;
-            }
-            walk.label.pop();
-        }
+        (count, derived)
     }
 
     /// The decision: the root's bottom-up resolution. Only leaves are
@@ -427,19 +385,6 @@ impl EigDevice {
     }
 }
 
-/// The state of [`EigDevice::digest`]'s walk.
-struct DigestWalk {
-    /// The deepest level with a value.
-    depth: usize,
-    /// The deepest allocated level.
-    deepest: usize,
-    /// The current label, and its ids as a set.
-    label: Vec<u32>,
-    used: Vec<bool>,
-    /// The digest so far.
-    h: u64,
-}
-
 impl Device for EigDevice {
     fn name(&self) -> &'static str {
         "EIG"
@@ -467,14 +412,12 @@ impl Device for EigDevice {
         }
         // Send phase: tick r sends round r+1 (labels of level r).
         if tick == 0 {
-            let (me, input) = (self.me as usize, self.input);
-            if let Some(cell) = self.level_mut(1).and_then(|cells| cells.get_mut(me)) {
-                put(cell, input);
-            }
-            // Round 1: broadcast the input as the empty-label report.
+            // Round 1: broadcast the input as the empty-label report, and
+            // deliver it to itself: the own input is the cell of `[me]`.
             let mut w = Writer::new();
             w.u32(1).u8(0).bool(self.input);
             let payload: Payload = w.finish().into();
+            self.absorb(1, self.me, &payload);
             return inbox.iter().map(|_| Some(payload.clone())).collect();
         }
         if tick <= self.f {
@@ -484,9 +427,10 @@ impl Device for EigDevice {
         inbox.iter().map(|_| None).collect()
     }
 
+    /// The decision tag and the tree's running digest (the `digest` field):
+    /// the tree itself would be too large to serialize every tick.
     fn snapshot(&self) -> Vec<u8> {
-        // Canonical digest of the tree (full serialization would be large).
-        let h = self.digest().to_be_bytes();
+        let h = self.digest.to_be_bytes();
         match self.decided {
             Some(b) => snapshot::decided_bool(b, &h),
             None => snapshot::undecided(&h),

@@ -417,7 +417,7 @@ macro_rules! stats_counter_table {
     ($( $(#[$doc:meta])* $name:ident ),+ $(,)?) => {
         /// Server counters and cache statistics, the body of
         /// [`Response::Stats`]. The numeric counters are one length-tagged
-        /// table on the wire (see [`stats_counter_table!`]); `profile`
+        /// table on the wire (see `stats_counter_table!`); `profile`
         /// follows the table as a plain string.
         #[derive(Debug, Clone, Default, PartialEq)]
         pub struct StatsReport {

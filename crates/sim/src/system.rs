@@ -74,6 +74,8 @@ pub struct RunPolicy {
     /// Largest payload a device may emit on one port in one tick; larger
     /// payloads are recorded as [`MisbehaviorKind::OversizedPayload`] and
     /// the node is quarantined.
+    ///
+    /// [`MisbehaviorKind::OversizedPayload`]: crate::MisbehaviorKind::OversizedPayload
     pub max_payload_bytes: usize,
     /// Hard cap on the number of ticks a single run may execute; a horizon
     /// above the cap is truncated (visible as `SystemBehavior::horizon`).
@@ -349,6 +351,8 @@ impl System {
     /// incident is recorded as a [`DeviceMisbehavior`] in the returned
     /// behavior and the node is quarantined — silent on every outedge and
     /// frozen at a `"quarantined"` snapshot from the incident tick on.
+    ///
+    /// [`DeviceMisbehavior`]: crate::DeviceMisbehavior
     ///
     /// Quarantine keeps contained runs deterministic: the same devices and
     /// inputs misbehave at the same tick in every run, so behaviors remain

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, build, and the full test suite.
-# Everything must pass with zero warnings.
+# CI gate: formatting, lints, the API docs, build, and the full test suite.
+# Everything must pass with zero warnings; the docs build with rustdoc
+# warnings denied, so a broken or private intra-doc link fails the gate.
 #
 # `--smoke` runs the fast subset only — debug build plus the core and
 # simulator unit tests, the simulator's property suite (its kernel-vs-
@@ -321,6 +322,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release --workspace
