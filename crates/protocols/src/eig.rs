@@ -90,10 +90,10 @@ pub struct EigDevice {
     /// are derived on read, never stored: only self-delivery writes a label
     /// ending in `me`, and it copies a level that is frozen by then.
     extended: Vec<bool>,
-    /// The snapshot digest: the wrapping sum of [`term`] over every label
-    /// with a value, stored or derived. A term is added when its label
-    /// gets its value, which happens once, so the sum is the same in
-    /// whatever order the cells fill.
+    /// The snapshot digest: the wrapping sum of [`term`], keyed by length
+    /// and rank, over every label with a value, stored or derived. A term
+    /// is added when its label gets its value, which happens once, so the
+    /// sum is the same in whatever order the cells fill.
     digest: u64,
     decided: Option<bool>,
     /// Port → neighbor node id, fixed at init.
@@ -144,15 +144,10 @@ fn put(cell: &mut u8, v: bool) -> bool {
     fresh
 }
 
-/// Folds one more id into a label's chain. A label's chain starts from
-/// `mix64(0xE16)` and folds its ids in order.
-fn chain(h: u64, id: u32) -> u64 {
-    mix64(h ^ u64::from(id))
-}
-
-/// The digest term of a label with chain `chain` and value `v`.
-fn term(chain: u64, v: bool) -> u64 {
-    mix64(chain ^ 0xFF ^ u64::from(v))
+/// The digest term of the length-`d` label of rank `rank` and value `v`:
+/// one [`mix64`] of a word that differs for every label a run can hold.
+fn term(d: usize, rank: usize, v: bool) -> u64 {
+    mix64(((d as u64) << 56) ^ ((rank as u64) << 1) ^ u64::from(v))
 }
 
 impl EigDevice {
@@ -263,8 +258,7 @@ impl EigDevice {
                 return;
             };
             if put(&mut cells[r], v) {
-                let h = wire_ids(ids).chain([from]).fold(mix64(0xE16), chain);
-                self.digest = self.digest.wrapping_add(term(h, v));
+                self.digest = self.digest.wrapping_add(term(round, r, v));
             }
         }
     }
@@ -278,18 +272,20 @@ impl EigDevice {
     fn send_level(&mut self, level: usize) -> Payload {
         let cells = self.level(level);
         let mut out = vec![0; 4];
+        // Only labels `σ·me` that have a cell are extended.
+        let extends = (self.me as usize) < self.n && level_len(self.n, level + 1).is_some();
         let (mut count, mut derived) = (0, 0);
         if !cells.is_empty() {
             let stored = cells.iter().filter(|&&cell| cell != ABSENT).count();
             out.reserve(stored * (2 + 4 * level));
             let mut prefix = Vec::with_capacity(4 * level);
             let mut used = vec![false; self.n];
+            let me_digit = extends.then_some(self.me as usize);
             (count, derived) =
-                self.encode_from(level, 0, mix64(0xE16), &mut prefix, &mut used, &mut out);
+                self.encode_from(level, 0, me_digit, &mut prefix, &mut used, &mut out);
         }
         out[..4].copy_from_slice(&count.to_be_bytes());
-        // Only labels `σ·me` that have a cell are extended.
-        if count > 0 && (self.me as usize) < self.n && level_len(self.n, level + 1).is_some() {
+        if count > 0 && extends {
             if self.extended.len() <= level + 1 {
                 self.extended.resize(level + 2, false);
             }
@@ -299,15 +295,16 @@ impl EigDevice {
         out.into()
     }
 
-    /// [`EigDevice::send_level`]'s walk below the label whose ids are
-    /// `prefix` (big-endian), whose rank is `rank` and whose chain is `h`:
-    /// appends the entries of its length-`level` extensions `σ` that avoid
-    /// `me`, and returns their count and the sum of their `σ·me` terms.
+    /// [`EigDevice::send_level`]'s walk below the label with ids `prefix`
+    /// (big-endian) and rank `rank`: appends the entries of its length-`level`
+    /// extensions `σ` that avoid `me`, and returns their count and the sum of
+    /// their `σ·me` terms. `me_digit` is the digit of the child that appends
+    /// `me`, as in [`EigDevice::resolve`]; with `None` no term is summed.
     fn encode_from(
         &self,
         level: usize,
         rank: usize,
-        h: u64,
+        me_digit: Option<usize>,
         prefix: &mut Vec<u8>,
         used: &mut [bool],
         out: &mut Vec<u8>,
@@ -316,22 +313,23 @@ impl EigDevice {
         let radix = self.n - (d - 1);
         let cells = self.level(level);
         let (mut count, mut derived) = (0, 0u64);
-        let mut digit = 0;
+        let (mut digit, me) = (0, self.me as usize);
         for id in 0..self.n {
             if used[id] {
                 continue;
             }
             let child = rank * radix + digit;
             digit += 1;
-            if id == self.me as usize {
+            if id == me {
                 continue;
             }
+            // A child below `me` adds an id below `me`.
+            let below = me_digit.map(|m| m - usize::from(id < me));
             let id_bytes = (id as u32).to_be_bytes();
             if d < level {
                 used[id] = true;
                 prefix.extend_from_slice(&id_bytes);
-                let (c, sum) =
-                    self.encode_from(level, child, chain(h, id as u32), prefix, used, out);
+                let (c, sum) = self.encode_from(level, child, below, prefix, used, out);
                 prefix.truncate(prefix.len() - 4);
                 used[id] = false;
                 count += c;
@@ -342,8 +340,10 @@ impl EigDevice {
                 out.extend_from_slice(&id_bytes);
                 out.push(cells[child] - 1);
                 count += 1;
-                let sigma_me = chain(chain(h, id as u32), self.me);
-                derived = derived.wrapping_add(term(sigma_me, cells[child] == TRUE));
+                if let Some(m) = below {
+                    let sigma_me = child * (self.n - level) + m;
+                    derived = derived.wrapping_add(term(level + 1, sigma_me, cells[child] == TRUE));
+                }
             }
         }
         (count, derived)
@@ -578,6 +578,50 @@ mod tests {
                 let ids: Vec<u8> = sigma.iter().flat_map(|id| id.to_be_bytes()).collect();
                 assert_eq!(rank_within_64(n, &ids, *last), d.rank(&label), "{label:?}");
             });
+        }
+    }
+
+    /// The labels of length `len` over `n` ids, in lexicographic order.
+    fn labels(n: u32, len: usize) -> Vec<Vec<u32>> {
+        let mut out = vec![Vec::new()];
+        for _ in 0..len {
+            let mut next = Vec::new();
+            for sigma in &out {
+                for id in (0..n).filter(|id| !sigma.contains(id)) {
+                    next.push([sigma.as_slice(), &[id]].concat());
+                }
+            }
+            out = next;
+        }
+        out
+    }
+
+    #[test]
+    fn the_walk_derives_the_rank_of_sigma_me() {
+        // A seeded fill of one level; self-delivery must add exactly the
+        // terms of the `σ·me` ranks computed from their ids.
+        let mut rng = flm_prop::Rng::new(0x5161);
+        for (n, top) in [(4usize, 3usize), (5, 4), (6, 5), (7, 6), (66, 2)] {
+            for level in 1..=top {
+                let all = labels(n as u32, level);
+                for me in 0..n as u32 {
+                    let mut d = EigDevice::new(n, top, NodeId(me));
+                    for cell in d.level_mut(level).unwrap() {
+                        *cell = [ABSENT, 1, TRUE][rng.usize(0..3)];
+                    }
+                    let mut want = 0u64;
+                    for (r, sigma) in all.iter().enumerate() {
+                        assert_eq!(d.rank(sigma), Some(r), "{sigma:?}");
+                        let cell = d.level(level)[r];
+                        if cell != ABSENT && !sigma.contains(&me) {
+                            let sigma_me = d.rank(&[sigma.as_slice(), &[me]].concat()).unwrap();
+                            want = want.wrapping_add(term(level + 1, sigma_me, cell == TRUE));
+                        }
+                    }
+                    d.send_level(level);
+                    assert_eq!(d.digest, want, "K{n}, me = {me}, level {level}");
+                }
+            }
         }
     }
 

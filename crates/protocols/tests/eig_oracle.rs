@@ -170,12 +170,22 @@ impl Device for BTreeEig {
     }
 
     fn snapshot(&self) -> Vec<u8> {
+        // How many labels of the same length come first in lexicographic
+        // order: position `i`'s smaller ids not used before it, times the
+        // ways to fill the positions after it.
+        let rank = |sigma: &Label| -> u64 {
+            (0..sigma.len())
+                .map(|i| {
+                    let smaller = (0..sigma[i]).filter(|id| !sigma[..i].contains(id));
+                    let fills: u64 = (i + 1..sigma.len()).map(|j| (self.n - j) as u64).product();
+                    smaller.count() as u64 * fills
+                })
+                .sum()
+        };
         let mut h = 0u64;
         for (sigma, v) in &self.vals {
-            let chain = sigma
-                .iter()
-                .fold(mix64(0xE16), |c, &id| mix64(c ^ u64::from(id)));
-            h = h.wrapping_add(mix64(chain ^ 0xFF ^ u64::from(*v)));
+            let word = ((sigma.len() as u64) << 56) ^ (rank(sigma) << 1) ^ u64::from(*v);
+            h = h.wrapping_add(mix64(word));
         }
         match self.decided {
             Some(b) => snapshot::decided_bool(b, &h.to_be_bytes()),
