@@ -276,24 +276,18 @@ impl SystemBehavior {
         &self.edges
     }
 
-    /// Extracts the scenario of the subgraph induced by `set`.
-    pub fn scenario(&self, set: &BTreeSet<NodeId>) -> Scenario {
-        let mut nodes = BTreeMap::new();
-        for &v in set {
-            nodes.insert(v, self.nodes[v.index()].clone());
-        }
-        let mut internal = BTreeMap::new();
-        for (u, v) in self.graph.internal_edges(set) {
-            internal.insert((u, v), self.edges[&(u, v)].clone());
-        }
-        let mut border = BTreeMap::new();
-        for (u, v) in self.graph.inedge_border(set) {
-            border.insert((u, v), self.edges[&(u, v)].clone());
-        }
+    /// Extracts the scenario of the subgraph induced by `set`, borrowing
+    /// its behaviors from this one.
+    pub fn scenario(&self, set: &BTreeSet<NodeId>) -> Scenario<'_> {
+        let edges = |list: Vec<(NodeId, NodeId)>| {
+            list.into_iter()
+                .map(|edge| (edge, &self.edges[&edge]))
+                .collect()
+        };
         Scenario {
-            nodes,
-            internal,
-            border,
+            nodes: set.iter().map(|&v| (v, &self.nodes[v.index()])).collect(),
+            internal: edges(self.graph.internal_edges(set)),
+            border: edges(self.graph.inedge_border(set)),
         }
     }
 
@@ -361,18 +355,19 @@ impl SystemBehavior {
     }
 }
 
-/// The restriction of a system behavior to a subgraph (FLM §2).
+/// The restriction of a system behavior to a subgraph (FLM §2), borrowed
+/// from the behavior it was extracted from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
+pub struct Scenario<'a> {
     /// Behaviors of the nodes inside the subgraph.
-    pub nodes: BTreeMap<NodeId, NodeBehavior>,
+    pub nodes: BTreeMap<NodeId, &'a NodeBehavior>,
     /// Behaviors of edges with both endpoints inside.
-    pub internal: BTreeMap<(NodeId, NodeId), EdgeBehavior>,
+    pub internal: BTreeMap<(NodeId, NodeId), &'a EdgeBehavior>,
     /// Behaviors of the inedge border: edges from outside into the subgraph.
-    pub border: BTreeMap<(NodeId, NodeId), EdgeBehavior>,
+    pub border: BTreeMap<(NodeId, NodeId), &'a EdgeBehavior>,
 }
 
-impl Scenario {
+impl Scenario<'_> {
     /// Checks that this scenario is identical to `other` under the node
     /// renaming `map` (self node → other node). Border edges are matched by
     /// their *target* node and source renaming where given; border sources
@@ -383,7 +378,11 @@ impl Scenario {
     ///
     /// Returns a human-readable description of the first mismatch, intended
     /// for counterexample certificates and axiom-check diagnostics.
-    pub fn matches(&self, other: &Scenario, map: &BTreeMap<NodeId, NodeId>) -> Result<(), String> {
+    pub fn matches(
+        &self,
+        other: &Scenario<'_>,
+        map: &BTreeMap<NodeId, NodeId>,
+    ) -> Result<(), String> {
         if self.nodes.len() != other.nodes.len() {
             return Err(format!(
                 "scenario has {} nodes, other has {}",
@@ -433,22 +432,21 @@ impl Scenario {
             return Err("internal edge sets differ in size".into());
         }
         // Border edges: group by renamed target, compare sorted traces.
-        let group = |edges: &BTreeMap<(NodeId, NodeId), EdgeBehavior>,
-                     rename: bool|
-         -> BTreeMap<NodeId, Vec<EdgeBehavior>> {
-            let mut g: BTreeMap<NodeId, Vec<EdgeBehavior>> = BTreeMap::new();
-            for (&(src, dst), eb) in edges {
-                let key = if rename { map[&dst] } else { dst };
-                let _ = src;
-                g.entry(key).or_default().push(eb.clone());
+        fn group<'e>(
+            edges: &BTreeMap<(NodeId, NodeId), &'e EdgeBehavior>,
+            target: impl Fn(NodeId) -> NodeId,
+        ) -> BTreeMap<NodeId, Vec<&'e EdgeBehavior>> {
+            let mut g: BTreeMap<NodeId, Vec<&EdgeBehavior>> = BTreeMap::new();
+            for (&(_, dst), &eb) in edges {
+                g.entry(target(dst)).or_default().push(eb);
             }
             for v in g.values_mut() {
                 v.sort();
             }
             g
-        };
-        let mine = group(&self.border, true);
-        let theirs = group(&other.border, false);
+        }
+        let mine = group(&self.border, |dst| map[&dst]);
+        let theirs = group(&other.border, |dst| dst);
         if mine != theirs {
             return Err("inedge border behaviors differ".into());
         }
@@ -500,34 +498,27 @@ mod tests {
 
     #[test]
     fn scenario_matching_detects_divergence() {
-        let mk = |snap_last: u8| {
-            let mut nodes = BTreeMap::new();
-            nodes.insert(
-                NodeId(0),
-                nb("D", Input::Bool(false), vec![vec![0], vec![0, snap_last]]),
-            );
-            Scenario {
-                nodes,
-                internal: BTreeMap::new(),
-                border: BTreeMap::new(),
-            }
+        let behavior =
+            |snap_last: u8| nb("D", Input::Bool(false), vec![vec![0], vec![0, snap_last]]);
+        let mk = |b| Scenario {
+            nodes: [(NodeId(0), b)].into(),
+            internal: BTreeMap::new(),
+            border: BTreeMap::new(),
         };
+        let (one, two) = (behavior(1), behavior(2));
         let map: BTreeMap<NodeId, NodeId> = [(NodeId(0), NodeId(0))].into();
-        assert!(mk(1).matches(&mk(1), &map).is_ok());
-        let err = mk(1).matches(&mk(2), &map).unwrap_err();
+        assert!(mk(&one).matches(&mk(&one), &map).is_ok());
+        let err = mk(&one).matches(&mk(&two), &map).unwrap_err();
         assert!(err.contains("diverge at tick 1"), "{err}");
     }
 
     #[test]
     fn scenario_matching_renames_nodes() {
-        let scn = |id: u32| {
-            let mut nodes = BTreeMap::new();
-            nodes.insert(NodeId(id), nb("D", Input::None, vec![vec![0]]));
-            Scenario {
-                nodes,
-                internal: BTreeMap::new(),
-                border: BTreeMap::new(),
-            }
+        let b = nb("D", Input::None, vec![vec![0]]);
+        let scn = |id: u32| Scenario {
+            nodes: [(NodeId(id), &b)].into(),
+            internal: BTreeMap::new(),
+            border: BTreeMap::new(),
         };
         let map: BTreeMap<NodeId, NodeId> = [(NodeId(3), NodeId(7))].into();
         assert!(scn(3).matches(&scn(7), &map).is_ok());
