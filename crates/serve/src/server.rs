@@ -444,6 +444,7 @@ impl Frontend {
         counters: Arc<ConnCounters>,
     ) -> std::io::Result<(Frontend, sys::Waker, SocketAddr)> {
         let listener = TcpListener::bind(addr)?;
+        sys::deepen_backlog(&listener)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;

@@ -3,14 +3,15 @@
 //! external crates.
 //!
 //! The workspace is dependency-free by charter, and `std` exposes no
-//! readiness API — so this module declares the three `epoll` entry points
-//! itself (`libc` is already linked by `std` on Linux; declaring the
-//! symbols adds no dependency) and confines every `unsafe` block in the
-//! crate to the few lines that cross that boundary. Each block upholds the
-//! same invariants: file descriptors passed in are borrowed from live
-//! `std` owners ([`BorrowedFd`]), buffers passed to the kernel are
-//! stack-allocated with their real lengths, and returned descriptors are
-//! immediately wrapped in [`OwnedFd`] so closing is never hand-rolled.
+//! readiness API and no listen backlog — so this module declares the three
+//! `epoll` entry points and `listen` itself (`libc` is already linked by
+//! `std` on Linux; declaring the symbols adds no dependency) and confines
+//! every `unsafe` block in the crate to the few lines that cross that
+//! boundary. Each block upholds the same invariants: file descriptors
+//! passed in are borrowed from live `std` owners ([`BorrowedFd`] or a
+//! `&TcpListener`), buffers passed to the kernel are stack-allocated with
+//! their real lengths, and returned descriptors are immediately wrapped in
+//! [`OwnedFd`] so closing is never hand-rolled.
 //!
 //! The abstraction is deliberately small — register / modify / deregister /
 //! wait over opaque `u64` tokens, plus a [`Waker`] for cross-thread
@@ -18,6 +19,7 @@
 //! are its only customers.
 
 use std::io::{self, Write as _};
+use std::net::TcpListener;
 use std::os::fd::{AsRawFd, BorrowedFd, FromRawFd, OwnedFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -60,6 +62,7 @@ mod ffi {
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
+        pub fn listen(sockfd: c_int, backlog: c_int) -> c_int;
     }
 }
 
@@ -300,6 +303,26 @@ impl Waker {
     pub fn wake(&self) {
         let _ = (&self.tx).write(&[1]);
     }
+}
+
+/// The accept queue a listener asks for; the kernel caps it at
+/// `net.core.somaxconn`. std listens with 128, and a wave of connects
+/// past that many waits out SYN retransmits (1 s, then 2 s, then 4 s).
+const LISTEN_BACKLOG: std::os::raw::c_int = 4096;
+
+/// Deepens a bound listener's accept queue to [`LISTEN_BACKLOG`]: Linux
+/// lets `listen` on a listening socket change its backlog.
+///
+/// # Errors
+///
+/// Propagates `listen` failure.
+pub(crate) fn deepen_backlog(listener: &TcpListener) -> io::Result<()> {
+    // SAFETY: listen takes no pointers, and the descriptor is borrowed from
+    // a live listener for the duration of the call.
+    if unsafe { ffi::listen(listener.as_raw_fd(), LISTEN_BACKLOG) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// Builds a wake channel: the [`Waker`] for worker threads, and the
