@@ -190,7 +190,9 @@ impl Certificate {
     ///
     /// # Errors
     ///
-    /// Returns [`VerifyError`] when re-execution diverges from the record.
+    /// Returns [`VerifyError`] when re-execution diverges from the record,
+    /// and [`VerifyError::Malformed`] when the violating link has more than
+    /// `f` faulty nodes (masquerading plus degraded).
     pub fn verify(&self, protocol: &dyn Protocol) -> Result<(), VerifyError> {
         crate::profile::span("verify", || self.verify_inner(protocol))
     }
@@ -202,6 +204,19 @@ impl Certificate {
             .ok_or_else(|| VerifyError::Malformed {
                 reason: format!("violation points at chain link {}", self.violation.link),
             })?;
+        // A violation is evidence only within the fault model: at most `f`
+        // faulty nodes, masquerading or degraded.
+        let faulty = link.masquerade.len() + link.degraded.len();
+        if faulty > self.f {
+            return Err(VerifyError::Malformed {
+                reason: format!(
+                    "violating link has {} masquerading + {} degraded nodes > f = {}",
+                    link.masquerade.len(),
+                    link.degraded.len(),
+                    self.f
+                ),
+            });
+        }
         let replayed = self.rebuild(protocol, link)?;
         if replayed.misbehavior() != link.misbehavior.as_slice() {
             return Err(VerifyError::NotReproduced {

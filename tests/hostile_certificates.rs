@@ -258,6 +258,30 @@ fn failed_scenario_match_is_malformed() {
     ));
 }
 
+/// A violation is evidence only within the fault budget: the triangle
+/// certificate (one masquerading node, `f = 1`) re-encoded with `f = 0`
+/// has more faulty nodes than its budget, and neither `verify` nor the
+/// auditor accepts it.
+#[test]
+fn a_violation_past_the_fault_budget_is_malformed() {
+    let (mut cert, protocol) = sample();
+    cert.f = 0;
+    let bytes = cert.to_bytes();
+    let round_tripped = Certificate::from_bytes(&bytes).unwrap();
+    let verdict = round_tripped.verify(&protocol);
+    assert!(
+        matches!(verdict, Err(VerifyError::Malformed { .. })),
+        "{verdict:?}"
+    );
+    let audit = flm_serve::audit::audit_bytes(&bytes, false);
+    assert_eq!(
+        audit.exit_code,
+        flm_serve::audit::EXIT_MALFORMED,
+        "{}",
+        audit.diagnostics
+    );
+}
+
 /// A certificate naming a different protocol than the one that produced it
 /// fails verification instead of panicking — even when the named protocol's
 /// device constructor asserts graph invariants.
