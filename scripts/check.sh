@@ -5,11 +5,12 @@
 #
 # `--smoke` runs the fast subset only — debug build plus the core and
 # simulator unit tests, the simulator's property suite (its kernel-vs-
-# `run_reference` oracle), the graph suite (its minimum-cut oracle), the EIG
-# lockstep oracle, the refuter certificate-byte pins, the run-cache and
-# cross-thread determinism suites, and the asynchronous scheduler's
-# determinism suite and byte pins — for a quick pre-push signal; the
-# default (full) mode is the gate that counts.
+# `run_reference` oracle), the graph suite (its minimum-cut oracle), the
+# protocol unit tests (EIG's rank and digest among them), the EIG lockstep
+# oracle, the refuter certificate-byte pins, the hostile-certificate
+# corpus, the run-cache and cross-thread determinism suites, and the
+# asynchronous scheduler's determinism suite and byte pins — for a quick
+# pre-push signal; the default (full) mode is the gate that counts.
 #
 # `--bench-gate` re-measures every labeled speedup ratio and compares it
 # against the committed BENCH_*.json snapshots: any ratio that lands below
@@ -216,10 +217,13 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo test -p flm-sim --test properties --quiet
     echo "==> smoke: cargo test (graph, with the full-scan minimum-cut oracle)"
     cargo test -p flm-graph --quiet
-    echo "==> smoke: EIG lockstep oracle"
+    echo "==> smoke: protocol unit tests (EIG rank and digest) and the EIG lockstep oracle"
+    cargo test -p flm-protocols --lib --quiet
     cargo test -p flm-protocols --test eig_oracle --quiet
     echo "==> smoke: refuter certificate-byte pins"
     cargo test --test refuter_bytes --quiet
+    echo "==> smoke: hostile certificates (decoder and verify, fault budget)"
+    cargo test --test hostile_certificates --quiet
     echo "==> smoke: run-cache and cross-thread certificate determinism"
     cargo test --test runcache_determinism --test parallel_determinism --quiet
     echo "==> smoke: asynchronous scheduler determinism and byte pins"
