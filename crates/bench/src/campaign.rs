@@ -25,8 +25,8 @@
 //!    senders (the *faulted run*), and harvest the faulty nodes' outedge
 //!    traces.
 //! 3. Re-run with correct nodes afresh and the faulty nodes *replaying*
-//!    the harvested traces ([`ReplayDevice::masquerade`]) — exactly the
-//!    behavior [`Certificate::verify`] will later reconstruct, which is
+//!    the harvested traces, through [`run_link`] — exactly the behavior
+//!    [`Certificate::verify`] will later reconstruct with it, which is
 //!    what makes the certificate reproduce bit-for-bit.
 //! 4. Check the spec's agreement condition over the correct nodes minus
 //!    any the degradation policy reclassified; if the faulty + degraded
@@ -38,7 +38,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use flm_core::certificate::{Certificate, ChainLink, Theorem, Violation};
+use flm_core::certificate::{run_link, Certificate, ChainLink, LinkError, Theorem, Violation};
 use flm_core::problems;
 use flm_core::refute::AsyncCertificate;
 use flm_core::shrink;
@@ -49,7 +49,6 @@ use flm_sim::campaign::{
     CampaignConfig, CampaignReport, GraphFamily, Incident, ProblemKind, RunSpec, ScenarioDims,
     SchedulerKind, ViolationRecord,
 };
-use flm_sim::replay::ReplayDevice;
 use flm_sim::system::System;
 use flm_sim::{
     contain_panics, EdgeBehavior, FaultPlan, Input, Protocol, RunPolicy, SystemBehavior,
@@ -351,39 +350,30 @@ pub fn probe(
         .collect();
 
     // Replay run: fresh correct devices, faulty nodes masquerading — the
-    // exact behavior `Certificate::verify` reconstructs. Routed through the
-    // shared link-run memoizer, so a violation's self-check rebuild is a
-    // whole-run cache hit instead of a third simulation.
+    // exact behavior `Certificate::verify` reconstructs, through the same
+    // `run_link`, so a violation's self-check rebuild is a whole-run cache
+    // hit instead of a third simulation.
     let n = g.node_count();
     let replay_inputs: Vec<Input> = (0..n)
         .map(|i| input_for(problem, NodeId(i as u32), n))
         .collect();
-    let behavior = flm_core::refute::memoize_link_run(
-        &protocol.name(),
+    let behavior = run_link(
+        protocol,
         &g,
         &correct,
         &masquerade,
         &replay_inputs,
         scenario.horizon,
         policy,
-        || {
-            let mut sys = System::new(g.clone());
-            for &v in &correct {
-                let device = contain_panics(|| protocol.device(&g, v))
-                    .map_err(|msg| ("replay".into(), format!("device for {v} panicked: {msg}")))?;
-                sys.assign(v, device, input_for(problem, v, n));
-            }
-            for (v, traces) in &masquerade {
-                sys.assign(
-                    *v,
-                    Box::new(ReplayDevice::masquerade(traces.clone())),
-                    input_for(problem, *v, n),
-                );
-            }
-            Ok(sys)
-        },
-        |e| ("replay".into(), e.to_string()),
-    )?;
+    )
+    .map_err(|e| {
+        let detail = match e {
+            LinkError::Device { node, message } => format!("device for {node} panicked: {message}"),
+            LinkError::Shape(reason) => reason,
+            LinkError::Run(e) => e.to_string(),
+        };
+        ("replay".to_string(), detail)
+    })?;
 
     // Degradation accounting: nodes the containment policy quarantined
     // count against the fault budget. Blowing the budget means any

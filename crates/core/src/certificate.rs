@@ -13,11 +13,15 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use flm_graph::NodeId;
+use flm_graph::{Graph, NodeId};
 use flm_sim::behavior::EdgeBehavior;
 use flm_sim::replay::ReplayDevice;
-use flm_sim::{contain_panics, Decision, DeviceMisbehavior, Input, Protocol, RunPolicy, System};
+use flm_sim::system::SystemError;
+use flm_sim::{
+    contain_panics, Decision, DeviceMisbehavior, Input, Protocol, RunPolicy, System, SystemBehavior,
+};
 
 /// Which theorem of the paper a certificate instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,6 +128,91 @@ pub struct ChainLink {
     pub degraded: Vec<NodeId>,
 }
 
+/// Why [`run_link`] could not run a link.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LinkError {
+    /// The link does not fit its base graph: wrong input count, a node
+    /// out of range, or a node assigned twice.
+    Shape(String),
+    /// Building the protocol's device for `node` panicked.
+    Device {
+        /// The node whose device constructor panicked.
+        node: NodeId,
+        /// The panic message.
+        message: String,
+    },
+    /// The contained run itself failed.
+    Run(SystemError),
+}
+
+/// Runs one chain link: a behavior of `base` in which the `correct` nodes
+/// run `protocol`'s devices and every masquerading node replays its
+/// recorded outedge traces (the Fault axiom), each node with input
+/// `inputs[v]`.
+///
+/// This is the one place a link is built and run: the transplants and
+/// validity pins that record links, [`Certificate::verify`] that replays
+/// them, and the chaos campaign's probe. All of them derive the same run
+/// cache key from the link alone, so a link run once in a process is
+/// never run again.
+///
+/// The audit path relies on this being panic-free: node ids and the input
+/// count are checked before any indexed access or `System::assign`, device
+/// construction runs under panic containment (constructors may assert
+/// graph-shape invariants a corrupted base graph violates), and the run is
+/// contained under `policy`, which caps the horizon and sets the payload
+/// budget.
+///
+/// # Errors
+///
+/// [`LinkError::Shape`] for a link that does not fit `base`,
+/// [`LinkError::Device`] when a device constructor panics, and
+/// [`LinkError::Run`] when the run fails. A cache hit never errors.
+pub fn run_link(
+    protocol: &dyn Protocol,
+    base: &Graph,
+    correct: &[NodeId],
+    masquerade: &[(NodeId, Vec<EdgeBehavior>)],
+    inputs: &[Input],
+    horizon: u32,
+    policy: &RunPolicy,
+) -> Result<Arc<SystemBehavior>, LinkError> {
+    let n = base.node_count();
+    if inputs.len() != n {
+        return Err(LinkError::Shape(format!(
+            "chain link carries {} inputs for a {n}-node base graph",
+            inputs.len()
+        )));
+    }
+    let mut assigned = vec![false; n];
+    for &v in correct.iter().chain(masquerade.iter().map(|(v, _)| v)) {
+        if v.index() >= n {
+            return Err(LinkError::Shape(format!(
+                "{v} is not a node of the {n}-node base graph"
+            )));
+        }
+        if assigned[v.index()] {
+            return Err(LinkError::Shape(format!("{v} is assigned more than once")));
+        }
+        assigned[v.index()] = true;
+    }
+    let name = protocol.name();
+    let key = crate::runkey::link_key(&name, base, correct, masquerade, inputs, horizon, policy);
+    flm_sim::runcache::memoize_discrete(&key, || {
+        let mut sys = System::new(base.clone());
+        for &v in correct {
+            let device = contain_panics(|| protocol.device(base, v))
+                .map_err(|message| LinkError::Device { node: v, message })?;
+            sys.assign(v, device, inputs[v.index()]);
+        }
+        for (v, traces) in masquerade {
+            let replay = ReplayDevice::masquerade(traces.clone());
+            sys.assign(*v, Box::new(replay), inputs[v.index()]);
+        }
+        sys.run_contained(horizon, policy).map_err(LinkError::Run)
+    })
+}
+
 /// A machine-checkable counterexample to a protocol's claimed correctness
 /// on an inadequate graph.
 #[derive(Debug, Clone)]
@@ -198,12 +287,7 @@ impl Certificate {
     }
 
     fn verify_inner(&self, protocol: &dyn Protocol) -> Result<(), VerifyError> {
-        let link = self
-            .chain
-            .get(self.violation.link)
-            .ok_or_else(|| VerifyError::Malformed {
-                reason: format!("violation points at chain link {}", self.violation.link),
-            })?;
+        let link = self.violating_link()?;
         // A violation is evidence only within the fault model: at most `f`
         // faulty nodes, masquerading or degraded.
         let faulty = link.masquerade.len() + link.degraded.len();
@@ -286,90 +370,48 @@ impl Certificate {
     pub fn replay_violating_behavior(
         &self,
         protocol: &dyn Protocol,
-    ) -> Result<std::sync::Arc<flm_sim::SystemBehavior>, VerifyError> {
-        let link = self
-            .chain
+    ) -> Result<Arc<SystemBehavior>, VerifyError> {
+        self.rebuild(protocol, self.violating_link()?)
+    }
+
+    fn violating_link(&self) -> Result<&ChainLink, VerifyError> {
+        self.chain
             .get(self.violation.link)
             .ok_or_else(|| VerifyError::Malformed {
                 reason: format!("violation points at chain link {}", self.violation.link),
-            })?;
-        self.rebuild(protocol, link)
+            })
     }
 
-    /// Re-executes one chain link and returns the behavior.
+    /// Re-executes one chain link through [`run_link`], under the
+    /// certificate's recorded policy.
     ///
-    /// The audit path is panic-free by construction: node ids and input
-    /// shapes are validated before any indexed access or `System::assign`,
-    /// device construction runs under panic containment (constructors may
-    /// assert graph-shape invariants a corrupted base graph violates), and
-    /// the run itself is contained under the certificate's recorded policy.
+    /// Keyed off the *actual* protocol's name (not the recorded string), so
+    /// the cache never aliases two protocols under one recorded name — and
+    /// a refute-then-verify sequence in one process replays from the cache
+    /// instead of re-running the system.
     fn rebuild(
         &self,
         protocol: &dyn Protocol,
         link: &ChainLink,
-    ) -> Result<std::sync::Arc<flm_sim::SystemBehavior>, VerifyError> {
-        let n = self.base.node_count();
-        let malformed = |reason: String| VerifyError::Malformed { reason };
-        if link.inputs.len() != n {
-            return Err(malformed(format!(
-                "chain link carries {} inputs for a {}-node base graph",
-                link.inputs.len(),
-                n
-            )));
-        }
-        let mut assigned = vec![false; n];
-        let faulty = link.masquerade.iter().map(|(v, _)| v);
-        for &v in link.correct.iter().chain(faulty) {
-            if v.index() >= n {
-                return Err(malformed(format!(
-                    "{v} is not a node of the {n}-node base graph"
-                )));
-            }
-            if assigned[v.index()] {
-                return Err(malformed(format!("{v} is assigned more than once")));
-            }
-            assigned[v.index()] = true;
-        }
-        // Keyed off the *actual* protocol's name (not the recorded string),
-        // so the cache never aliases two protocols under one recorded name —
-        // and a refute-then-verify sequence in one process, which derives
-        // the identical key in `refute::transplant`, replays from the cache
-        // instead of re-running the system.
-        crate::refute::memoize_link_run(
-            &protocol.name(),
+    ) -> Result<Arc<SystemBehavior>, VerifyError> {
+        run_link(
+            protocol,
             &self.base,
             &link.correct,
             &link.masquerade,
             &link.inputs,
             link.horizon,
             &self.policy,
-            || {
-                let mut sys = System::new(self.base.clone());
-                for &v in &link.correct {
-                    let device =
-                        contain_panics(|| protocol.device(&self.base, v)).map_err(|msg| {
-                            malformed(format!("device construction for {v} panicked: {msg}"))
-                        })?;
-                    sys.assign(v, device, link.inputs[v.index()]);
-                }
-                for (v, traces) in &link.masquerade {
-                    sys.assign(
-                        *v,
-                        Box::new(ReplayDevice::masquerade(traces.clone())),
-                        link.inputs[v.index()],
-                    );
-                }
-                Ok(sys)
-            },
-            // Contained, like the refuter's own runs: a certificate over a
-            // hostile protocol must verify without aborting, reproducing the
-            // recorded misbehavior instead. The recorded policy matters — it
-            // caps the horizon and sets the payload budget the evidence was
-            // collected under.
-            |e| VerifyError::Malformed {
-                reason: format!("re-execution failed: {e}"),
-            },
         )
+        .map_err(|e| VerifyError::Malformed {
+            reason: match e {
+                LinkError::Shape(reason) => reason,
+                LinkError::Device { node, message } => {
+                    format!("device construction for {node} panicked: {message}")
+                }
+                LinkError::Run(e) => format!("re-execution failed: {e}"),
+            },
+        })
     }
 }
 

@@ -46,10 +46,9 @@ use std::sync::Arc;
 use flm_graph::covering::Covering;
 use flm_graph::{Graph, GraphError, NodeId};
 use flm_sim::behavior::EdgeBehavior;
-use flm_sim::replay::ReplayDevice;
-use flm_sim::{Device, DeviceMisbehavior, Input, Protocol, RunPolicy, System, SystemBehavior};
+use flm_sim::{DeviceMisbehavior, Input, Protocol, RunPolicy, System, SystemBehavior};
 
-use crate::certificate::ChainLink;
+use crate::certificate::{run_link, ChainLink, LinkError};
 
 /// Why a refuter declined or failed to produce a counterexample.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,62 +156,32 @@ pub fn current_policy() -> RunPolicy {
     ACTIVE_POLICY.with(std::cell::Cell::get).unwrap_or_default()
 }
 
-/// Builds `protocol`'s device for node `v` of `g`. A constructor that
-/// panics — EIG, DLPSW and Dolev–Strong assert a complete graph — becomes
-/// [`RefuteError::BadGraph`] instead of unwinding through the refuter.
-pub(crate) fn device_for(
-    protocol: &dyn Protocol,
-    g: &Graph,
-    v: NodeId,
-) -> Result<Box<dyn Device>, RefuteError> {
-    flm_sim::contain_panics(|| protocol.device(g, v)).map_err(|msg| RefuteError::BadGraph {
+/// A device constructor for `v` that panicked — EIG, DLPSW and Dolev–Strong
+/// assert a complete graph — as [`RefuteError::BadGraph`], instead of an
+/// unwind through the refuter.
+fn bad_device(protocol: &dyn Protocol, v: NodeId, msg: String) -> RefuteError {
+    RefuteError::BadGraph {
         reason: format!(
             "{} cannot run on this graph: device construction for {v} panicked: {msg}",
             protocol.name()
         ),
-    })
+    }
 }
 
-/// Memoizes a link-shaped contained run (correct protocol devices plus
-/// masquerading replayers) in the whole-run cache.
-///
-/// The key is derived from the arguments alone, so every
-/// caller that would execute the same link run shares one execution:
-/// `transplant` when it records a link, `Certificate::rebuild` when it
-/// re-executes one during verification, and the chaos-campaign probe
-/// driver's replay run (which is the behavior a campaign certificate's
-/// self-check later rebuilds). `build` assembles the system only on a
-/// cache miss; `map_err` wraps a [`flm_sim::system::SystemError`] from
-/// the run itself.
-///
-/// # Errors
-///
-/// Whatever `build` returns, or a run error through `map_err`; a cache hit
-/// never errors.
-#[allow(clippy::too_many_arguments)]
-pub fn memoize_link_run<E>(
-    protocol_name: &str,
-    base: &Graph,
-    correct: &[NodeId],
-    masquerade: &[(NodeId, Vec<EdgeBehavior>)],
-    inputs: &[Input],
-    horizon: u32,
-    policy: &RunPolicy,
-    build: impl FnOnce() -> Result<System, E>,
-    map_err: impl Fn(flm_sim::system::SystemError) -> E,
-) -> Result<Arc<SystemBehavior>, E> {
-    let key = crate::runkey::link_key(
-        protocol_name,
-        base,
-        correct,
-        masquerade,
-        inputs,
-        horizon,
-        policy,
-    );
-    flm_sim::runcache::memoize_discrete(&key, || {
-        build()?.run_contained(horizon, policy).map_err(map_err)
-    })
+/// Words a [`run_link`] error as the refuters do: a device constructor
+/// panic is [`RefuteError::BadGraph`], and a failed run is a
+/// [`RefuteError::ModelViolation`] headed `what`.
+pub(crate) fn link_error<'a>(
+    protocol: &'a dyn Protocol,
+    what: &'a str,
+) -> impl Fn(LinkError) -> RefuteError + 'a {
+    move |e| match e {
+        LinkError::Device { node, message } => bad_device(protocol, node, message),
+        LinkError::Shape(reason) => RefuteError::ModelViolation { reason },
+        LinkError::Run(e) => RefuteError::ModelViolation {
+            reason: format!("{what} failed: {e}"),
+        },
+    }
 }
 
 /// Installs `protocol`'s devices in the covering graph (wired along edge
@@ -237,7 +206,9 @@ pub(crate) fn run_cover(
         flm_sim::runcache::memoize_discrete(&key, || {
             let mut sys = System::new(cov.cover().clone());
             for s in cov.cover().nodes() {
-                let device = device_for(protocol, cov.base(), cov.project(s))?;
+                let v = cov.project(s);
+                let device = flm_sim::contain_panics(|| protocol.device(cov.base(), v))
+                    .map_err(|msg| bad_device(protocol, v, msg))?;
                 sys.assign_lifted(cov, s, device, inputs(s)).map_err(|e| {
                     RefuteError::ModelViolation {
                         reason: format!("installing device at cover node {s}: {e}"),
@@ -368,32 +339,16 @@ fn transplant_inner(
     // The same key `Certificate::rebuild` derives from the finished link, so
     // verification of a freshly minted certificate replays from the cache.
     let correct_sorted: Vec<NodeId> = correct.iter().copied().collect();
-    let behavior = memoize_link_run(
-        &protocol.name(),
+    let behavior = run_link(
+        protocol,
         base,
         &correct_sorted,
         &masquerade,
         &inputs,
         horizon,
         policy,
-        || {
-            let mut sys = System::new(base.clone());
-            for &t in &correct_sorted {
-                sys.assign(t, device_for(protocol, base, t)?, inputs[t.index()]);
-            }
-            for (alpha, traces) in &masquerade {
-                sys.assign(
-                    *alpha,
-                    Box::new(ReplayDevice::masquerade(traces.clone())),
-                    faulty_input,
-                );
-            }
-            Ok(sys)
-        },
-        |e| RefuteError::ModelViolation {
-            reason: format!("base run failed: {e}"),
-        },
-    )?;
+    )
+    .map_err(link_error(protocol, "base run"))?;
 
     // The Locality axiom, checked: the transplanted scenario must equal the
     // cover scenario byte for byte (under φ). Quarantined devices pass this
@@ -432,7 +387,7 @@ fn transplant_inner(
     let effective: BTreeSet<NodeId> = correct.difference(&degraded).copied().collect();
 
     let link = ChainLink {
-        correct: correct.iter().copied().collect(),
+        correct: correct_sorted,
         masquerade,
         inputs,
         scenario_matched: matched.is_ok(),

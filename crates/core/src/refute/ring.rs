@@ -30,11 +30,11 @@ use std::collections::BTreeSet;
 use flm_graph::covering::Covering;
 use flm_graph::{Graph, NodeId};
 use flm_sim::behavior::NodeBehavior;
-use flm_sim::{Decision, Input, Protocol, RunPolicy, System, SystemBehavior, Tick};
+use flm_sim::{Decision, Input, Protocol, RunPolicy, SystemBehavior, Tick};
 
-use crate::certificate::{Certificate, ChainLink, Condition, Theorem, Violation};
+use crate::certificate::{run_link, Certificate, ChainLink, Condition, Theorem, Violation};
 use crate::refute::ba::{copy_of, cut_classes, CutClasses};
-use crate::refute::{device_for, partition_with_crossing_link, run_cover, transplant, RefuteError};
+use crate::refute::{link_error, partition_with_crossing_link, run_cover, transplant, RefuteError};
 
 /// Requires the triangle with `f = 1`.
 fn require_triangle(g: &Graph, f: usize) -> Result<(), RefuteError> {
@@ -48,11 +48,13 @@ fn require_triangle(g: &Graph, f: usize) -> Result<(), RefuteError> {
     Ok(())
 }
 
-/// Runs the all-correct behavior with every input `b` (contained) and
-/// returns the chain link, the behavior, and the effective correct set:
-/// misbehaving devices are degraded to Byzantine-faulty when the budget
-/// `f` allows, so the validity pins quantify only over the nodes that
-/// actually upheld their contract.
+/// Runs the all-correct behavior with every input `input` (a link with no
+/// masquerade) and returns the chain link, the behavior, and the effective
+/// correct set: misbehaving devices are degraded to Byzantine-faulty when
+/// the budget `f` allows, so the validity pins quantify only over the
+/// nodes that actually upheld their contract. The pins run both inputs up
+/// front and consume them in input order, so errors and early-exit
+/// certificates surface in that order.
 fn all_correct_run(
     protocol: &dyn Protocol,
     g: &Graph,
@@ -61,17 +63,10 @@ fn all_correct_run(
     f: usize,
     policy: &RunPolicy,
 ) -> AllCorrectRun {
-    let key = crate::runkey::all_correct_key(&protocol.name(), g, input, horizon, policy);
-    let behavior = flm_sim::runcache::memoize_discrete(&key, || {
-        let mut sys = System::new(g.clone());
-        for v in g.nodes() {
-            sys.assign(v, device_for(protocol, g, v)?, input);
-        }
-        sys.run_contained(horizon, policy)
-            .map_err(|e| RefuteError::ModelViolation {
-                reason: format!("all-correct run failed: {e}"),
-            })
-    })?;
+    let correct: Vec<NodeId> = g.nodes().collect();
+    let inputs = vec![input; g.node_count()];
+    let behavior = run_link(protocol, g, &correct, &[], &inputs, horizon, policy)
+        .map_err(link_error(protocol, "all-correct run"))?;
     let degraded = behavior.misbehaving_nodes();
     if degraded.len() > f || degraded.len() == g.node_count() {
         return Err(RefuteError::Misbehavior {
@@ -85,9 +80,9 @@ fn all_correct_run(
     }
     let effective: BTreeSet<NodeId> = g.nodes().filter(|v| !degraded.contains(v)).collect();
     let link = ChainLink {
-        correct: g.nodes().collect(),
+        correct,
         masquerade: Vec::new(),
-        inputs: vec![input; g.node_count()],
+        inputs,
         scenario_matched: true,
         decisions: behavior.decisions(),
         horizon,
@@ -105,20 +100,6 @@ type AllCorrectRun = Result<
     ),
     RefuteError,
 >;
-
-/// Runs both validity-pin executions in input order. Call sites consume
-/// `[0]` before `[1]`, so errors and early-exit certificates surface in
-/// that order.
-fn all_correct_pair(
-    protocol: &dyn Protocol,
-    g: &Graph,
-    inputs: [Input; 2],
-    horizon: u32,
-    f: usize,
-    policy: &RunPolicy,
-) -> [AllCorrectRun; 2] {
-    inputs.map(|input| all_correct_run(protocol, g, input, horizon, f, policy))
-}
 
 /// The problem a ring refuter addresses.
 struct Problem {
@@ -189,14 +170,8 @@ fn weak_pins(
 ) -> Pins {
     let mut chain = Vec::new();
     let mut t_prime = 0u32;
-    let pair = all_correct_pair(
-        protocol,
-        g,
-        [Input::Bool(false), Input::Bool(true)],
-        horizon,
-        f,
-        policy,
-    );
+    let pair =
+        [false, true].map(|b| all_correct_run(protocol, g, Input::Bool(b), horizon, f, policy));
     for (bit, run) in [false, true].into_iter().zip(pair) {
         let (link, behavior, pins) = run?;
         for v in pins {
@@ -248,14 +223,8 @@ fn firing_squad_pins(
     policy: &RunPolicy,
     wording: Wording,
 ) -> Pins {
-    let [stim_run, quiet_run] = all_correct_pair(
-        protocol,
-        g,
-        [Input::Bool(true), Input::Bool(false)],
-        horizon,
-        f,
-        policy,
-    );
+    let [stim_run, quiet_run] =
+        [true, false].map(|b| all_correct_run(protocol, g, Input::Bool(b), horizon, f, policy));
     let (stim_link, stim_behavior, stim_pins) = stim_run?;
     let fire_ticks: Vec<Option<Tick>> = stim_pins
         .iter()

@@ -8,11 +8,9 @@
 //! certificate format uses — so two call sites that would execute the same
 //! run produce byte-identical keys and share one execution.
 //!
-//! The "link" key is deliberately shared between
-//! [`crate::refute::transplant`] (which records a run into a chain link) and
-//! `Certificate::rebuild` (which re-executes it during verification): a
-//! refute-then-verify sequence in one process runs each transplanted system
-//! once.
+//! The "link" key has one builder, [`crate::certificate::run_link`], which
+//! every caller that records or re-executes a chain link goes through: a
+//! refute-then-verify sequence in one process runs each link once.
 
 use flm_graph::covering::Covering;
 use flm_graph::{Graph, NodeId};
@@ -50,9 +48,8 @@ pub(crate) fn cover_key(
     RunKey::new("cover", w.finish())
 }
 
-/// Key for a transplanted base run: correct nodes (protocol devices, their
-/// cover inputs) plus masquerading replayers. Built identically by
-/// [`crate::refute::transplant`] and `Certificate::rebuild`.
+/// Key for [`crate::certificate::run_link`]: correct nodes (protocol
+/// devices, their inputs) plus masquerading replayers.
 pub(crate) fn link_key(
     protocol_name: &str,
     base: &Graph,
@@ -84,24 +81,6 @@ pub(crate) fn link_key(
     w.u32(horizon);
     policy.encode(&mut w);
     RunKey::new("link", w.finish())
-}
-
-/// Key for [`crate::refute`]'s all-correct ring runs: every node honest with
-/// one uniform input.
-pub(crate) fn all_correct_key(
-    protocol_name: &str,
-    g: &Graph,
-    input: Input,
-    horizon: u32,
-    policy: &RunPolicy,
-) -> RunKey {
-    let mut w = Writer::new();
-    w.str(protocol_name);
-    w.bytes(&g.to_bytes());
-    input.encode(&mut w);
-    w.u32(horizon);
-    policy.encode(&mut w);
-    RunKey::new("allcorrect", w.finish())
 }
 
 /// Key for one of the FLP refuter's strategy probes ([`crate::refute::flp_async`]):
