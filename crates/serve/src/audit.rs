@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 
 use flm_core::certificate::VerifyError;
 use flm_core::codec::AnyCertificate;
+use flm_protocols::registry::RegistryError;
 use flm_protocols::{resolve, resolve_clock};
 
 use crate::rpc::Verdict;
@@ -72,117 +73,67 @@ fn audit_into(bytes: &[u8], timeline: bool, report: &mut String, diagnostics: &m
         );
         return EXIT_MALFORMED;
     }
-    match cert {
-        AnyCertificate::Discrete(cert) => {
-            let protocol = match resolve(&cert.protocol) {
-                Ok(p) => p,
-                Err(e) => {
-                    let _ = writeln!(diagnostics, "{e}");
-                    return EXIT_MALFORMED;
-                }
-            };
-            match cert.verify(&*protocol) {
-                Ok(()) => {
-                    let _ = writeln!(report, "{cert}");
-                    let _ = writeln!(
-                        report,
-                        "VERIFIED: violation reproduced against {}",
-                        cert.protocol
-                    );
-                    if timeline {
-                        match cert.replay_violating_behavior(&*protocol) {
-                            Ok(behavior) => {
-                                let _ = write!(report, "{}", behavior.render_timeline());
-                            }
-                            Err(e) => {
-                                let _ = writeln!(diagnostics, "timeline replay failed: {e}");
-                            }
-                        }
-                    }
-                    EXIT_VERIFIED
-                }
-                Err(VerifyError::NotReproduced { reason }) => {
-                    let _ = writeln!(diagnostics, "NOT REPRODUCED: {reason}");
-                    EXIT_NOT_REPRODUCED
-                }
-                Err(VerifyError::Malformed { reason }) => {
-                    let _ = writeln!(diagnostics, "malformed certificate: {reason}");
-                    EXIT_MALFORMED
-                }
-            }
+    match resolve_and_verify(&cert) {
+        Ok(Ok(())) => {}
+        Ok(Err(VerifyError::NotReproduced { reason })) => {
+            let _ = writeln!(diagnostics, "NOT REPRODUCED: {reason}");
+            return EXIT_NOT_REPRODUCED;
         }
-        AnyCertificate::Clock(cert) => {
-            let protocol = match resolve_clock(&cert.protocol) {
-                Ok(p) => p,
-                Err(e) => {
-                    let _ = writeln!(diagnostics, "{e}");
-                    return EXIT_MALFORMED;
-                }
-            };
-            match cert.verify(&*protocol) {
-                Ok(()) => {
-                    let _ = writeln!(report, "{cert}");
-                    let _ = writeln!(
-                        report,
-                        "VERIFIED: violation reproduced against {}",
-                        cert.protocol
-                    );
-                    if timeline {
-                        let _ = writeln!(
-                            diagnostics,
-                            "--timeline applies to discrete certificates only"
-                        );
-                    }
-                    EXIT_VERIFIED
-                }
-                Err(VerifyError::NotReproduced { reason }) => {
-                    let _ = writeln!(diagnostics, "NOT REPRODUCED: {reason}");
-                    EXIT_NOT_REPRODUCED
-                }
-                Err(VerifyError::Malformed { reason }) => {
-                    let _ = writeln!(diagnostics, "malformed certificate: {reason}");
-                    EXIT_MALFORMED
-                }
-            }
+        Ok(Err(VerifyError::Malformed { reason })) => {
+            let _ = writeln!(diagnostics, "malformed certificate: {reason}");
+            return EXIT_MALFORMED;
         }
-        AnyCertificate::Async(cert) => {
-            // Verification replays the recorded schedule byte-for-byte, so a
-            // clean exit here means the adversarial execution reproduced
-            // delivery by delivery.
-            let protocol = match resolve(&cert.protocol) {
-                Ok(p) => p,
-                Err(e) => {
-                    let _ = writeln!(diagnostics, "{e}");
-                    return EXIT_MALFORMED;
-                }
-            };
-            match cert.verify(&*protocol) {
-                Ok(()) => {
-                    let _ = writeln!(report, "{cert}");
-                    let _ = writeln!(
-                        report,
-                        "VERIFIED: violation reproduced against {}",
-                        cert.protocol
-                    );
-                    if timeline {
-                        let _ = writeln!(
-                            diagnostics,
-                            "--timeline applies to discrete certificates only"
-                        );
-                    }
-                    EXIT_VERIFIED
-                }
-                Err(VerifyError::NotReproduced { reason }) => {
-                    let _ = writeln!(diagnostics, "NOT REPRODUCED: {reason}");
-                    EXIT_NOT_REPRODUCED
-                }
-                Err(VerifyError::Malformed { reason }) => {
-                    let _ = writeln!(diagnostics, "malformed certificate: {reason}");
-                    EXIT_MALFORMED
-                }
-            }
+        Err(e) => {
+            let _ = writeln!(diagnostics, "{e}");
+            return EXIT_MALFORMED;
         }
     }
+    let _ = match &cert {
+        AnyCertificate::Discrete(c) => writeln!(report, "{c}"),
+        AnyCertificate::Clock(c) => writeln!(report, "{c}"),
+        AnyCertificate::Async(c) => writeln!(report, "{c}"),
+    };
+    let _ = writeln!(
+        report,
+        "VERIFIED: violation reproduced against {}",
+        cert.protocol()
+    );
+    match &cert {
+        AnyCertificate::Discrete(cert) if timeline => {
+            // The protocol resolved above, so it resolves again here.
+            if let Ok(protocol) = resolve(&cert.protocol) {
+                match cert.replay_violating_behavior(&*protocol) {
+                    Ok(behavior) => {
+                        let _ = write!(report, "{}", behavior.render_timeline());
+                    }
+                    Err(e) => {
+                        let _ = writeln!(diagnostics, "timeline replay failed: {e}");
+                    }
+                }
+            }
+        }
+        _ if timeline => {
+            let _ = writeln!(
+                diagnostics,
+                "--timeline applies to discrete certificates only"
+            );
+        }
+        _ => {}
+    }
+    EXIT_VERIFIED
+}
+
+/// Resolves the certificate's recorded protocol (clock certificates
+/// through the clock registry) and re-verifies it. An asynchronous
+/// certificate's verification replays its recorded schedule delivery by
+/// delivery. The outer error is a protocol name the registry cannot
+/// resolve.
+fn resolve_and_verify(cert: &AnyCertificate) -> Result<Result<(), VerifyError>, RegistryError> {
+    Ok(match cert {
+        AnyCertificate::Discrete(c) => c.verify(&*resolve(&c.protocol)?),
+        AnyCertificate::Clock(c) => c.verify(&*resolve_clock(&c.protocol)?),
+        AnyCertificate::Async(c) => c.verify(&*resolve(&c.protocol)?),
+    })
 }
 
 /// One row of a batch audit: the file name (no directory) and its
@@ -279,33 +230,11 @@ pub fn verify_bytes(bytes: &[u8]) -> (Verdict, String) {
         Ok(cert) => cert,
         Err(e) => return (Verdict::Malformed, e.to_string()),
     };
-    let (protocol_name, outcome) = match &cert {
-        AnyCertificate::Discrete(cert) => (
-            cert.protocol.clone(),
-            match resolve(&cert.protocol) {
-                Ok(p) => cert.verify(&*p),
-                Err(e) => return (Verdict::Malformed, e.to_string()),
-            },
-        ),
-        AnyCertificate::Clock(cert) => (
-            cert.protocol.clone(),
-            match resolve_clock(&cert.protocol) {
-                Ok(p) => cert.verify(&*p),
-                Err(e) => return (Verdict::Malformed, e.to_string()),
-            },
-        ),
-        AnyCertificate::Async(cert) => (
-            cert.protocol.clone(),
-            match resolve(&cert.protocol) {
-                Ok(p) => cert.verify(&*p),
-                Err(e) => return (Verdict::Malformed, e.to_string()),
-            },
-        ),
-    };
-    match outcome {
-        Ok(()) => (Verdict::Verified, protocol_name),
-        Err(VerifyError::NotReproduced { reason }) => (Verdict::NotReproduced, reason),
-        Err(VerifyError::Malformed { reason }) => (Verdict::Malformed, reason),
+    match resolve_and_verify(&cert) {
+        Err(e) => (Verdict::Malformed, e.to_string()),
+        Ok(Ok(())) => (Verdict::Verified, cert.protocol().to_string()),
+        Ok(Err(VerifyError::NotReproduced { reason })) => (Verdict::NotReproduced, reason),
+        Ok(Err(VerifyError::Malformed { reason })) => (Verdict::Malformed, reason),
     }
 }
 
