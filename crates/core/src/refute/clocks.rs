@@ -258,11 +258,8 @@ impl ClockCertificate {
         let tau = scale.eval(self.t_eval);
         let ring_len = self.k + 2;
         let (bi, bj) = (NodeId((i % 3) as u32), NodeId(((i + 1) % 3) as u32));
-        let bf = NodeId((3 - (bi.0 + bj.0) % 3) % 3); // the remaining node... compute properly below
-        let bf = flm_graph::builders::triangle()
-            .nodes()
-            .find(|&v| v != bi && v != bj)
-            .unwrap_or(bf);
+        // The triangle's third node: `bi` and `bj` are distinct in 0..3.
+        let bf = NodeId(3 - bi.0 - bj.0);
 
         // Border messages: ring edges (i−1 → i) and (i+2 → i+1), times
         // scaled by h^{−i}.
