@@ -19,7 +19,7 @@ use crate::certificate::{Certificate, Condition};
 
 /// True when `a` is no larger than `b` in every dimension and strictly
 /// smaller in at least one — the shrinker's acceptance partial order.
-pub fn strictly_smaller(a: &ScenarioDims, b: &ScenarioDims) -> bool {
+fn strictly_smaller(a: &ScenarioDims, b: &ScenarioDims) -> bool {
     a.nodes <= b.nodes
         && a.rules <= b.rules
         && a.horizon <= b.horizon
@@ -77,8 +77,8 @@ pub struct ShrinkOutcome<S, C = Certificate> {
 /// `probe`'s contract: return `Some(certificate)` only when the candidate
 /// still refutes — verified end to end and for the same condition (see
 /// [`reverify_same_condition`]). Candidates not strictly smaller than the
-/// current best (per [`strictly_smaller`]) are skipped without spending an
-/// attempt, so generators may over-produce.
+/// current best (no larger in any dimension, smaller in one) are skipped
+/// without spending an attempt, so generators may over-produce.
 pub fn greedy<S: Clone, C>(
     scenario: S,
     certificate: C,

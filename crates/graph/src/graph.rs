@@ -265,7 +265,7 @@ impl Graph {
 
     /// The subgraph induced by `U`, together with the mapping from new node
     /// ids (dense `0..|U|`) back to the original ids.
-    pub fn induced_subgraph(&self, u_set: &BTreeSet<NodeId>) -> (Graph, Vec<NodeId>) {
+    fn induced_subgraph(&self, u_set: &BTreeSet<NodeId>) -> (Graph, Vec<NodeId>) {
         let order: Vec<NodeId> = u_set.iter().copied().collect();
         let mut sub = Graph::new(order.len());
         for (i, &v) in order.iter().enumerate() {

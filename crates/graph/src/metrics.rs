@@ -1,8 +1,8 @@
 //! Distance metrics on communication graphs.
 //!
 //! The ring refuters size their covers by information-propagation distance;
-//! these helpers expose the underlying quantities (BFS distances,
-//! eccentricity, diameter) for experiments and for sizing heuristics.
+//! [`diameter`] exposes that quantity for experiments and for sizing
+//! heuristics.
 
 use crate::{Graph, NodeId};
 
@@ -11,7 +11,7 @@ use crate::{Graph, NodeId};
 /// # Panics
 ///
 /// Panics if `source` is not a node of the graph.
-pub fn distances_from(g: &Graph, source: NodeId) -> Vec<usize> {
+fn distances_from(g: &Graph, source: NodeId) -> Vec<usize> {
     let n = g.node_count();
     assert!(source.index() < n, "source out of range");
     let mut dist = vec![usize::MAX; n];
@@ -30,7 +30,7 @@ pub fn distances_from(g: &Graph, source: NodeId) -> Vec<usize> {
 }
 
 /// The eccentricity of `v`: its greatest distance to any reachable node.
-pub fn eccentricity(g: &Graph, v: NodeId) -> usize {
+fn eccentricity(g: &Graph, v: NodeId) -> usize {
     distances_from(g, v)
         .into_iter()
         .filter(|&d| d != usize::MAX)

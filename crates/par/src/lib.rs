@@ -79,7 +79,7 @@ pub fn is_sequential() -> bool {
 /// same as `FLM_PAR_THREADS=1` — spawning a pool there only adds overhead),
 /// while a host where detection *fails* falls back to 2 so the threaded
 /// path's ordering/panic machinery still gets exercised.
-pub fn worker_count() -> usize {
+fn worker_count() -> usize {
     static COUNT: OnceLock<usize> = OnceLock::new();
     *COUNT.get_or_init(|| {
         let override_threads = std::env::var("FLM_PAR_THREADS")

@@ -5,7 +5,7 @@
 //! case failed". This crate provides exactly that, with zero external
 //! dependencies, so the whole workspace builds offline. Every case is fully
 //! determined by `(base_seed, case index)` — a failure report names the
-//! case seed, and re-running with [`cases_from`] on that seed reproduces it.
+//! case seed, and running the check on `Rng::new(case_seed)` reproduces it.
 //!
 //! # Example
 //!
@@ -109,7 +109,7 @@ impl Rng {
 }
 
 /// The per-case seed for case `i` under `base_seed` — what a failure report
-/// prints, and what [`cases_from`] accepts to replay one case.
+/// prints; `check(&mut Rng::new(case_seed))` replays that one case.
 pub fn case_seed(base_seed: u64, i: u32) -> u64 {
     let mut r = Rng::new(base_seed ^ (u64::from(i) << 32));
     r.u64()
@@ -117,13 +117,13 @@ pub fn case_seed(base_seed: u64, i: u32) -> u64 {
 
 /// Runs `check` for `n` seed-derived cases. On a failing case the panic is
 /// re-raised with the case index and seed reported on stderr, so the case
-/// can be replayed in isolation with [`cases_from`].
+/// can be replayed in isolation on `Rng::new(case_seed)`.
 pub fn cases(n: u32, base_seed: u64, check: impl Fn(&mut Rng)) {
     for i in 0..n {
         let seed = case_seed(base_seed, i);
         let mut rng = Rng::new(seed);
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| check(&mut rng))) {
-            eprintln!("flm-prop: case {i}/{n} failed (base_seed={base_seed:#x}, case_seed={seed:#x}); replay with flm_prop::cases_from({seed:#x}, ..)");
+            eprintln!("flm-prop: case {i}/{n} failed (base_seed={base_seed:#x}, case_seed={seed:#x}); replay with check(&mut flm_prop::Rng::new({seed:#x}))");
             resume_unwind(payload);
         }
     }
@@ -142,16 +142,10 @@ pub fn cases_par(n: u32, base_seed: u64, check: impl Fn(&mut Rng) + Sync) {
     });
     for outcome in outcomes {
         if let Err((i, seed, payload)) = outcome {
-            eprintln!("flm-prop: case {i}/{n} failed (base_seed={base_seed:#x}, case_seed={seed:#x}); replay with flm_prop::cases_from({seed:#x}, ..)");
+            eprintln!("flm-prop: case {i}/{n} failed (base_seed={base_seed:#x}, case_seed={seed:#x}); replay with check(&mut flm_prop::Rng::new({seed:#x}))");
             resume_unwind(payload);
         }
     }
-}
-
-/// Replays a single case from its reported seed.
-pub fn cases_from(case_seed: u64, check: impl Fn(&mut Rng)) {
-    let mut rng = Rng::new(case_seed);
-    check(&mut rng);
 }
 
 #[cfg(test)]
@@ -246,16 +240,5 @@ mod tests {
             .find(|t| !t.is_multiple_of(2))
             .expect("some odd tag in 32 cases");
         assert_eq!(msg, format!("odd tag {first_odd:#x}"));
-    }
-
-    #[test]
-    fn case_replay_matches() {
-        // The stream a case sees is fully determined by its case seed.
-        let seed = case_seed(99, 5);
-        let mut direct = Rng::new(seed);
-        let expect = (direct.u64(), direct.usize(0..100));
-        cases_from(seed, |rng| {
-            assert_eq!((rng.u64(), rng.usize(0..100)), expect);
-        });
     }
 }

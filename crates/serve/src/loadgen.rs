@@ -124,7 +124,7 @@ pub struct LoadReport {
 
 impl LoadReport {
     /// Successful requests per wall-clock second.
-    pub fn throughput_rps(&self) -> f64 {
+    fn throughput_rps(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
             0.0

@@ -553,7 +553,7 @@ impl StatsReport {
     }
 
     /// Run-cache hit rate in `[0, 1]`; 0 when nothing was looked up.
-    pub fn cache_hit_rate(&self) -> f64 {
+    fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
             0.0
@@ -564,7 +564,7 @@ impl StatsReport {
 
     /// Warm answers across every cache layer: run cache plus both store
     /// tiers. The per-shard cluster table reports this as the hit column.
-    pub fn warm_hits(&self) -> u64 {
+    fn warm_hits(&self) -> u64 {
         self.cache_hits + self.store_mem_hits + self.store_disk_hits
     }
 }

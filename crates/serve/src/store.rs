@@ -225,11 +225,6 @@ impl CertStore {
         memory.order.clear();
     }
 
-    /// The memory-tier capacity this store was opened with.
-    pub fn memory_capacity(&self) -> usize {
-        self.mem_capacity
-    }
-
     /// Reads the counters.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
@@ -545,7 +540,6 @@ mod tests {
         let dir = temp_dir("cap");
         let cert = sample_cert();
         let store = CertStore::open_with_capacity(&dir, 2).unwrap();
-        assert_eq!(store.memory_capacity(), 2);
         for tag in 0..5 {
             store.store(&sample_key(100 + tag), &cert);
         }
@@ -559,7 +553,9 @@ mod tests {
         assert_eq!(store.stats().disk_hits, 1);
         // Zero is clamped: the tier always holds at least the last entry.
         let clamped = CertStore::open_with_capacity(&dir, 0).unwrap();
-        assert_eq!(clamped.memory_capacity(), 1);
+        clamped.store(&sample_key(200), &cert);
+        assert_eq!(clamped.lookup(&sample_key(200)).as_deref(), Some(&cert[..]));
+        assert_eq!(clamped.stats().mem_hits, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
