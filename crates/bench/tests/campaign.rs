@@ -3,8 +3,13 @@
 //! them strictly, emit certificates that pass the audit path with exit 0,
 //! and reproduce byte-identically from the same seed.
 
-use flm_bench::campaign::{run_campaign, smoke_config, write_campaign};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use flm_bench::campaign::{probe, run_campaign, smoke_config, write_campaign, Scenario};
+use flm_graph::{Graph, NodeId};
 use flm_serve::audit::{audit_bytes, EXIT_VERIFIED};
+use flm_sim::campaign::SchedulerKind;
+use flm_sim::{Device, Protocol};
 
 #[test]
 fn fixed_seed_campaign_finds_shrinks_audits_and_reproduces() {
@@ -129,4 +134,67 @@ fn uncached_campaign_writes_the_same_files_as_a_cached_one() {
         "uncached campaign files differ from the cached run's"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A registry protocol under its own name that counts the devices it
+/// builds, so a test can tell a replayed run from a re-simulated one.
+struct Counted {
+    inner: Box<dyn Protocol>,
+    devices: AtomicUsize,
+}
+
+impl Protocol for Counted {
+    fn name(&self) -> String {
+        format!("Counted({})", self.inner.name())
+    }
+    fn device(&self, g: &Graph, v: NodeId) -> Box<dyn Device> {
+        self.devices.fetch_add(1, Ordering::Relaxed);
+        self.inner.device(g, v)
+    }
+    fn horizon(&self, g: &Graph) -> u32 {
+        self.inner.horizon(g)
+    }
+}
+
+/// The probe and `Certificate::verify` build a link through one function
+/// under one run-cache key, so verifying a probe's certificate replays the
+/// probe's run from the cache and builds no device.
+#[test]
+fn verifying_a_probe_certificate_is_a_run_cache_hit() {
+    let config = smoke_config(0xF1A);
+    for spec in config.specs() {
+        if spec.scheduler != SchedulerKind::Sync {
+            continue;
+        }
+        let Ok(g) = spec.graph.build(spec.graph_seed) else {
+            continue;
+        };
+        let protocol = Counted {
+            inner: flm_protocols::resolve(&spec.protocol).unwrap(),
+            devices: AtomicUsize::new(0),
+        };
+        let horizon = protocol
+            .horizon(&g)
+            .clamp(1, config.policy.max_ticks.max(1));
+        let scenario = Scenario {
+            family: spec.graph,
+            graph_seed: spec.graph_seed,
+            plan: spec.plan(&g, horizon),
+            horizon,
+        };
+        let Ok(Some(cert)) = probe(spec.problem, &protocol, &scenario, spec.f, &config.policy)
+        else {
+            continue;
+        };
+        let built = protocol.devices.load(Ordering::Relaxed);
+        cert.verify(&protocol).unwrap();
+        assert_eq!(
+            protocol.devices.load(Ordering::Relaxed),
+            built,
+            "verifying {}'s certificate re-simulated the probe's link",
+            spec.protocol
+        );
+        return;
+    }
+    panic!("the smoke sweep found no violation to verify");
 }

@@ -8,9 +8,10 @@
 # `run_reference` oracle), the graph suite (its minimum-cut oracle), the
 # protocol unit tests (EIG's rank and digest among them), the EIG lockstep
 # oracle, the refuter certificate-byte pins, the hostile-certificate
-# corpus, the run-cache and cross-thread determinism suites, and the
-# asynchronous scheduler's determinism suite and byte pins — for a quick
-# pre-push signal; the default (full) mode is the gate that counts.
+# corpus, the certificate-audit and campaign suites, the run-cache and
+# cross-thread determinism suites, and the asynchronous scheduler's
+# determinism suite and byte pins — for a quick pre-push signal; the
+# default (full) mode is the gate that counts.
 #
 # `--bench-gate` re-measures every labeled speedup ratio and compares it
 # against the committed BENCH_*.json snapshots: any ratio that lands below
@@ -224,6 +225,9 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo test --test refuter_bytes --quiet
     echo "==> smoke: hostile certificates (decoder and verify, fault budget)"
     cargo test --test hostile_certificates --quiet
+    echo "==> smoke: certificate audit and campaign probes (both run links through run_link)"
+    cargo test --test certificate_audit --quiet
+    cargo test -p flm-bench --test campaign --quiet
     echo "==> smoke: run-cache and cross-thread certificate determinism"
     cargo test --test runcache_determinism --test parallel_determinism --quiet
     echo "==> smoke: asynchronous scheduler determinism and byte pins"

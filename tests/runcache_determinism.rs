@@ -162,6 +162,22 @@ fn cache_stats_observe_the_expected_hits() {
         after_verify.hits > after_refute.hits,
         "in-process verify must replay the violating link from the cache, got {after_verify:?}"
     );
+
+    // A ring refuter's validity pin is a link too: EIG never fires, so the
+    // firing-squad refuter stops at its all-stimulus pin, and verify
+    // replays that pin under the same key.
+    runcache::clear();
+    runcache::reset_stats();
+    let cert = refute::firing_squad(&*eig, &tri, 1).unwrap();
+    assert!(cert.covering.starts_with("no covering needed"), "{cert}");
+    let after_refute = runcache::stats();
+    cert.verify(&*eig).unwrap();
+    let after_verify = runcache::stats();
+    assert_eq!(
+        (after_verify.hits, after_verify.misses),
+        (after_refute.hits + 1, after_refute.misses),
+        "verify must replay the validity pin from the cache"
+    );
 }
 
 /// Deterministic synthetic masquerade traces for `scripted` in `g`: one
