@@ -4,7 +4,7 @@
 //! flm-client refute THEOREM [--addr HOST:PORT] [--protocol NAME]
 //!                           [--graph NAME] [--f N] [--out FILE]
 //! flm-client verify CERT    [--addr HOST:PORT]
-//! flm-client audit CERT     [--addr HOST:PORT] [--timeline is server-side: none]
+//! flm-client audit CERT     [--addr HOST:PORT]
 //! flm-client stats          [--addr HOST:PORT]
 //! flm-client ping           [--addr HOST:PORT] [--hold-ms N]
 //! flm-client load           [--addr HOST:PORT] [--connections N]
@@ -28,6 +28,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use flm_serve::client::{Client, StatsView};
+use flm_serve::flags::Flags;
 use flm_serve::loadgen::{self, Mix};
 use flm_serve::query::{parse_graph, Theorem};
 use flm_serve::rpc::Verdict;
@@ -45,56 +46,9 @@ fn usage() -> &'static str {
      \x20      flm-client rebalance --store-dir DIR --peers ADDR,... --shard-id N [--remove true]"
 }
 
-/// Flag parser: positional operands plus `--flag value` pairs.
-struct Flags {
-    positional: Vec<String>,
-    pairs: Vec<(String, String)>,
-}
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut positional = Vec::new();
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if let Some(flag) = arg.strip_prefix("--") {
-                let value = it.next().ok_or_else(|| format!("--{flag} wants a value"))?;
-                pairs.push((flag.to_owned(), value.clone()));
-            } else {
-                positional.push(arg.clone());
-            }
-        }
-        Ok(Flags { positional, pairs })
-    }
-
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn addr(&self) -> &str {
-        self.get("addr").unwrap_or(DEFAULT_ADDR)
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("--{flag}: bad value {raw:?}")),
-        }
-    }
-
-    fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
-        for (flag, _) in &self.pairs {
-            if !known.contains(&flag.as_str()) {
-                return Err(format!("unknown flag --{flag}"));
-            }
-        }
-        Ok(())
-    }
+/// The `--addr` operand, or the default router address.
+fn addr(flags: &Flags) -> &str {
+    flags.get("addr").unwrap_or(DEFAULT_ADDR)
 }
 
 fn main() -> ExitCode {
@@ -130,7 +84,7 @@ fn main() -> ExitCode {
 }
 
 fn connect(flags: &Flags) -> Result<Client, String> {
-    Client::connect(flags.addr()).map_err(|e| format!("connecting to {}: {e}", flags.addr()))
+    Client::connect(addr(flags)).map_err(|e| format!("connecting to {}: {e}", addr(flags)))
 }
 
 fn cmd_refute(flags: &Flags) -> Result<ExitCode, String> {
@@ -220,7 +174,7 @@ fn cmd_ping(flags: &Flags) -> Result<ExitCode, String> {
     if echoed != b"flm" {
         return Err("ping payload came back mangled".into());
     }
-    println!("pong from {}", flags.addr());
+    println!("pong from {}", addr(flags));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -239,7 +193,7 @@ fn cmd_load(flags: &Flags) -> Result<ExitCode, String> {
         "all" => Theorem::ALL.to_vec(),
         name => vec![Theorem::parse(name).map_err(|e| e.to_string())?],
     };
-    let report = loadgen::run(flags.addr(), connections, requests, mix, &theorems)?;
+    let report = loadgen::run(addr(flags), connections, requests, mix, &theorems)?;
     println!("{report}");
     // Abandoned requests or transport errors mean the server dropped load —
     // the one thing a load-shedding server must never do.
@@ -261,10 +215,8 @@ fn cmd_rebalance(flags: &Flags) -> Result<ExitCode, String> {
         .get("peers")
         .ok_or_else(|| "rebalance wants --peers".to_string())?;
     let shard_id: u32 = flags
-        .get("shard-id")
-        .ok_or_else(|| "rebalance wants --shard-id".to_string())?
-        .parse()
-        .map_err(|_| "--shard-id wants an integer".to_string())?;
+        .optional("shard-id")?
+        .ok_or_else(|| "rebalance wants --shard-id".to_string())?;
     let remove: bool = flags.parsed("remove", false)?;
     let map = ShardMap::parse_peers(peers)?;
     let report = shard::rebalance(std::path::Path::new(dir), &map, shard_id, remove)?;

@@ -7,82 +7,23 @@
 //! Routes each keyed FLMC-RPC request to the shard that owns its canonical
 //! query key (rendezvous hashing), answers pings locally, aggregates Stats
 //! into a cluster view, and degrades dead shards to typed `ShardDown`
-//! answers for their key range only.
+//! answers for their key range only. A bad flag prints the usage text and
+//! exits 2.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
-use flm_serve::router::{Router, RouterConfig};
+use flm_serve::flags::{router_config, Flags, ROUTER_USAGE};
+use flm_serve::router::Router;
 use flm_serve::server::write_port_file;
-use flm_serve::shard::ShardMap;
-
-const USAGE: &str = "usage: flm-router --shards ADDR,ADDR,... [options]
-options:
-  --addr HOST:PORT          front bind address (default 127.0.0.1:7415)
-  --shards ADDR,ADDR,...    shard addresses in shard-id order (required)
-  --max-connections N       front connection cap (default 2048)
-  --max-pipelined N         per-connection in-flight request cap (default 32)
-  --backend-pending N       per-shard in-flight request cap (default 256)
-  --reconnect-ms N          down-shard reconnect interval (default 1000)
-  --port-file PATH          write the bound front address here (atomically)";
-
-fn parse(args: &[String]) -> Result<(RouterConfig, Option<String>), String> {
-    let mut addr = "127.0.0.1:7415".to_owned();
-    let mut shards: Option<ShardMap> = None;
-    let mut max_connections = 2048usize;
-    let mut max_pipelined = 32usize;
-    let mut backend_pending = 256usize;
-    let mut reconnect_ms = 1000u64;
-    let mut port_file = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--shards" => shards = Some(ShardMap::parse_peers(&value("--shards")?)?),
-            "--max-connections" => {
-                max_connections = value("--max-connections")?
-                    .parse()
-                    .map_err(|e| format!("--max-connections: {e}"))?;
-            }
-            "--max-pipelined" => {
-                max_pipelined = value("--max-pipelined")?
-                    .parse()
-                    .map_err(|e| format!("--max-pipelined: {e}"))?;
-            }
-            "--backend-pending" => {
-                backend_pending = value("--backend-pending")?
-                    .parse()
-                    .map_err(|e| format!("--backend-pending: {e}"))?;
-            }
-            "--reconnect-ms" => {
-                reconnect_ms = value("--reconnect-ms")?
-                    .parse()
-                    .map_err(|e| format!("--reconnect-ms: {e}"))?;
-            }
-            "--port-file" => port_file = Some(value("--port-file")?),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-    }
-    let shards = shards.ok_or_else(|| format!("--shards is required\n{USAGE}"))?;
-    let mut config = RouterConfig::new(addr, shards);
-    config.max_connections = max_connections.max(1);
-    config.max_pipelined = max_pipelined.max(1);
-    config.backend_pending_cap = backend_pending.max(1);
-    config.reconnect_interval = Duration::from_millis(reconnect_ms.max(1));
-    Ok((config, port_file))
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (config, port_file) = match parse(&args) {
+    let parsed = Flags::parse(&args).and_then(|flags| Ok((router_config(&flags)?, flags)));
+    let (config, flags) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("flm-router: {e}");
+            eprintln!("{ROUTER_USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -94,8 +35,8 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    if let Some(path) = port_file {
-        if let Err(e) = write_port_file(std::path::Path::new(&path), router.local_addr()) {
+    if let Some(path) = flags.get("port-file") {
+        if let Err(e) = write_port_file(std::path::Path::new(path), router.local_addr()) {
             eprintln!("flm-router: writing {path}: {e}");
             return ExitCode::from(1);
         }

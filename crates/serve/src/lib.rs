@@ -46,6 +46,9 @@
 //!   load generator behind `flm-client` and `BENCH_serve.json`: one driver
 //!   for servers and routers, which tells them apart by their Stats answer
 //!   and, for a router, reports each shard's change over the run.
+//! * [`flags`] — the one `--flag value` parser of `flm-serve`, `flm-router`
+//!   and `flm-client`, with the server's and the router's flag-to-config
+//!   mapping and usage texts.
 //!
 //! Every worker shares the process-global run cache, so a certificate one
 //! connection paid to compute is a warm hit for every later connection
@@ -60,6 +63,7 @@
 pub mod audit;
 pub mod client;
 pub(crate) mod conn;
+pub mod flags;
 pub mod frame;
 pub mod loadgen;
 pub mod query;

@@ -38,10 +38,18 @@
 //!
 //! # Shedding
 //!
-//! Two levels, both answered and typed: a front accept past `max_connections` is answered [`Response::Overloaded`] and
-//! closed; a request for a backend whose pending queue is at
-//! `backend_pending_cap` is answered `Overloaded` with the connection kept
-//! open — per-shard backpressure, not per-router.
+//! Two levels, both answered and typed: a front accept past
+//! `server::MAX_CONNECTIONS` (2,048) is answered [`Response::Overloaded`]
+//! and closed; a request for a backend whose pending queue is at
+//! `BACKEND_PENDING_CAP` (256, in this module) is answered `Overloaded`
+//! with the connection kept open — per-shard backpressure, not per-router.
+//!
+//! # Limits
+//!
+//! The front shares the server's constants: `server::MAX_PIPELINED` (32)
+//! requests in flight per connection, [`DEFAULT_MAX_BODY_BYTES`] per frame
+//! body (backend frames too), and `server::IDLE_TIMEOUT` (10 s) for idle
+//! front connections.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
@@ -51,18 +59,19 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::conn::{self, ConnCounters, FrameReader, Incoming, Limits};
+use crate::conn::{self, ConnCounters, FrameReader, Incoming};
 use crate::frame::{Frame, DEFAULT_MAX_BODY_BYTES};
 use crate::rpc::{
     kind, ClusterStatsReport, ErrorCode, Request, Response, RouterStatsReport, ShardStatus,
     StatsReport,
 };
-use crate::server::{Frontend, Service};
+use crate::server::{Frontend, Service, IDLE_TIMEOUT};
 use crate::shard::{self, ShardMap};
 use crate::sys::{self, Event, Interest};
 
-/// Router configuration. [`RouterConfig::new`] sizes every knob for the
-/// loopback quickstart.
+/// Router configuration. The limits are constants (see the module's
+/// *Limits* section): the front shares the server's, and
+/// `BACKEND_PENDING_CAP` bounds each backend.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Front bind address, e.g. `127.0.0.1:7415` or `127.0.0.1:0`.
@@ -70,38 +79,25 @@ pub struct RouterConfig {
     /// The shard topology — must be byte-identical to what every shard was
     /// started with, or ownership checks will disagree.
     pub shards: ShardMap,
-    /// Frame-body byte cap on both front and backend frames.
-    pub max_body_bytes: usize,
-    /// Front connections held at once; accepts beyond this are answered
-    /// [`Response::Overloaded`] and closed.
-    pub max_connections: usize,
-    /// Unanswered pipelined requests one front connection may have in
-    /// flight before the router stops reading it.
-    pub max_pipelined: usize,
-    /// Unanswered requests one backend may carry before further requests
-    /// for that shard are shed with [`Response::Overloaded`].
-    pub backend_pending_cap: usize,
     /// How often a down backend's connect is retried.
     pub reconnect_interval: Duration,
-    /// Idle front connections past this are closed.
-    pub idle_timeout: Duration,
 }
 
 impl RouterConfig {
-    /// A quickstart configuration fronting `shards`.
+    /// A configuration fronting `shards`, retrying a down shard every
+    /// second.
     pub fn new(addr: impl Into<String>, shards: ShardMap) -> RouterConfig {
         RouterConfig {
             addr: addr.into(),
             shards,
-            max_body_bytes: DEFAULT_MAX_BODY_BYTES,
-            max_connections: 2048,
-            max_pipelined: 32,
-            backend_pending_cap: 256,
             reconnect_interval: Duration::from_secs(1),
-            idle_timeout: Duration::from_secs(10),
         }
     }
 }
+
+/// Unanswered requests one backend may carry before further requests for
+/// that shard are shed with [`Response::Overloaded`].
+pub(crate) const BACKEND_PENDING_CAP: usize = 256;
 
 /// Router counters, shared with the handle for observability.
 #[derive(Default)]
@@ -164,19 +160,13 @@ impl Router {
     /// Propagates bind and poller-creation failures only; backend connects
     /// are retried, never fatal.
     pub fn start(config: RouterConfig) -> std::io::Result<Router> {
-        // The front carries no request budget: a client reaching several
-        // shards through one connection is the router's whole point.
-        let limits = Limits {
-            max_body_bytes: config.max_body_bytes,
-            max_pipelined: config.max_pipelined,
-            max_requests: None,
-        };
         let first_front = FIRST_BACKEND_TOKEN + u64::from(config.shards.count());
         let counters = Counters::default();
+        // The front carries no request budget: a client reaching several
+        // shards through one connection is the router's whole point.
         let (front, waker, local_addr) = Frontend::bind(
             &config.addr,
-            limits,
-            config.max_connections,
+            None,
             "router serving",
             first_front,
             Arc::clone(&counters.conn),
@@ -197,7 +187,6 @@ impl Router {
         let reactor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let timeout = shared.config.idle_timeout;
                 let shards = shared.config.shards.count() as usize;
                 let mut reactor = Reactor {
                     front,
@@ -211,7 +200,7 @@ impl Router {
                 for shard in 0..shards {
                     reactor.try_connect(shard as u32);
                 }
-                reactor.run(&shared.shutdown, timeout);
+                reactor.run(&shared.shutdown, IDLE_TIMEOUT);
             })
         };
         Ok(Router {
@@ -460,7 +449,7 @@ impl Reactor {
     fn parse_backend(&mut self, shard: u32) -> bool {
         loop {
             let backend = &mut self.backends[shard as usize];
-            let frame = match backend.input.next_frame(self.shared.config.max_body_bytes) {
+            let frame = match backend.input.next_frame(DEFAULT_MAX_BODY_BYTES) {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return true,
                 Err(_) => {
@@ -531,12 +520,11 @@ impl Reactor {
     /// allows) and records who is waiting.
     fn forward(&mut self, shard: u32, request: Vec<u8>, waiter: Waiter) -> ForwardOutcome {
         self.reconnect_if_due(shard, Instant::now());
-        let cap = self.shared.config.backend_pending_cap;
         let backend = &mut self.backends[shard as usize];
         if backend.stream.is_none() {
             return ForwardOutcome::Down;
         }
-        if backend.pending.len() >= cap {
+        if backend.pending.len() >= BACKEND_PENDING_CAP {
             return ForwardOutcome::Saturated;
         }
         backend.output.extend_from_slice(&request);
@@ -695,8 +683,8 @@ impl Service for Reactor {
                 Response::Overloaded {
                     queued: pending,
                     detail: format!(
-                        "shard {shard} has {pending} requests in flight (cap {}); retry later",
-                        shared.config.backend_pending_cap
+                        "shard {shard} has {pending} requests in flight \
+                         (cap {BACKEND_PENDING_CAP}); retry later"
                     ),
                 }
             }

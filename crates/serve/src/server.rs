@@ -9,12 +9,13 @@
 //! `crate::conn`; the reactor (a `Frontend` driven by `Service`, the
 //! same driver `flm-router` runs) only moves bytes and applies interest.
 //! Decoded requests either execute inline on the reactor (zero-hold pings,
-//! stats snapshots) or become jobs for the worker pool (refute, verify,
-//! audit, held pings). Pipelining is first-class: responses are written in
-//! strict request order no matter which worker finishes first, and a
-//! connection at its pipeline cap simply stops being read — TCP
-//! backpressure does the rest. One process therefore serves thousands of
-//! concurrent sockets with `workers` threads, instead of one per socket.
+//! stats snapshots, peer `FetchCert` lookups) or become jobs for the worker
+//! pool (refute, verify, audit, held pings, `PutCert`). Pipelining is
+//! first-class: responses are written in strict request order no matter
+//! which worker finishes first, and a connection at its pipeline cap simply
+//! stops being read — TCP backpressure does the rest. One process therefore
+//! serves thousands of concurrent sockets with `workers` threads, instead of
+//! one per socket.
 //!
 //! # Shedding
 //!
@@ -24,16 +25,18 @@
 //! [`Response::Overloaded`] frame and the connection stays open (counted
 //! as `requests_shed`; inline requests still serve, so a saturated server
 //! remains observable). Per *connection*: an accept beyond
-//! `max_connections` is answered with `Overloaded` and closed (counted as
-//! `connections_shed`).
+//! `MAX_CONNECTIONS` (2,048) is answered with `Overloaded` and closed
+//! (counted as `connections_shed`).
 //!
 //! # Budgets
 //!
 //! Per-connection hostile-input budgets reuse the hardening from the
-//! certificate layer: a frame-body byte cap (checked before allocation), an
-//! idle timeout (an idle peer cannot pin a connection slot forever), a
-//! per-connection request budget, a pipeline depth cap, and a server-side
-//! [`RunPolicy`] ceiling clamped onto every refutation request.
+//! certificate layer: a frame-body byte cap
+//! ([`crate::frame::DEFAULT_MAX_BODY_BYTES`], checked before allocation),
+//! an idle timeout (an idle peer cannot pin a connection slot forever), a
+//! per-connection request budget, a pipeline depth cap (`MAX_PIPELINED`,
+//! 32), and the default [`RunPolicy`] as a ceiling clamped onto every
+//! refutation request.
 //!
 //! # Caching
 //!
@@ -72,7 +75,11 @@ use crate::store::{self, CertStore};
 use crate::sys::{self, Event, Interest, Poller};
 
 /// Server configuration. [`ServeConfig::default`] is sized for the loopback
-/// quickstart; production deployments tune every knob.
+/// quickstart. The front limits are constants in this module that the
+/// server shares with the router: `MAX_CONNECTIONS` (2,048 connections),
+/// `MAX_PIPELINED` (32 requests in flight per connection) and
+/// [`crate::frame::DEFAULT_MAX_BODY_BYTES`]. Every requested [`RunPolicy`]
+/// is clamped to [`RunPolicy::default`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7115` or `127.0.0.1:0` (ephemeral).
@@ -83,29 +90,17 @@ pub struct ServeConfig {
     /// Worker-bound requests allowed to wait in the job queue before
     /// further worker-bound requests are shed with a typed answer.
     pub queue_depth: usize,
-    /// Frame-body byte cap, enforced before any allocation.
-    pub max_body_bytes: usize,
     /// Idle timeout: a connection with no in-flight work and no unread
-    /// bytes past this is closed. (Under the old blocking server this was
-    /// the per-frame read timeout; the event loop needs no read deadline.)
+    /// bytes past this is closed.
     pub read_timeout: Duration,
     /// Requests one connection may issue before it is asked to reconnect
     /// (answered with a typed `connection-budget` error).
     pub max_requests_per_conn: u64,
     /// Cap on [`Request::Ping`] worker holds, milliseconds.
     pub max_hold_ms: u32,
-    /// Ceiling clamped onto every requested [`RunPolicy`]: a query may
-    /// tighten the simulation budget, never raise it past this.
-    pub policy_ceiling: RunPolicy,
     /// Root directory for the persistent certificate store; `None` serves
     /// from the in-memory caches only (warmth dies with the process).
     pub store_dir: Option<PathBuf>,
-    /// Concurrent connections the reactor will hold; accepts beyond this
-    /// are answered with [`Response::Overloaded`] and closed.
-    pub max_connections: usize,
-    /// Unanswered pipelined requests one connection may have in flight
-    /// before the reactor stops reading its socket (TCP backpressure).
-    pub max_pipelined: usize,
     /// This process's place in a sharded cluster; `None` serves unsharded
     /// (every key is owned locally, no ownership checks).
     pub shard: Option<ShardRole>,
@@ -130,14 +125,10 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             queue_depth: 32,
-            max_body_bytes: DEFAULT_MAX_BODY_BYTES,
-            read_timeout: Duration::from_secs(10),
+            read_timeout: IDLE_TIMEOUT,
             max_requests_per_conn: 4096,
             max_hold_ms: 100,
-            policy_ceiling: RunPolicy::default(),
             store_dir: None,
-            max_connections: 2048,
-            max_pipelined: 32,
             shard: None,
             store_mem_cap: None,
         }
@@ -267,16 +258,10 @@ impl Server {
     ///
     /// Propagates bind, poller-creation, and store-open failures.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        let limits = Limits {
-            max_body_bytes: config.max_body_bytes,
-            max_pipelined: config.max_pipelined,
-            max_requests: Some(config.max_requests_per_conn),
-        };
         let counters = Counters::default();
         let (front, waker, local_addr) = Frontend::bind(
             &config.addr,
-            limits,
-            config.max_connections,
+            Some(config.max_requests_per_conn),
             "serving",
             FIRST_CONN_TOKEN,
             Arc::clone(&counters.conn),
@@ -393,6 +378,18 @@ impl Drop for Server {
     }
 }
 
+/// Client connections one reactor holds, in the server and the router
+/// alike; an accept past this is answered [`Response::Overloaded`] and
+/// closed.
+pub(crate) const MAX_CONNECTIONS: usize = 2048;
+/// Unanswered pipelined requests one client connection may have in flight
+/// before its reactor stops reading the socket (TCP backpressure), in the
+/// server and the router alike.
+pub(crate) const MAX_PIPELINED: usize = 32;
+/// The router's idle timeout for front connections, and the default
+/// [`ServeConfig::read_timeout`].
+pub(crate) const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -422,7 +419,6 @@ pub(crate) struct Frontend {
     conns: HashMap<u64, Front>,
     counters: Arc<ConnCounters>,
     limits: Limits,
-    max_connections: usize,
     /// Names the service in the connection-shed detail.
     label: &'static str,
     /// Tokens from here up are client connections.
@@ -434,11 +430,12 @@ pub(crate) struct Frontend {
 impl Frontend {
     /// Binds the nonblocking listener (returning its address) and builds
     /// the poller and the wake channel; connection tokens are handed out
-    /// from `first_token` up.
+    /// from `first_token` up. Every connection gets the front limits
+    /// (`MAX_PIPELINED`, [`DEFAULT_MAX_BODY_BYTES`]) and `max_requests`
+    /// as its request budget.
     pub(crate) fn bind(
         addr: &str,
-        limits: Limits,
-        max_connections: usize,
+        max_requests: Option<u64>,
         label: &'static str,
         first_token: u64,
         counters: Arc<ConnCounters>,
@@ -457,8 +454,11 @@ impl Frontend {
             wake_rx,
             conns: HashMap::new(),
             counters,
-            limits,
-            max_connections,
+            limits: Limits {
+                max_body_bytes: DEFAULT_MAX_BODY_BYTES,
+                max_pipelined: MAX_PIPELINED,
+                max_requests,
+            },
             label,
             first_token,
             next_token: first_token,
@@ -467,7 +467,7 @@ impl Frontend {
         Ok((front, waker, local_addr))
     }
 
-    /// Accepts every pending connection. One past `max_connections` is
+    /// Accepts every pending connection. One past `MAX_CONNECTIONS` is
     /// answered with a typed `Overloaded` frame and closed: shedding with
     /// an answer is the contract, so clients always learn *why*.
     fn accept(&mut self) {
@@ -479,13 +479,13 @@ impl Frontend {
             };
             let _ = stream.set_nodelay(true);
             let held = self.conns.len();
-            if held >= self.max_connections {
+            if held >= MAX_CONNECTIONS {
                 self.counters.shed.fetch_add(1, Ordering::Relaxed);
                 let response = Response::Overloaded {
                     queued: held as u32,
                     detail: format!(
-                        "{} {held} connections (cap {}); retry later",
-                        self.label, self.max_connections
+                        "{} {held} connections (cap {MAX_CONNECTIONS}); retry later",
+                        self.label
                     ),
                 };
                 // The socket is fresh, so this tiny frame lands in the empty
@@ -726,43 +726,43 @@ impl Service for Reactor {
     /// sheds it.
     fn request(&mut self, token: u64, Incoming { seq, request, .. }: Incoming) {
         let shared = &self.shared;
-        let c = &shared.counters;
-        let response = match request {
-            // Zero-hold pings and stats snapshots are reactor-inline: they
-            // cost microseconds and must keep answering while the worker
-            // pool is saturated (that is what makes saturation observable).
-            Request::Ping { payload, hold_ms } if hold_ms.min(shared.config.max_hold_ms) == 0 => {
-                c.requests_ping.fetch_add(1, Ordering::Relaxed);
-                Response::Pong { payload }
-            }
-            Request::Stats => {
-                c.requests_stats.fetch_add(1, Ordering::Relaxed);
-                Response::Stats(shared.snapshot())
-            }
-            request => {
-                let mut jobs = relock(shared.jobs.lock());
-                let busy = shared.busy_workers.load(Ordering::SeqCst);
-                if busy < shared.config.workers || jobs.len() < shared.config.queue_depth {
-                    jobs.push_back(Job {
-                        conn: token,
-                        seq,
-                        request,
-                    });
-                    drop(jobs);
-                    shared.job_ready.notify_one();
-                    return;
-                }
-                let queued = jobs.len() as u32;
-                drop(jobs);
-                c.requests_shed.fetch_add(1, Ordering::Relaxed);
-                Response::Overloaded {
-                    queued,
-                    detail: format!(
-                        "all {} workers busy and {queued} requests queued; retry later",
-                        shared.config.workers
-                    ),
-                }
-            }
+        // Zero-hold pings, stats snapshots and peer `FetchCert` lookups run
+        // on the reactor: none simulates, and each keeps answering while the
+        // pool is saturated. Queued behind a busy pool, a `FetchCert` would
+        // stall the asking shard's worker until its peer read timeout.
+        let inline = match &request {
+            Request::Ping { hold_ms, .. } => (*hold_ms).min(shared.config.max_hold_ms) == 0,
+            Request::Stats | Request::FetchCert { .. } => true,
+            _ => false,
+        };
+        if inline {
+            let response = contained(|| dispatch(request, shared));
+            return self.front.fill(token, seq, &response);
+        }
+        let mut jobs = relock(shared.jobs.lock());
+        let busy = shared.busy_workers.load(Ordering::SeqCst);
+        if busy < shared.config.workers || jobs.len() < shared.config.queue_depth {
+            jobs.push_back(Job {
+                conn: token,
+                seq,
+                request,
+            });
+            drop(jobs);
+            shared.job_ready.notify_one();
+            return;
+        }
+        let queued = jobs.len() as u32;
+        drop(jobs);
+        shared
+            .counters
+            .requests_shed
+            .fetch_add(1, Ordering::Relaxed);
+        let response = Response::Overloaded {
+            queued,
+            detail: format!(
+                "all {} workers busy and {queued} requests queued; retry later",
+                shared.config.workers
+            ),
         };
         self.front.fill(token, seq, &response);
     }
@@ -827,9 +827,8 @@ fn contained(job: impl FnOnce() -> Response) -> Response {
     })
 }
 
-/// Executes one CPU-bound request. Inline kinds (zero-hold pings, stats)
-/// normally never reach here, but the handling is kept complete so a job is
-/// a job regardless of routing.
+/// Executes one request: a worker runs the CPU-bound kinds, the reactor
+/// the inline ones (zero-hold pings, stats, `FetchCert`).
 fn dispatch(request: Request, shared: &Shared) -> Response {
     let c = &shared.counters;
     match request {
@@ -869,7 +868,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
             if theorem == Theorem::FlpAsync {
                 c.async_refutes.fetch_add(1, Ordering::Relaxed);
             }
-            let policy = clamp_policy(params.policy, shared.config.policy_ceiling);
+            let policy = clamp_policy(params.policy);
             let protocol = params.protocol.as_deref();
             let graph = params.graph.as_ref();
             let f = params.f as usize;
@@ -932,8 +931,10 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
         }
         Request::FetchCert { key } => {
             c.requests_fetch.fetch_add(1, Ordering::Relaxed);
-            // Deliberately *not* ownership-checked: the caller is a shard
-            // that owns this key now and is asking the previous owner.
+            // A store lookup (memory, then a verified disk read), never a
+            // simulation. Deliberately *not* ownership-checked: the caller
+            // is a shard that owns this key now and is asking the previous
+            // owner.
             let cert = shared
                 .store
                 .as_ref()
@@ -1032,9 +1033,10 @@ pub fn write_port_file(path: &Path, addr: SocketAddr) -> std::io::Result<()> {
     }
 }
 
-/// Clamps a requested policy to the server's ceiling, fieldwise: queries may
-/// tighten their simulation budget but never exceed the operator's.
-fn clamp_policy(requested: Option<RunPolicy>, ceiling: RunPolicy) -> RunPolicy {
+/// Clamps a requested policy to [`RunPolicy::default`], fieldwise: queries
+/// may tighten their simulation budget but never raise it.
+fn clamp_policy(requested: Option<RunPolicy>) -> RunPolicy {
+    let ceiling = RunPolicy::default();
     match requested {
         None => ceiling,
         Some(p) => RunPolicy {
@@ -1050,19 +1052,13 @@ mod tests {
 
     #[test]
     fn policy_clamp_is_fieldwise_min() {
-        let ceiling = RunPolicy {
-            max_payload_bytes: 1000,
-            max_ticks: 50,
-        };
-        assert_eq!(clamp_policy(None, ceiling), ceiling);
-        let clamped = clamp_policy(
-            Some(RunPolicy {
-                max_payload_bytes: 4000,
-                max_ticks: 10,
-            }),
-            ceiling,
-        );
-        assert_eq!(clamped.max_payload_bytes, 1000);
+        let ceiling = RunPolicy::default();
+        assert_eq!(clamp_policy(None), ceiling);
+        let clamped = clamp_policy(Some(RunPolicy {
+            max_payload_bytes: ceiling.max_payload_bytes * 4,
+            max_ticks: 10,
+        }));
+        assert_eq!(clamped.max_payload_bytes, ceiling.max_payload_bytes);
         assert_eq!(clamped.max_ticks, 10);
     }
 

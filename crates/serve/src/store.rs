@@ -2,13 +2,14 @@
 //! restarts.
 //!
 //! The in-memory runcache dies with the process; this store is the durable
-//! layer behind it. Each entry is one portable `FLMC` file named by the
-//! FNV-1a fingerprint of its canonical query key
-//! ([`crate::query::canonical_query_key`]), with the full key bytes in a
-//! sidecar so probes compare whole keys — fingerprints index, bytes decide,
-//! the same collision discipline as `flm_sim::runcache`. The `.flmc` file
-//! is the certificate bytes and nothing else, so any stored entry can be
-//! fed straight to `flm-audit`.
+//! layer in front of it: the server looks a refutation up here first, and
+//! only a miss reaches the runcache and the simulator. Each entry is one
+//! portable `FLMC` file named by the FNV-1a fingerprint of its canonical
+//! query key ([`crate::query::canonical_query_key`]), with the full key
+//! bytes in a sidecar so probes compare whole keys — fingerprints index,
+//! bytes decide, the same collision discipline as `flm_sim::runcache`. The
+//! `.flmc` file is the certificate bytes and nothing else, so any stored
+//! entry can be fed straight to `flm-audit`.
 //!
 //! # Crash atomicity
 //!
@@ -41,8 +42,8 @@ use std::sync::Mutex;
 use flm_sim::runcache::RunKey;
 
 /// Default capacity of the in-memory tier in front of the disk layer
-/// (tiny: certificates are a few KiB and the real memory layer is the
-/// process-global runcache upstream of this store).
+/// (tiny: certificates are a few KiB, and a miss on both tiers still falls
+/// through to the process-global runcache before it simulates).
 pub const MEMORY_ENTRIES: usize = 256;
 
 /// Counter snapshot for one store (all monotone since open).

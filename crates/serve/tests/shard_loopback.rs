@@ -22,7 +22,7 @@
 
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flm_serve::audit::{audit_bytes, EXIT_VERIFIED};
 use flm_serve::client::{Client, ClientError};
@@ -290,12 +290,12 @@ fn killing_one_shard_degrades_only_its_key_range() {
         victim,
         &cluster.dirs[victim as usize],
     ));
-    let deadline = std::time::Instant::now() + Duration::from_secs(15);
+    let deadline = Instant::now() + Duration::from_secs(15);
     let healed = loop {
         let mut probe = cluster.client();
         match probe.refute(Theorem::BaNodes.name(), None, None, 1, None) {
             Ok(bytes) => break Some(bytes),
-            Err(ClientError::ShardDown { .. }) if std::time::Instant::now() < deadline => {
+            Err(ClientError::ShardDown { .. }) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(200));
             }
             Err(e) => panic!("healing probe failed hard: {e}"),
@@ -410,6 +410,83 @@ fn peer_fetch_recovers_a_reassigned_key_without_resimulating() {
     );
     assert_eq!(stats.store_stores, 1, "the fetched cert must be adopted");
     cluster.shutdown();
+}
+
+/// A peer answers `FetchCert` on its reactor, since it is a store lookup
+/// and never a simulation: a cold owner gets its answer even while every
+/// worker of the peer is busy. When `FetchCert` waited in the worker
+/// queue, the owner's worker stalled until the 2 s peer read timeout, and
+/// two shards that missed at once blocked on each other. The shard that
+/// owns the key plays shard 0 here; the other, whose one worker a 3 s ping
+/// holds, plays shard 1.
+#[test]
+fn peer_fetch_is_answered_while_every_peer_worker_is_busy() {
+    let ports = reserve_ports(2);
+    let map = ShardMap::new(ports.iter().map(|p| format!("127.0.0.1:{p}")).collect()).unwrap();
+    let theorem = Theorem::BaNodes;
+    let owner = map.owner_of_bytes(&default_key(theorem));
+    let peer = 1 - owner;
+    let dirs = [temp_dir("busypeer-s0"), temp_dir("busypeer-s1")];
+    let start = |id: u32, max_hold_ms: u32| {
+        Server::start(ServeConfig {
+            addr: map.addr(id).to_owned(),
+            workers: 1,
+            max_hold_ms,
+            store_dir: Some(dirs[id as usize].clone()),
+            shard: Some(ShardRole {
+                id,
+                map: map.clone(),
+            }),
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    };
+    let owner_server = start(owner, ServeConfig::default().max_hold_ms);
+    let peer_server = start(peer, 10_000);
+    // Warm the process-global run cache, so the timed refute below costs
+    // the store miss and the peer fetch, not a simulation.
+    let expected = refute_to_bytes(theorem, None, None, 1, RunPolicy::default()).unwrap();
+
+    let peer_addr = peer_server.local_addr();
+    let holder = std::thread::spawn(move || {
+        let mut client = Client::connect(peer_addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        client.ping(b"hold", 3_000).unwrap()
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while peer_server.busy_workers() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the peer's worker never became busy"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let fetches_before = peer_server.stats().requests_fetch;
+
+    let mut client = Client::connect(owner_server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let began = Instant::now();
+    let bytes = client.refute(theorem.name(), None, None, 1, None).unwrap();
+    let took = began.elapsed();
+    assert_eq!(bytes, expected);
+    assert!(
+        took < Duration::from_secs(1),
+        "a cold refute behind a busy peer took {took:?}"
+    );
+    assert!(
+        peer_server.stats().requests_fetch > fetches_before,
+        "the owner never asked its peer"
+    );
+    assert_eq!(holder.join().unwrap(), b"hold");
+    owner_server.shutdown();
+    peer_server.shutdown();
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// The router carries all of a shard's traffic on one backend connection,

@@ -19,11 +19,13 @@
 # produced the committed numbers; other machines carry different constants.
 #
 # `--serve-smoke` runs only the flm-serve round-trip smoke (also part of the
-# full gate): start flm-serve on an ephemeral port, drive a refute + verify +
-# audit round trip through flm-client, and audit the wire certificate with
-# the local flm-audit.
+# full gate): require flm-serve and flm-router to refuse an unknown flag with
+# their usage text, start flm-serve on an ephemeral port, drive a refute +
+# verify + audit round trip through flm-client, and audit the wire
+# certificate with the local flm-audit.
 #
-# `--shard-smoke` stands up a 2-shard cluster behind an flm-router, all
+# `--shard-smoke` requires flm-serve and flm-router to refuse a removed
+# cluster flag, then stands up a 2-shard cluster behind an flm-router, all
 # via the release binaries: warm keys through the router, drive cluster
 # stats and a load run over all families (its report must carry the
 # cluster table), kill one shard, restart it over the same store
@@ -38,10 +40,33 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Requires that a release binary refuses an unknown flag: exit code
+# `want` with its usage text on stderr, so each binary accepts exactly the
+# flags its usage lists. The 10 s timeout keeps a binary that accepts the
+# flag and starts serving from hanging the gate.
+reject_unknown_flag() {
+    local want="$1" bin="$2" err rc
+    shift 2
+    err="$(mktemp)"
+    set +e
+    timeout 10 "./target/release/$bin" "$@" > /dev/null 2> "$err"
+    rc=$?
+    set -e
+    if [[ $rc -ne $want ]] || ! grep -q "^usage: $bin" "$err"; then
+        echo "$bin $*: exited $rc (expected $want, with its usage on stderr)"
+        cat "$err"
+        rm -f "$err"
+        return 1
+    fi
+    rm -f "$err"
+}
+
 # Starts flm-serve on an ephemeral port, round-trips refute/verify/audit
 # through flm-client, and checks the wire certificate against the local
 # flm-audit. Expects release binaries to be built already.
 serve_smoke() {
+    reject_unknown_flag 1 flm-serve --addr 127.0.0.1:0 --max-connections 8
+    reject_unknown_flag 2 flm-router --shards 127.0.0.1:1 --max-connections 8
     local tmpdir
     tmpdir="$(mktemp -d)"
     ./target/release/flm-serve --addr 127.0.0.1:0 --port-file "$tmpdir/addr" &
@@ -112,6 +137,8 @@ serve_smoke() {
 # directory and requires the router to serve the same bytes again.
 # Expects release binaries to be built already.
 shard_smoke() {
+    reject_unknown_flag 1 flm-serve --shard-id 0 --peers 127.0.0.1:1 --shard-count 1
+    reject_unknown_flag 2 flm-router --shards 127.0.0.1:1 --backend-pending 8
     local tmpdir
     tmpdir="$(mktemp -d)"
     local pids=() p0 p1 peers attempt started=0 f
