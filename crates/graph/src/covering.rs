@@ -480,6 +480,20 @@ mod tests {
     }
 
     #[test]
+    fn cyclic_cover_of_triangle_is_one_ring_of_3m_nodes() {
+        // Connected and 2-regular: one cycle through all 3m nodes, not m
+        // separate triangles, so information spreads around the whole ring.
+        for m in [2usize, 4, 8] {
+            let cov = Covering::cyclic_cover(3, m).unwrap();
+            assert_eq!(cov.cover().node_count(), 3 * m);
+            assert!(cov.cover().is_connected());
+            for s in cov.cover().nodes() {
+                assert_eq!(cov.cover().degree(s), 2);
+            }
+        }
+    }
+
+    #[test]
     fn crossed_cyclic_cover_of_triangle_is_a_ring() {
         let tri = builders::triangle();
         let a: BTreeSet<NodeId> = [NodeId(0)].into();

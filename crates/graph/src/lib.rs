@@ -18,8 +18,6 @@
 //!   crossed double cover (hexagon / 8-cycle figures) and cyclic ring covers
 //!   (the 4k-node and (k+2)-node rings of §4–§7).
 //! * [`dot`] — Graphviz emitters that regenerate the paper's figures.
-//! * [`metrics`] — BFS distances / diameter, used to reason about the
-//!   information-propagation arguments behind the ring covers.
 //!
 //! # Example
 //!
@@ -44,7 +42,6 @@ pub mod covering;
 pub mod dot;
 mod error;
 mod graph;
-pub mod metrics;
 
 pub use error::GraphError;
 pub use graph::{Graph, NodeId};
