@@ -5,13 +5,12 @@
 //! With `--refute`, runs one refuter and writes the resulting certificate to
 //! disk in the portable `FLMC` format, where `flm-audit` can re-verify it
 //! independently.
-//!
-//! Run with:
-//!
 //! With `--campaign`, runs a seed-deterministic chaos campaign over the
 //! protocol zoo × graph families × fault plans, shrinks every violation,
 //! and writes the certificates plus `campaign_report.json` to a directory
 //! (`flm-audit --batch DIR` checks the lot).
+//!
+//! Run with:
 //!
 //! ```text
 //! cargo run -p flm-bench --bin regen                    # markdown tables
@@ -22,8 +21,11 @@
 //!     [--max-ticks N] [--max-payload-bytes N]
 //! cargo run -p flm-bench --bin regen -- --campaign --out-dir DIR \
 //!     [--seed N] [--scale smoke|full] \
-//!     [--scheduler sync|async-fair|async-adversarial]...
+//!     [--scheduler sync,async-fair,async-adversarial]
 //! ```
+//!
+//! Each mode accepts exactly the flags its usage line lists; anything else
+//! prints the usage and exits 2.
 //!
 //! `THEOREM` is one of `ba-nodes`, `ba-connectivity`, `weak-agreement`,
 //! `firing-squad`, `simple-approx`, `eps-delta-gamma`, `clock-sync`,
@@ -40,41 +42,47 @@
 
 use flm_bench::{campaign, experiments, suites};
 use flm_core::codec::AnyCertificate;
+use flm_serve::flags::Flags;
 use flm_serve::query::{self, Theorem};
 use flm_sim::campaign::SchedulerKind;
 use flm_sim::RunPolicy;
 
+// One usage line per mode; each mode accepts exactly the flags its line
+// lists.
+const TABLES: &str = "regen";
+const BENCH: &str = "regen --bench substrate|refuters|runcache|serve|campaign [--samples N] \
+                     [--out FILE]";
+const REFUTE: &str = "regen --refute THEOREM --emit-cert FILE [--protocol NAME] [--f N] \
+                      [--graph GRAPH] [--max-ticks N] [--max-payload-bytes N]";
+const CAMPAIGN: &str = "regen --campaign --out-dir DIR [--seed N] [--scale smoke|full] \
+                        [--scheduler sync,async-fair,async-adversarial]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args) {
-        Ok(Mode::Tables) => print_tables(),
-        Ok(Mode::Bench(bench)) => run_bench(&bench),
-        Ok(Mode::Refute(refute)) => {
-            if let Err(msg) = run_refute(&refute) {
-                eprintln!("regen: {msg}");
-                std::process::exit(1);
-            }
+    let mode = parse(&args).unwrap_or_else(|msg| {
+        eprintln!("regen: {msg}");
+        eprintln!("usage: {TABLES}\n       {BENCH}\n       {REFUTE}\n       {CAMPAIGN}");
+        std::process::exit(2);
+    });
+    let result = match mode {
+        Mode::Tables => {
+            print_tables();
+            Ok(())
         }
-        Ok(Mode::Campaign(campaign)) => {
-            if let Err(msg) = run_campaign_cli(&campaign) {
-                eprintln!("regen: {msg}");
-                std::process::exit(1);
-            }
+        Mode::Bench(bench) => {
+            run_bench(&bench);
+            Ok(())
         }
-        Err(msg) => {
-            eprintln!("regen: {msg}");
-            eprintln!(
-                "usage: regen [--bench substrate|refuters|runcache|serve|campaign] [--samples N] [--out FILE]\n\
-                 \x20      regen --refute THEOREM --emit-cert FILE [--protocol NAME] [--f N] \
-                 [--graph GRAPH] [--max-ticks N] [--max-payload-bytes N]\n\
-                 \x20      regen --campaign --out-dir DIR [--seed N] [--scale smoke|full] \
-                 [--scheduler sync|async-fair|async-adversarial]..."
-            );
-            std::process::exit(2);
-        }
+        Mode::Refute(refute) => run_refute(&refute),
+        Mode::Campaign(campaign) => run_campaign_cli(&campaign),
+    };
+    if let Err(msg) = result {
+        eprintln!("regen: {msg}");
+        std::process::exit(1);
     }
 }
 
+#[derive(Debug)]
 enum Mode {
     Tables,
     Bench(BenchArgs),
@@ -82,6 +90,7 @@ enum Mode {
     Campaign(CampaignArgs),
 }
 
+#[derive(Debug)]
 struct CampaignArgs {
     out_dir: String,
     seed: u64,
@@ -89,12 +98,14 @@ struct CampaignArgs {
     schedulers: Vec<SchedulerKind>,
 }
 
+#[derive(Debug)]
 struct BenchArgs {
     suite: String,
     samples: usize,
     out: Option<String>,
 }
 
+#[derive(Debug)]
 struct RefuteArgs {
     theorem: String,
     emit_cert: String,
@@ -105,149 +116,75 @@ struct RefuteArgs {
     max_payload_bytes: Option<usize>,
 }
 
+/// The mode `--campaign`, `--refute` or `--bench` selects (the tables when
+/// none is given), after checking the flags against that mode's line.
 fn parse(args: &[String]) -> Result<Mode, String> {
-    let mut suite = None;
-    let mut samples = 15usize;
-    let mut out = None;
-    let mut theorem = None;
-    let mut emit_cert = None;
-    let mut protocol = None;
-    let mut f = 1usize;
-    let mut graph = None;
-    let mut max_ticks = None;
-    let mut max_payload_bytes = None;
-    let mut campaign_mode = false;
-    let mut out_dir = None;
-    let mut seed = 0xF1Au64;
-    let mut seed_given = false;
-    let mut scale = "full".to_string();
-    let mut scale_given = false;
-    let mut schedulers: Vec<SchedulerKind> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| {
-            it.next().cloned().ok_or(format!("{arg} needs a value"))
-        };
-        match arg.as_str() {
-            "--bench" => {
-                let s = value(&mut it)?;
-                if !["substrate", "refuters", "runcache", "serve", "campaign"].contains(&s.as_str())
-                {
-                    return Err(format!(
-                        "unknown suite {s:?} (want substrate, refuters, runcache, serve, \
-                         or campaign)"
-                    ));
-                }
-                suite = Some(s);
+    let flags = Flags::parse(args, &["campaign"])?;
+    let owned = |flag: &str| flags.get(flag).map(str::to_owned);
+    if flags.switch("campaign") {
+        flags.reject_unlisted(CAMPAIGN)?;
+        let mut schedulers = Vec::new();
+        for name in flags.get("scheduler").unwrap_or("sync").split(',') {
+            let kind = SchedulerKind::parse(name)?;
+            if !schedulers.contains(&kind) {
+                schedulers.push(kind);
             }
-            "--campaign" => campaign_mode = true,
-            "--out-dir" => out_dir = Some(value(&mut it)?),
-            "--seed" => {
-                let raw = value(&mut it)?;
-                // Accept both decimal and the 0x-prefixed hex the campaign
-                // report prints, so a seed can be pasted back verbatim.
-                seed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => raw.parse(),
-                }
-                .map_err(|e| format!("--seed {raw:?}: {e}"))?;
-                seed_given = true;
-            }
-            "--scale" => {
-                scale = value(&mut it)?;
-                if scale != "smoke" && scale != "full" {
-                    return Err(format!("unknown scale {scale:?} (want smoke or full)"));
-                }
-                scale_given = true;
-            }
-            "--scheduler" => {
-                let kind = SchedulerKind::parse(&value(&mut it)?)?;
-                if !schedulers.contains(&kind) {
-                    schedulers.push(kind);
-                }
-            }
-            "--samples" => {
-                samples = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--samples: {e}"))?;
-                if samples == 0 {
-                    return Err("--samples must be positive".into());
-                }
-            }
-            "--out" => out = Some(value(&mut it)?),
-            "--refute" => theorem = Some(value(&mut it)?),
-            "--emit-cert" => emit_cert = Some(value(&mut it)?),
-            "--protocol" => protocol = Some(value(&mut it)?),
-            "--f" => {
-                f = value(&mut it)?.parse().map_err(|e| format!("--f: {e}"))?;
-                if f == 0 {
-                    return Err("--f must be positive".into());
-                }
-            }
-            "--graph" => graph = Some(value(&mut it)?),
-            "--max-ticks" => {
-                max_ticks = Some(
-                    value(&mut it)?
-                        .parse()
-                        .map_err(|e| format!("--max-ticks: {e}"))?,
-                );
-            }
-            "--max-payload-bytes" => {
-                max_payload_bytes = Some(
-                    value(&mut it)?
-                        .parse()
-                        .map_err(|e| format!("--max-payload-bytes: {e}"))?,
-                );
-            }
-            other => return Err(format!("unknown argument {other:?}")),
         }
-    }
-    if campaign_mode {
-        if theorem.is_some() || suite.is_some() || out.is_some() || emit_cert.is_some() {
-            return Err("--refute/--bench/--out/--emit-cert do not apply with --campaign".into());
-        }
-        let out_dir = out_dir.ok_or("--campaign needs --out-dir DIR")?;
-        if schedulers.is_empty() {
-            schedulers.push(SchedulerKind::Sync);
+        let scale = owned("scale").unwrap_or_else(|| "full".into());
+        if scale != "smoke" && scale != "full" {
+            return Err(format!("unknown scale {scale:?} (want smoke or full)"));
         }
         return Ok(Mode::Campaign(CampaignArgs {
-            out_dir,
-            seed,
+            out_dir: owned("out-dir").ok_or("--campaign needs --out-dir DIR")?,
+            seed: flags.get("seed").map_or(Ok(0xF1A), parse_seed)?,
             scale,
             schedulers,
         }));
     }
-    if out_dir.is_some() || seed_given || scale_given || !schedulers.is_empty() {
-        return Err("--out-dir/--seed/--scale/--scheduler only apply with --campaign".into());
-    }
-    if let Some(theorem) = theorem {
-        if suite.is_some() || out.is_some() {
-            return Err("--bench/--out do not apply with --refute".into());
-        }
-        let emit_cert = emit_cert.ok_or("--refute needs --emit-cert FILE")?;
+    if let Some(theorem) = owned("refute") {
+        flags.reject_unlisted(REFUTE)?;
         return Ok(Mode::Refute(RefuteArgs {
             theorem,
-            emit_cert,
-            protocol,
-            f,
-            graph,
-            max_ticks,
-            max_payload_bytes,
+            emit_cert: owned("emit-cert").ok_or("--refute needs --emit-cert FILE")?,
+            protocol: owned("protocol"),
+            f: positive(&flags, "f", 1)?,
+            graph: owned("graph"),
+            max_ticks: flags.optional("max-ticks")?,
+            max_payload_bytes: flags.optional("max-payload-bytes")?,
         }));
     }
-    if emit_cert.is_some() || protocol.is_some() || graph.is_some() {
-        return Err("--emit-cert/--protocol/--graph only apply with --refute".into());
-    }
-    match suite {
-        Some(suite) => Ok(Mode::Bench(BenchArgs {
-            suite,
-            samples,
-            out,
-        })),
-        None if samples != 15 || out.is_some() => {
-            Err("--samples/--out only apply with --bench".into())
+    if let Some(suite) = owned("bench") {
+        flags.reject_unlisted(BENCH)?;
+        if !["substrate", "refuters", "runcache", "serve", "campaign"].contains(&suite.as_str()) {
+            return Err(format!(
+                "unknown suite {suite:?} (want substrate, refuters, runcache, serve, or campaign)"
+            ));
         }
-        None => Ok(Mode::Tables),
+        return Ok(Mode::Bench(BenchArgs {
+            suite,
+            samples: positive(&flags, "samples", 15)?,
+            out: owned("out"),
+        }));
+    }
+    flags.reject_unlisted(TABLES)?;
+    Ok(Mode::Tables)
+}
+
+/// A decimal seed, or the `0x`-prefixed hex the campaign report prints, so
+/// a seed can be pasted back verbatim.
+fn parse_seed(raw: &str) -> Result<u64, String> {
+    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    }
+    .map_err(|e| format!("--seed {raw:?}: {e}"))
+}
+
+/// The value of `--flag` as a positive integer, or `default` when absent.
+fn positive(flags: &Flags, flag: &str, default: usize) -> Result<usize, String> {
+    match flags.parsed(flag, default)? {
+        0 => Err(format!("--{flag} must be positive")),
+        n => Ok(n),
     }
 }
 
@@ -398,6 +335,154 @@ fn print_tables() {
         println!(
             "| {} | {} | {} | {} |",
             r.construction, r.parameter, r.cover_nodes, r.chain
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Mode, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn each_mode_accepts_its_own_flags() {
+        assert!(matches!(parse_args(&[]), Ok(Mode::Tables)));
+        let Ok(Mode::Bench(bench)) =
+            parse_args(&["--bench", "serve", "--samples", "3", "--out", "b.json"])
+        else {
+            panic!("not a bench run");
+        };
+        assert_eq!((bench.suite.as_str(), bench.samples), ("serve", 3));
+        assert_eq!(bench.out.as_deref(), Some("b.json"));
+        let Ok(Mode::Refute(refute)) = parse_args(&[
+            "--refute",
+            "ba-nodes",
+            "--emit-cert",
+            "c.flmc",
+            "--protocol",
+            "EIG(f=2)",
+            "--f",
+            "2",
+            "--graph",
+            "complete6",
+            "--max-ticks",
+            "64",
+            "--max-payload-bytes",
+            "512",
+        ]) else {
+            panic!("not a refute run");
+        };
+        assert_eq!((refute.theorem.as_str(), refute.f), ("ba-nodes", 2));
+        assert_eq!(refute.emit_cert, "c.flmc");
+        assert_eq!(refute.protocol.as_deref(), Some("EIG(f=2)"));
+        assert_eq!(refute.graph.as_deref(), Some("complete6"));
+        assert_eq!(
+            (refute.max_ticks, refute.max_payload_bytes),
+            (Some(64), Some(512))
+        );
+        let Ok(Mode::Campaign(campaign)) = parse_args(&[
+            "--campaign",
+            "--out-dir",
+            "d",
+            "--seed",
+            "7",
+            "--scale",
+            "smoke",
+            "--scheduler",
+            "async-fair",
+        ]) else {
+            panic!("not a campaign run");
+        };
+        assert_eq!((campaign.out_dir.as_str(), campaign.seed), ("d", 7));
+        assert_eq!(campaign.scale, "smoke");
+        assert_eq!(campaign.schedulers, [SchedulerKind::AsyncFair]);
+    }
+
+    #[test]
+    fn a_flag_of_another_mode_is_rejected() {
+        let err = |args: &[&str]| parse_args(args).unwrap_err();
+        assert_eq!(
+            err(&["--campaign", "--out-dir", "d", "--samples", "3"]),
+            "unknown flag --samples"
+        );
+        assert_eq!(
+            err(&["--refute", "ba-nodes", "--emit-cert", "c", "--seed", "1"]),
+            "unknown flag --seed"
+        );
+        assert_eq!(
+            err(&["--bench", "serve", "--emit-cert", "c"]),
+            "unknown flag --emit-cert"
+        );
+        assert_eq!(
+            err(&["--refute", "ba-nodes", "--bench", "serve"]),
+            "unknown flag --bench"
+        );
+        assert_eq!(err(&["--out", "t.md"]), "unknown flag --out");
+        assert_eq!(err(&["tables"]), "unexpected operand \"tables\"");
+    }
+
+    #[test]
+    fn seeds_parse_in_decimal_and_hex() {
+        let seed = |raw: &str| match parse_args(&["--campaign", "--out-dir", "d", "--seed", raw]) {
+            Ok(Mode::Campaign(c)) => c.seed,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(seed("0xF1A"), 0xF1A);
+        assert_eq!(seed("0Xf1a"), 0xF1A);
+        assert_eq!(seed("3866"), 3866);
+        assert!(parse_args(&["--campaign", "--out-dir", "d", "--seed", "0xZZ"]).is_err());
+        let Ok(Mode::Campaign(default)) = parse_args(&["--campaign", "--out-dir", "d"]) else {
+            panic!("not a campaign run");
+        };
+        assert_eq!(default.seed, 0xF1A);
+        assert_eq!(default.scale, "full");
+        assert_eq!(default.schedulers, [SchedulerKind::Sync]);
+    }
+
+    #[test]
+    fn schedulers_are_a_list_without_duplicates() {
+        let Ok(Mode::Campaign(c)) = parse_args(&[
+            "--campaign",
+            "--out-dir",
+            "d",
+            "--scheduler",
+            "sync,async-fair,sync",
+        ]) else {
+            panic!("not a campaign run");
+        };
+        assert_eq!(
+            c.schedulers,
+            [SchedulerKind::Sync, SchedulerKind::AsyncFair]
+        );
+        let twice = ["--scheduler", "sync", "--scheduler", "async-fair"];
+        let err = parse_args(&[&["--campaign", "--out-dir", "d"][..], &twice].concat());
+        assert_eq!(err.unwrap_err(), "--scheduler given twice");
+        assert!(parse_args(&["--campaign", "--out-dir", "d", "--scheduler", "eager"]).is_err());
+    }
+
+    #[test]
+    fn zero_samples_and_zero_f_are_rejected() {
+        assert_eq!(
+            parse_args(&["--bench", "serve", "--samples", "0"]).unwrap_err(),
+            "--samples must be positive"
+        );
+        assert_eq!(
+            parse_args(&["--refute", "ba-nodes", "--emit-cert", "c", "--f", "0"]).unwrap_err(),
+            "--f must be positive"
+        );
+        assert!(parse_args(&["--bench", "nope"]).is_err());
+        assert!(parse_args(&["--campaign", "--out-dir", "d", "--scale", "huge"]).is_err());
+        assert_eq!(
+            parse_args(&["--refute", "ba-nodes"]).unwrap_err(),
+            "--refute needs --emit-cert FILE"
+        );
+        assert_eq!(
+            parse_args(&["--campaign"]).unwrap_err(),
+            "--campaign needs --out-dir DIR"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! The experiment runners behind every table in EXPERIMENTS.md.
 
 use flm_core::problems::ClockSyncClaim;
-use flm_core::refute::{self, RefuteError};
+use flm_core::refute;
 use flm_graph::{adequacy, builders, connectivity, Graph, NodeId};
 use flm_protocols::clock_sync::TrivialClockSync;
 use flm_protocols::{testkit, Dlpsw, DolevStrong, Eig, PhaseKing, Relayed, WeakViaBa};
@@ -392,15 +392,6 @@ impl Protocol for WeakAsIs {
     fn horizon(&self, g: &Graph) -> u32 {
         self.0.horizon(g)
     }
-}
-
-/// Checks (for benches) that a refutation attempt on an adequate graph is
-/// correctly declined — used to time classification alone.
-pub fn classify_only(g: &Graph, f: usize) -> bool {
-    matches!(
-        refute::ba_nodes(&NaiveUnderTest, g, f),
-        Err(RefuteError::GraphIsAdequate { .. })
-    )
 }
 
 #[cfg(test)]

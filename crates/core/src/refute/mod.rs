@@ -263,140 +263,119 @@ pub(crate) fn transplant(
     policy: &RunPolicy,
 ) -> Result<(ChainLink, Arc<SystemBehavior>, BTreeSet<NodeId>), RefuteError> {
     crate::profile::span("transplant", || {
-        transplant_inner(
+        let base = cov.base();
+        // φ restricted to u_set must be injective (one representative per base
+        // node) for the scenario to live in the base graph.
+        let mut rep: std::collections::BTreeMap<NodeId, NodeId> = std::collections::BTreeMap::new();
+        for &u in u_set {
+            if rep.insert(cov.project(u), u).is_some() {
+                return Err(RefuteError::ModelViolation {
+                    reason: format!(
+                        "two cover nodes in the scenario project to {}",
+                        cov.project(u)
+                    ),
+                });
+            }
+        }
+        let correct: BTreeSet<NodeId> = rep.keys().copied().collect();
+
+        // Harvest the link's assembly first — inputs and masquerade traces pin
+        // the base run completely, so they double as its cache key.
+        let mut inputs = vec![faulty_input; base.node_count()];
+        for (&t, &u) in &rep {
+            inputs[t.index()] = cover_behavior.node(u).input;
+        }
+        let mut masquerade: Vec<(NodeId, Vec<EdgeBehavior>)> = Vec::new();
+        for alpha in base.nodes() {
+            if correct.contains(&alpha) {
+                continue;
+            }
+            // Port order = sorted base neighbors, matching System::assign.
+            let traces: Vec<EdgeBehavior> = base
+                .neighbors(alpha)
+                .map(|t| {
+                    let source_edge = match rep.get(&t) {
+                        // The cover edge feeding t's representative from an
+                        // alpha-projecting neighbor.
+                        Some(&u_t) => (cov.lift_neighbor(u_t, alpha), u_t),
+                        // t is faulty too; the trace is irrelevant to the
+                        // scenario — use alpha's first fiber element's edge for
+                        // determinism.
+                        None => {
+                            let a0 = cov.fiber(alpha)[0];
+                            (a0, cov.lift_neighbor(a0, t))
+                        }
+                    };
+                    cover_behavior.edge(source_edge.0, source_edge.1).clone()
+                })
+                .collect();
+            masquerade.push((alpha, traces));
+        }
+
+        // The same key `Certificate::rebuild` derives from the finished link, so
+        // verification of a freshly minted certificate replays from the cache.
+        let correct_sorted: Vec<NodeId> = correct.iter().copied().collect();
+        let behavior = run_link(
             protocol,
-            cov,
-            cover_behavior,
-            u_set,
-            faulty_input,
+            base,
+            &correct_sorted,
+            &masquerade,
+            &inputs,
             horizon,
-            f,
             policy,
         )
-    })
-}
+        .map_err(link_error(protocol, "base run"))?;
 
-#[allow(clippy::too_many_arguments)]
-fn transplant_inner(
-    protocol: &dyn Protocol,
-    cov: &Covering,
-    cover_behavior: &SystemBehavior,
-    u_set: &BTreeSet<NodeId>,
-    faulty_input: Input,
-    horizon: u32,
-    f: usize,
-    policy: &RunPolicy,
-) -> Result<(ChainLink, Arc<SystemBehavior>, BTreeSet<NodeId>), RefuteError> {
-    let base = cov.base();
-    // φ restricted to u_set must be injective (one representative per base
-    // node) for the scenario to live in the base graph.
-    let mut rep: std::collections::BTreeMap<NodeId, NodeId> = std::collections::BTreeMap::new();
-    for &u in u_set {
-        if rep.insert(cov.project(u), u).is_some() {
+        // The Locality axiom, checked: the transplanted scenario must equal the
+        // cover scenario byte for byte (under φ). Quarantined devices pass this
+        // too — determinism makes them misbehave at the same tick in both runs,
+        // leaving identical silence and marker snapshots.
+        let cover_scenario = cover_behavior.scenario(u_set);
+        let base_scenario = behavior.scenario(&correct);
+        let map: std::collections::BTreeMap<NodeId, NodeId> =
+            u_set.iter().map(|&u| (u, cov.project(u))).collect();
+        let matched = cover_scenario.matches(&base_scenario, &map);
+        if let Err(reason) = &matched {
             return Err(RefuteError::ModelViolation {
                 reason: format!(
-                    "two cover nodes in the scenario project to {}",
-                    cov.project(u)
+                    "transplanted scenario diverged (device nondeterminism?): {reason}"
                 ),
             });
         }
-    }
-    let correct: BTreeSet<NodeId> = rep.keys().copied().collect();
 
-    // Harvest the link's assembly first — inputs and masquerade traces pin
-    // the base run completely, so they double as its cache key.
-    let mut inputs = vec![faulty_input; base.node_count()];
-    for (&t, &u) in &rep {
-        inputs[t.index()] = cover_behavior.node(u).input;
-    }
-    let mut masquerade: Vec<(NodeId, Vec<EdgeBehavior>)> = Vec::new();
-    for alpha in base.nodes() {
-        if correct.contains(&alpha) {
-            continue;
-        }
-        // Port order = sorted base neighbors, matching System::assign.
-        let traces: Vec<EdgeBehavior> = base
-            .neighbors(alpha)
-            .map(|t| {
-                let source_edge = match rep.get(&t) {
-                    // The cover edge feeding t's representative from an
-                    // alpha-projecting neighbor.
-                    Some(&u_t) => (cov.lift_neighbor(u_t, alpha), u_t),
-                    // t is faulty too; the trace is irrelevant to the
-                    // scenario — use alpha's first fiber element's edge for
-                    // determinism.
-                    None => {
-                        let a0 = cov.fiber(alpha)[0];
-                        (a0, cov.lift_neighbor(a0, t))
-                    }
-                };
-                cover_behavior.edge(source_edge.0, source_edge.1).clone()
-            })
+        // Degradation: misbehaving scenario nodes become Byzantine-faulty if the
+        // budget allows, otherwise the refutation cannot proceed soundly.
+        let incidents = behavior.misbehavior().to_vec();
+        let degraded: BTreeSet<NodeId> = behavior
+            .misbehaving_nodes()
+            .intersection(&correct)
+            .copied()
             .collect();
-        masquerade.push((alpha, traces));
-    }
+        let masquerading = base.node_count() - correct.len();
+        if masquerading + degraded.len() > f {
+            return Err(RefuteError::Misbehavior {
+                reason: format!(
+                    "{} masquerading + {} degraded nodes > f = {f}",
+                    masquerading,
+                    degraded.len()
+                ),
+                incidents,
+            });
+        }
+        let effective: BTreeSet<NodeId> = correct.difference(&degraded).copied().collect();
 
-    // The same key `Certificate::rebuild` derives from the finished link, so
-    // verification of a freshly minted certificate replays from the cache.
-    let correct_sorted: Vec<NodeId> = correct.iter().copied().collect();
-    let behavior = run_link(
-        protocol,
-        base,
-        &correct_sorted,
-        &masquerade,
-        &inputs,
-        horizon,
-        policy,
-    )
-    .map_err(link_error(protocol, "base run"))?;
-
-    // The Locality axiom, checked: the transplanted scenario must equal the
-    // cover scenario byte for byte (under φ). Quarantined devices pass this
-    // too — determinism makes them misbehave at the same tick in both runs,
-    // leaving identical silence and marker snapshots.
-    let cover_scenario = cover_behavior.scenario(u_set);
-    let base_scenario = behavior.scenario(&correct);
-    let map: std::collections::BTreeMap<NodeId, NodeId> =
-        u_set.iter().map(|&u| (u, cov.project(u))).collect();
-    let matched = cover_scenario.matches(&base_scenario, &map);
-    if let Err(reason) = &matched {
-        return Err(RefuteError::ModelViolation {
-            reason: format!("transplanted scenario diverged (device nondeterminism?): {reason}"),
-        });
-    }
-
-    // Degradation: misbehaving scenario nodes become Byzantine-faulty if the
-    // budget allows, otherwise the refutation cannot proceed soundly.
-    let incidents = behavior.misbehavior().to_vec();
-    let degraded: BTreeSet<NodeId> = behavior
-        .misbehaving_nodes()
-        .intersection(&correct)
-        .copied()
-        .collect();
-    let masquerading = base.node_count() - correct.len();
-    if masquerading + degraded.len() > f {
-        return Err(RefuteError::Misbehavior {
-            reason: format!(
-                "{} masquerading + {} degraded nodes > f = {f}",
-                masquerading,
-                degraded.len()
-            ),
-            incidents,
-        });
-    }
-    let effective: BTreeSet<NodeId> = correct.difference(&degraded).copied().collect();
-
-    let link = ChainLink {
-        correct: correct_sorted,
-        masquerade,
-        inputs,
-        scenario_matched: matched.is_ok(),
-        decisions: behavior.decisions(),
-        horizon,
-        misbehavior: incidents,
-        degraded: degraded.iter().copied().collect(),
-    };
-    Ok((link, behavior, effective))
+        let link = ChainLink {
+            correct: correct_sorted,
+            masquerade,
+            inputs,
+            scenario_matched: matched.is_ok(),
+            decisions: behavior.decisions(),
+            horizon,
+            misbehavior: incidents,
+            degraded: degraded.iter().copied().collect(),
+        };
+        Ok((link, behavior, effective))
+    })
 }
 
 /// Splits `0..n` into classes `a`, `b`, `c` of size at most `f` with an

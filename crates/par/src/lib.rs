@@ -28,11 +28,10 @@
 //!
 //! # Tuning
 //!
-//! Worker count defaults to [`std::thread::available_parallelism`] and can
-//! be overridden with the `FLM_PAR_THREADS` environment variable
-//! (`FLM_PAR_THREADS=1` forces the inline sequential path process-wide).
-//! [`sequential`] forces the inline path for the current thread only — the
-//! determinism tests use it to diff parallel against sequential output.
+//! Worker count is [`std::thread::available_parallelism`]; a single core
+//! runs inline. [`sequential`] forces the inline path for the current
+//! thread only — the determinism tests use it to diff parallel against
+//! sequential output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,37 +69,25 @@ pub fn is_sequential() -> bool {
     FORCE_SEQUENTIAL.with(Cell::get)
 }
 
-/// The number of worker threads a parallel map will use.
-///
-/// `FLM_PAR_THREADS` (parsed once, process-wide) overrides the detected
-/// [`std::thread::available_parallelism`]; values below 1 are clamped to 1,
-/// and 1 means "run inline, never spawn". Without an override the rule is:
-/// a host that *detects* a single core resolves to 1 (inline sequential,
-/// same as `FLM_PAR_THREADS=1` — spawning a pool there only adds overhead),
-/// while a host where detection *fails* falls back to 2 so the threaded
-/// path's ordering/panic machinery still gets exercised.
+/// The number of worker threads a parallel map will use, detected once per
+/// process. 1 means "run inline, never spawn".
 fn worker_count() -> usize {
     static COUNT: OnceLock<usize> = OnceLock::new();
     *COUNT.get_or_init(|| {
-        let override_threads = std::env::var("FLM_PAR_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok());
-        let detected = thread::available_parallelism()
-            .ok()
-            .map(std::num::NonZeroUsize::get);
-        resolve_worker_count(override_threads, detected)
+        resolve_worker_count(
+            thread::available_parallelism()
+                .ok()
+                .map(std::num::NonZeroUsize::get),
+        )
     })
 }
 
-/// Pure worker-count rule behind [`worker_count`], split out so the
-/// single-core and detection-failure branches are unit-testable without
-/// faking the host topology: an explicit override wins (clamped to ≥ 1), a
-/// detected count is used as-is (so 1 core ⇒ inline sequential), and a
-/// failed detection falls back to 2 workers.
-fn resolve_worker_count(override_threads: Option<usize>, detected: Option<usize>) -> usize {
-    if let Some(n) = override_threads {
-        return n.max(1);
-    }
+/// The worker-count rule behind [`worker_count`], split out so both
+/// branches are unit-testable without faking the host topology: a detected
+/// count is used as-is (so 1 core ⇒ inline sequential, since spawning a
+/// pool there only adds overhead), and a failed detection falls back to 2
+/// workers so the threaded path's ordering and panic machinery still runs.
+fn resolve_worker_count(detected: Option<usize>) -> usize {
     detected.unwrap_or(2)
 }
 
@@ -180,16 +167,11 @@ mod tests {
 
     #[test]
     fn worker_count_rule() {
-        // Explicit override wins and is clamped to at least 1.
-        assert_eq!(resolve_worker_count(Some(0), Some(8)), 1);
-        assert_eq!(resolve_worker_count(Some(1), Some(8)), 1);
-        assert_eq!(resolve_worker_count(Some(6), Some(2)), 6);
-        // A detected single core resolves to the inline sequential path,
-        // exactly as FLM_PAR_THREADS=1 would.
-        assert_eq!(resolve_worker_count(None, Some(1)), 1);
-        assert_eq!(resolve_worker_count(None, Some(4)), 4);
+        // A detected single core resolves to the inline sequential path.
+        assert_eq!(resolve_worker_count(Some(1)), 1);
+        assert_eq!(resolve_worker_count(Some(4)), 4);
         // Detection *failure* (not single-core detection) falls back to 2.
-        assert_eq!(resolve_worker_count(None, None), 2);
+        assert_eq!(resolve_worker_count(None), 2);
     }
 
     #[test]

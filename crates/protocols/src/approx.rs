@@ -29,18 +29,6 @@ impl Dlpsw {
     pub fn new(f: usize, rounds: u32) -> Self {
         Dlpsw { f, rounds }
     }
-
-    /// Rounds sufficient to bring an initial spread `delta` within `eps`
-    /// (each round halves the spread).
-    pub fn rounds_for(delta: f64, eps: f64) -> u32 {
-        let mut r = 0;
-        let mut d = delta;
-        while d > eps && r < 64 {
-            d /= 2.0;
-            r += 1;
-        }
-        r.max(1)
-    }
 }
 
 impl Protocol for Dlpsw {
@@ -210,13 +198,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rounds_for_targets() {
-        assert_eq!(Dlpsw::rounds_for(1.0, 0.5), 1);
-        assert_eq!(Dlpsw::rounds_for(1.0, 0.1), 4);
-        assert_eq!(Dlpsw::rounds_for(0.0, 0.1), 1);
     }
 
     #[test]

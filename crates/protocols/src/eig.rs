@@ -45,11 +45,6 @@ impl Eig {
     pub fn new(f: usize) -> Self {
         Eig { f }
     }
-
-    /// The fault budget.
-    pub fn fault_budget(&self) -> usize {
-        self.f
-    }
 }
 
 impl Protocol for Eig {

@@ -53,14 +53,6 @@ impl FastWeakDevice {
         }
     }
 
-    /// Decodes the decision from a snapshot produced by this device.
-    pub fn decision_of(snap: &[u8]) -> Option<bool> {
-        match snap.first()? {
-            1 => Some(*snap.get(1)? != 0),
-            _ => None,
-        }
-    }
-
     /// Raise the alarm (once): broadcast an alert timed to land halfway
     /// between now and the decision instant.
     fn alert(&mut self, hw: f64) -> Vec<ClockAction> {
@@ -261,11 +253,19 @@ mod tests {
         }
     }
 
+    /// Decodes the decision from a snapshot produced by the device.
+    fn decision_of(snap: &[u8]) -> Option<bool> {
+        match snap.first()? {
+            1 => Some(*snap.get(1)? != 0),
+            _ => None,
+        }
+    }
+
     fn decision(b: &ClockBehavior, v: NodeId) -> Option<bool> {
         b.node_logs[v.index()]
             .iter()
             .rev()
-            .find_map(|rec| FastWeakDevice::decision_of(&rec.snap))
+            .find_map(|rec| decision_of(&rec.snap))
     }
 
     fn run_with(attack: Option<Attack>, inputs: [bool; 3]) -> ClockBehavior {

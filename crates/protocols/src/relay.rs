@@ -395,11 +395,6 @@ impl Device for RelayDevice {
     }
 }
 
-/// Convenience: is `g` usable by [`Relayed`] with fault budget `f`?
-pub fn supports_relay(g: &Graph, f: usize) -> bool {
-    connectivity::vertex_connectivity(g) > 2 * f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,6 +415,11 @@ mod tests {
             }
         }
         builders::from_links(5, &links).unwrap()
+    }
+
+    /// Is `g` usable by [`Relayed`] with fault budget `f`?
+    fn supports_relay(g: &Graph, f: usize) -> bool {
+        connectivity::vertex_connectivity(g) > 2 * f
     }
 
     #[test]

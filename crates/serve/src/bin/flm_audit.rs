@@ -33,6 +33,12 @@ use std::process::ExitCode;
 use flm_serve::audit::{
     audit_bytes, audit_dir, batch_exit_code, render_batch_table, EXIT_MALFORMED,
 };
+use flm_serve::flags::Flags;
+
+/// The single-certificate usage line: the flags that mode accepts.
+const SINGLE: &str = "flm-audit CERT [--timeline] [--quiet]";
+/// The batch usage line: the flags that mode accepts.
+const BATCH: &str = "flm-audit --batch DIR [--quiet]";
 
 struct Args {
     path: String,
@@ -42,38 +48,23 @@ struct Args {
 }
 
 fn parse(args: &[String]) -> Result<Args, String> {
-    let mut path = None;
-    let mut batch = false;
-    let mut timeline = false;
-    let mut quiet = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--timeline" => timeline = true,
-            "--quiet" => quiet = true,
-            "--batch" => {
-                let dir = iter.next().ok_or("--batch needs a directory")?;
-                if path.replace(dir.clone()).is_some() {
-                    return Err("give either one certificate file or --batch DIR".into());
-                }
-                batch = true;
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
-            other => {
-                if path.replace(other.to_owned()).is_some() {
-                    return Err("exactly one certificate file expected".into());
-                }
-            }
+    let mut flags = Flags::parse(args, &["timeline", "quiet"])?;
+    let (path, batch) = match flags.get("batch") {
+        Some(dir) => {
+            flags.reject_unlisted(BATCH)?;
+            (dir.to_owned(), true)
         }
-    }
-    if batch && timeline {
-        return Err("--timeline applies to single-certificate audits only".into());
-    }
+        None => {
+            let cert = (!flags.positional.is_empty()).then(|| flags.positional.remove(0));
+            flags.reject_unlisted(SINGLE)?;
+            (cert.ok_or("no certificate file given")?, false)
+        }
+    };
     Ok(Args {
-        path: path.ok_or("no certificate file given")?,
+        path,
         batch,
-        timeline,
-        quiet,
+        timeline: flags.switch("timeline"),
+        quiet: flags.switch("quiet"),
     })
 }
 
@@ -83,8 +74,7 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(msg) => {
             eprintln!("flm-audit: {msg}");
-            eprintln!("usage: flm-audit CERT [--timeline] [--quiet]");
-            eprintln!("       flm-audit --batch DIR [--quiet]");
+            eprintln!("usage: {SINGLE}\n       {BATCH}");
             return ExitCode::from(EXIT_MALFORMED);
         }
     };
@@ -121,4 +111,44 @@ fn main() -> ExitCode {
         eprintln!("flm-audit: {line}");
     }
     ExitCode::from(outcome.exit_code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Args, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn each_mode_parses_its_own_flags() {
+        let single = parse_args(&["c.flmc"]).unwrap();
+        assert_eq!(single.path, "c.flmc");
+        assert!(!single.batch && !single.timeline && !single.quiet);
+        let loud = parse_args(&["c.flmc", "--timeline", "--quiet"]).unwrap();
+        assert!(!loud.batch && loud.timeline && loud.quiet);
+        let batch = parse_args(&["--batch", "dir", "--quiet"]).unwrap();
+        assert_eq!(batch.path, "dir");
+        assert!(batch.batch && !batch.timeline && batch.quiet);
+    }
+
+    #[test]
+    fn a_bad_command_line_is_rejected() {
+        let err = |args: &[&str]| parse_args(args).err().unwrap();
+        assert_eq!(
+            err(&["--batch", "dir", "--timeline"]),
+            "unknown flag --timeline"
+        );
+        assert_eq!(err(&["a.flmc", "b.flmc"]), "unexpected operand \"b.flmc\"");
+        assert_eq!(
+            err(&["--batch", "dir", "a.flmc"]),
+            "unexpected operand \"a.flmc\""
+        );
+        assert_eq!(err(&[]), "no certificate file given");
+        assert_eq!(err(&["--quiet"]), "no certificate file given");
+        assert_eq!(err(&["--verbose", "c.flmc"]), "unknown flag --verbose");
+        assert_eq!(err(&["c.flmc", "--verbose", "x"]), "unknown flag --verbose");
+    }
 }

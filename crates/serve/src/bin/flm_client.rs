@@ -57,7 +57,7 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let flags = match Flags::parse(rest) {
+    let flags = match Flags::parse(rest, &[]) {
         Ok(flags) => flags,
         Err(msg) => {
             eprintln!("flm-client: {msg}");

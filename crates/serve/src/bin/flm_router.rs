@@ -18,7 +18,7 @@ use flm_serve::server::write_port_file;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = Flags::parse(&args).and_then(|flags| Ok((router_config(&flags)?, flags)));
+    let parsed = Flags::parse(&args, &[]).and_then(|flags| Ok((router_config(&flags)?, flags)));
     let (config, flags) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => {

@@ -25,7 +25,7 @@ use flm_serve::server::{write_port_file, Server};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = Flags::parse(&args).and_then(|flags| Ok((serve_config(&flags)?, flags)));
+    let parsed = Flags::parse(&args, &[]).and_then(|flags| Ok((serve_config(&flags)?, flags)));
     let (config, flags) = match parsed {
         Ok(parsed) => parsed,
         Err(msg) => {

@@ -1,12 +1,12 @@
-//! The one command-line flag parser of `flm-serve`, `flm-router` and
-//! `flm-client`: positional operands plus `--flag value` pairs, each value
-//! read with one [`Flags::parsed`] (or [`Flags::optional`]) call.
+//! The one command-line flag parser of every binary in the workspace:
+//! positional operands, `--switch` booleans and `--flag value` pairs, each
+//! value read with one [`Flags::parsed`] (or [`Flags::optional`]) call.
 //!
 //! [`serve_config`] and [`router_config`] map the server's and the router's
 //! flags to their configurations next to their usage texts, and accept
 //! exactly the flags those texts list, so both are unit-tested without
-//! starting a process. `flm-audit` and `regen` keep their own parsers:
-//! they take boolean flags.
+//! starting a process. `flm-audit` and `regen` check each of their modes
+//! against that mode's usage line the same way.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -16,46 +16,57 @@ use crate::router::RouterConfig;
 use crate::server::{ServeConfig, ShardRole};
 use crate::shard::ShardMap;
 
-/// Command-line arguments split into positional operands and `--flag value`
-/// pairs.
+/// Command-line arguments split into positional operands, switches and
+/// `--flag value` pairs.
 #[derive(Debug)]
 pub struct Flags {
     /// The operands that are neither a flag nor a flag's value, in order.
     pub positional: Vec<String>,
-    pairs: Vec<(String, String)>,
+    /// Each flag given, with its value; a switch has none.
+    given: Vec<(String, Option<String>)>,
 }
 
 impl Flags {
-    /// Splits `args`: each `--flag` takes the next argument as its value,
-    /// and anything else is a positional operand.
+    /// Splits `args`: a flag named in `switches` stands alone, every other
+    /// `--flag` takes the next argument as its value, and anything else is
+    /// a positional operand.
     ///
     /// # Errors
     ///
     /// A flag with no value after it, or a flag given twice.
-    pub fn parse(args: &[String]) -> Result<Flags, String> {
+    pub fn parse(args: &[String], switches: &[&str]) -> Result<Flags, String> {
         let mut positional = Vec::new();
-        let mut pairs = Vec::new();
+        let mut given: Vec<(String, Option<String>)> = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            if let Some(flag) = arg.strip_prefix("--") {
-                let value = it.next().ok_or_else(|| format!("--{flag} wants a value"))?;
-                if pairs.iter().any(|(f, _)| f == flag) {
-                    return Err(format!("--{flag} given twice"));
-                }
-                pairs.push((flag.to_owned(), value.clone()));
-            } else {
+            let Some(flag) = arg.strip_prefix("--") else {
                 positional.push(arg.clone());
+                continue;
+            };
+            let value = if switches.contains(&flag) {
+                None
+            } else {
+                Some(it.next().ok_or_else(|| format!("--{flag} wants a value"))?)
+            };
+            if given.iter().any(|(f, _)| f == flag) {
+                return Err(format!("--{flag} given twice"));
             }
+            given.push((flag.to_owned(), value.cloned()));
         }
-        Ok(Flags { positional, pairs })
+        Ok(Flags { positional, given })
     }
 
     /// The raw value of `--flag`, if given.
     pub fn get(&self, flag: &str) -> Option<&str> {
-        self.pairs
+        self.given
             .iter()
             .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Whether the switch `--name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.given.iter().any(|(f, v)| f == name && v.is_none())
     }
 
     /// The value of `--flag` parsed as `T`, if given.
@@ -84,7 +95,7 @@ impl Flags {
     /// `unknown flag --name`.
     pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
         match self
-            .pairs
+            .given
             .iter()
             .find(|(f, _)| !known.contains(&f.as_str()))
         {
@@ -93,11 +104,16 @@ impl Flags {
         }
     }
 
-    /// Fails on a flag that `usage` does not list, or on any operand.
-    fn reject_unlisted(&self, usage: &str) -> Result<(), String> {
+    /// Fails on a flag that `usage` does not list, or on any operand left
+    /// in [`Flags::positional`].
+    ///
+    /// # Errors
+    ///
+    /// `unknown flag --name`, or the first unexpected operand.
+    pub fn reject_unlisted(&self, usage: &str) -> Result<(), String> {
         self.reject_unknown(&listed_flags(usage))?;
         match self.positional.first() {
-            Some(operand) => Err(format!("unexpected operand {operand:?}; flags only")),
+            Some(operand) => Err(format!("unexpected operand {operand:?}")),
             None => Ok(()),
         }
     }
@@ -196,7 +212,7 @@ mod tests {
 
     fn flags(args: &[&str]) -> Result<Flags, String> {
         let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
-        Flags::parse(&args)
+        Flags::parse(&args, &["quiet"])
     }
 
     fn serve(args: &[&str]) -> Result<ServeConfig, String> {
@@ -229,6 +245,22 @@ mod tests {
         assert_eq!(
             flags(&["--workers", "2", "--workers", "3"]).unwrap_err(),
             "--workers given twice"
+        );
+    }
+
+    #[test]
+    fn a_switch_stands_alone() {
+        let f = flags(&["--quiet", "cert", "--addr", "a:1"]).unwrap();
+        assert!(f.switch("quiet") && !f.switch("addr") && !f.switch("absent"));
+        assert_eq!((f.get("quiet"), f.get("addr")), (None, Some("a:1")));
+        assert_eq!(f.positional, ["cert"]);
+        assert_eq!(
+            f.reject_unknown(&["addr"]).unwrap_err(),
+            "unknown flag --quiet"
+        );
+        assert_eq!(
+            flags(&["--quiet", "--quiet"]).unwrap_err(),
+            "--quiet given twice"
         );
     }
 

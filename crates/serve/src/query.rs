@@ -24,13 +24,13 @@ use flm_sim::RunPolicy;
 pub enum Theorem {
     /// Theorem 1: Byzantine agreement needs `n ≥ 3f + 1` nodes.
     BaNodes,
-    /// Theorem 2: Byzantine agreement needs connectivity `κ ≥ 2f + 1`.
+    /// Theorem 1: Byzantine agreement needs connectivity `κ ≥ 2f + 1`.
     BaConnectivity,
-    /// Theorem 4: weak agreement bounds.
+    /// Theorem 2: weak agreement bounds.
     WeakAgreement,
-    /// Theorem 5: the Byzantine firing squad.
+    /// Theorem 4: the Byzantine firing squad.
     FiringSquad,
-    /// Theorem 6 (simple form): approximate agreement.
+    /// Theorem 5: simple approximate agreement.
     SimpleApprox,
     /// Theorem 6 (full (ε, δ, γ) form).
     EpsDeltaGamma,
@@ -251,6 +251,21 @@ pub fn canonical_query_key(
     flm_sim::runcache::RunKey::new("serve-query", w.finish())
 }
 
+/// Clamps a requested policy to [`RunPolicy::default`], fieldwise: queries
+/// may tighten their simulation budget but never raise it. A served
+/// certificate is stored, and its request routed, under the clamped
+/// policy's [`canonical_query_key`].
+pub fn clamp_policy(requested: Option<RunPolicy>) -> RunPolicy {
+    let ceiling = RunPolicy::default();
+    match requested {
+        None => ceiling,
+        Some(p) => RunPolicy {
+            max_payload_bytes: p.max_payload_bytes.min(ceiling.max_payload_bytes),
+            max_ticks: p.max_ticks.min(ceiling.max_ticks),
+        },
+    }
+}
+
 /// Runs the family's refuter for `(protocol, graph, f)` under `policy`,
 /// self-verifies the fresh certificate, and returns its portable `FLMC`
 /// bytes. `protocol`/`graph` default per family when `None`.
@@ -338,6 +353,18 @@ pub fn refute_to_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn policy_clamp_is_fieldwise_min() {
+        let ceiling = RunPolicy::default();
+        assert_eq!(clamp_policy(None), ceiling);
+        let clamped = clamp_policy(Some(RunPolicy {
+            max_payload_bytes: ceiling.max_payload_bytes * 4,
+            max_ticks: 10,
+        }));
+        assert_eq!(clamped.max_payload_bytes, ceiling.max_payload_bytes);
+        assert_eq!(clamped.max_ticks, 10);
+    }
 
     #[test]
     fn theorem_names_round_trip() {

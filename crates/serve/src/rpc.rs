@@ -406,65 +406,68 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// Declares the stats counter table exactly once: the struct fields, the
-/// wire order, and the length-tagged codec are all generated from the same
-/// list, so adding a counter is a single-site change that cannot drift
-/// between the encoder and the decoder. On the wire the table travels as a
-/// `u32` entry count followed by that many `u64` values — a peer built with
-/// a different table answers with a structured [`RpcDecodeError::Invalid`]
-/// instead of silently misaligned reads.
+/// Declares a stats report exactly once: its struct, its fields' wire order
+/// and its length-tagged codec are all generated from the same list, so
+/// adding a counter is a single-site change that cannot drift between the
+/// encoder and the decoder. On the wire the counters travel as a `u32`
+/// entry count followed by that many `u64` values, then the optional
+/// trailing text field as a string. A peer built with a different table
+/// answers with a structured [`RpcDecodeError::Invalid`] instead of
+/// silently misaligned reads.
 macro_rules! stats_counter_table {
-    ($( $(#[$doc:meta])* $name:ident ),+ $(,)?) => {
-        /// Server counters and cache statistics, the body of
-        /// [`Response::Stats`]. The numeric counters are one length-tagged
-        /// table on the wire (see `stats_counter_table!`); `profile`
-        /// follows the table as a plain string.
-        #[derive(Debug, Clone, Default, PartialEq)]
-        pub struct StatsReport {
+    (
+        $(#[$meta:meta])*
+        pub struct $report:ident in $context:literal {
+            $( $(#[$doc:meta])* $name:ident, )+
+        }
+        $( $(#[$text_doc:meta])* $text:ident: String, )?
+    ) => {
+        $(#[$meta])*
+        pub struct $report {
             $( $(#[$doc])* pub $name: u64, )+
-            /// `flm_core::profile::report()` output when `FLM_PROFILE` is
-            /// enabled in the server process; empty otherwise.
-            pub profile: String,
+            $( $(#[$text_doc])* pub $text: String, )?
         }
 
-        impl StatsReport {
+        impl $report {
             /// How many `u64` counters this build's table carries; the
             /// length tag every encoded report leads with.
-            pub const COUNTER_COUNT: u32 =
-                [$(stringify!($name)),+].len() as u32;
+            pub const COUNTER_COUNT: u32 = [$(stringify!($name)),+].len() as u32;
 
-            /// Every counter's change since `earlier` (saturating), the
-            /// gauges (`cache_entries`, `shard_id`, `shard_count`) included;
-            /// `profile` is `self`'s.
-            pub fn since(&self, earlier: &StatsReport) -> StatsReport {
-                StatsReport {
+            /// Every counter's change since `earlier` (saturating), gauges
+            /// included; a text field is `self`'s.
+            pub fn since(&self, earlier: &$report) -> $report {
+                $report {
                     $( $name: self.$name.saturating_sub(earlier.$name), )+
-                    profile: self.profile.clone(),
+                    $( $text: self.$text.clone(), )?
                 }
             }
 
             fn encode_into(&self, w: &mut Writer) {
                 w.u32(Self::COUNTER_COUNT);
                 $( w.u64(self.$name); )+
-                w.str(&self.profile);
+                $( w.str(&self.$text); )?
             }
 
-            fn decode_from(r: &mut Reader<'_>) -> Result<StatsReport, RpcDecodeError> {
-                let count = r.u32().map_err(corrupt("stats.counter_count"))?;
+            fn decode_from(r: &mut Reader<'_>) -> Result<$report, RpcDecodeError> {
+                const COUNT: &str = concat!($context, ".counter_count");
+                let count = r.u32().map_err(corrupt(COUNT))?;
                 if count != Self::COUNTER_COUNT {
                     return Err(RpcDecodeError::Invalid {
-                        context: "stats.counter_count",
+                        context: COUNT,
                         reason: format!(
                             "counter table has {count} entries, this build speaks {}",
                             Self::COUNTER_COUNT
                         ),
                     });
                 }
-                Ok(StatsReport {
+                Ok($report {
                     $( $name: r
                         .u64()
-                        .map_err(corrupt(concat!("stats.", stringify!($name))))?, )+
-                    profile: r.str().map_err(corrupt("stats.profile"))?.to_owned(),
+                        .map_err(corrupt(concat!($context, ".", stringify!($name))))?, )+
+                    $( $text: r
+                        .str()
+                        .map_err(corrupt(concat!($context, ".", stringify!($text))))?
+                        .to_owned(), )?
                 })
             }
         }
@@ -472,72 +475,81 @@ macro_rules! stats_counter_table {
 }
 
 stats_counter_table! {
-    /// Connections the acceptor admitted to the pool.
-    connections_accepted,
-    /// Connections answered with [`Response::Overloaded`] instead of being
-    /// queued.
-    connections_shed,
-    /// Ping requests served.
-    requests_ping,
-    /// Refute requests served (successfully or not).
-    requests_refute,
-    /// Verify requests served.
-    requests_verify,
-    /// Audit requests served.
-    requests_audit,
-    /// Stats requests served.
-    requests_stats,
-    /// Typed error responses sent.
-    responses_error,
-    /// Frames (or bodies) rejected as malformed.
-    malformed_frames,
-    /// Process-global run-cache hits (see `flm_sim::runcache::stats`).
-    cache_hits,
-    /// Process-global run-cache misses.
-    cache_misses,
-    /// Behaviors currently stored in the run cache.
-    cache_entries,
-    /// Approximate behavior bytes served from the cache instead of re-run.
-    cache_bytes_saved,
-    /// Requests answered with [`Response::Overloaded`] while the worker
-    /// pool and its queue were saturated (the connection stays open).
-    requests_shed,
-    /// Certificate-store hits served from its in-memory layer.
-    store_mem_hits,
-    /// Certificate-store hits served from disk (verified on load).
-    store_disk_hits,
-    /// Certificate-store lookups that fell through to a simulation.
-    store_misses,
-    /// Fresh certificates persisted to the store.
-    store_stores,
-    /// Damaged store entries quarantined instead of served.
-    store_quarantined,
-    /// Entries evicted from the store's bounded in-memory tier (the tier
-    /// whose capacity `--store-mem-cap` sets).
-    store_mem_evictions,
-    /// FetchCert requests served.
-    requests_fetch,
-    /// PutCert requests served.
-    requests_put,
-    /// Requests answered with a typed `WrongShard` (the key's canonical
-    /// owner is a different shard).
-    wrong_shard,
-    /// Certificates pulled from a peer shard's store on a local miss
-    /// (verified on receive before being owned).
-    peer_fetches,
-    /// Refute requests for the asynchronous (`flp-async`) family, a subset
-    /// of `requests_refute`.
-    async_refutes,
-    /// Process-global schedules explored by the asynchronous bivalence
-    /// search (see `flm_core::refute::async_search_stats`).
-    async_schedules_explored,
-    /// Process-global bivalence look-ahead forks taken by the adversarial
-    /// scheduler while choosing which delivery keeps the run undecided.
-    async_bivalent_forks,
-    /// This server's shard id; meaningful only when `shard_count > 0`.
-    shard_id,
-    /// Shards in the topology this server is part of; `0` means unsharded.
-    shard_count,
+    /// Server counters and cache statistics, the body of
+    /// [`Response::Stats`]: one length-tagged counter table on the wire
+    /// (see `stats_counter_table!`), then `profile` as a plain string.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct StatsReport in "stats" {
+        /// Connections the acceptor admitted to the pool.
+        connections_accepted,
+        /// Connections answered with [`Response::Overloaded`] instead of being
+        /// queued.
+        connections_shed,
+        /// Ping requests served.
+        requests_ping,
+        /// Refute requests served (successfully or not).
+        requests_refute,
+        /// Verify requests served.
+        requests_verify,
+        /// Audit requests served.
+        requests_audit,
+        /// Stats requests served.
+        requests_stats,
+        /// Typed error responses sent.
+        responses_error,
+        /// Frames (or bodies) rejected as malformed.
+        malformed_frames,
+        /// Process-global run-cache hits (see `flm_sim::runcache::stats`).
+        cache_hits,
+        /// Process-global run-cache misses.
+        cache_misses,
+        /// Behaviors currently stored in the run cache.
+        cache_entries,
+        /// Approximate behavior bytes served from the cache instead of re-run.
+        cache_bytes_saved,
+        /// Requests answered with [`Response::Overloaded`] while the worker
+        /// pool and its queue were saturated (the connection stays open).
+        requests_shed,
+        /// Certificate-store hits served from its in-memory layer.
+        store_mem_hits,
+        /// Certificate-store hits served from disk (verified on load).
+        store_disk_hits,
+        /// Certificate-store lookups that fell through to a simulation.
+        store_misses,
+        /// Fresh certificates persisted to the store.
+        store_stores,
+        /// Damaged store entries quarantined instead of served.
+        store_quarantined,
+        /// Entries evicted from the store's bounded in-memory tier (the tier
+        /// whose capacity `--store-mem-cap` sets).
+        store_mem_evictions,
+        /// FetchCert requests served.
+        requests_fetch,
+        /// PutCert requests served.
+        requests_put,
+        /// Requests answered with a typed `WrongShard` (the key's canonical
+        /// owner is a different shard).
+        wrong_shard,
+        /// Certificates pulled from a peer shard's store on a local miss
+        /// (verified on receive before being owned).
+        peer_fetches,
+        /// Refute requests for the asynchronous (`flp-async`) family, a subset
+        /// of `requests_refute`.
+        async_refutes,
+        /// Process-global schedules explored by the asynchronous bivalence
+        /// search (see `flm_core::refute::async_search_stats`).
+        async_schedules_explored,
+        /// Process-global bivalence look-ahead forks taken by the adversarial
+        /// scheduler while choosing which delivery keeps the run undecided.
+        async_bivalent_forks,
+        /// This server's shard id; meaningful only when `shard_count > 0`.
+        shard_id,
+        /// Shards in the topology this server is part of; `0` means unsharded.
+        shard_count,
+    }
+    /// `flm_core::profile::report()` output when `FLM_PROFILE` is
+    /// enabled in the server process; empty otherwise.
+    profile: String,
 }
 
 impl StatsReport {
@@ -636,72 +648,29 @@ impl fmt::Display for StatsReport {
     }
 }
 
-/// Router-local counters carried in a [`ClusterStatsReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterStatsReport {
-    /// Front connections the router admitted.
-    pub connections_accepted: u64,
-    /// Front connections answered `Overloaded` and closed at the cap.
-    pub connections_shed: u64,
-    /// Requests forwarded to a backend shard.
-    pub requests_routed: u64,
-    /// Requests answered on the router itself (pings, cluster stats).
-    pub requests_local: u64,
-    /// Requests shed with `Overloaded` because the owning backend's
-    /// pipeline was full.
-    pub requests_shed: u64,
-    /// Typed error responses the router itself produced.
-    pub responses_error: u64,
-    /// Frames (or bodies) the router rejected as malformed.
-    pub malformed_frames: u64,
-    /// Requests answered with a typed `ShardDown`.
-    pub shard_down_answers: u64,
-    /// Successful backend reconnects after a shard came back.
-    pub backend_reconnects: u64,
-}
-
-impl RouterStatsReport {
-    /// Every counter's change since `earlier` (saturating).
-    pub fn since(&self, earlier: &RouterStatsReport) -> RouterStatsReport {
-        let d = |now: u64, then: u64| now.saturating_sub(then);
-        RouterStatsReport {
-            connections_accepted: d(self.connections_accepted, earlier.connections_accepted),
-            connections_shed: d(self.connections_shed, earlier.connections_shed),
-            requests_routed: d(self.requests_routed, earlier.requests_routed),
-            requests_local: d(self.requests_local, earlier.requests_local),
-            requests_shed: d(self.requests_shed, earlier.requests_shed),
-            responses_error: d(self.responses_error, earlier.responses_error),
-            malformed_frames: d(self.malformed_frames, earlier.malformed_frames),
-            shard_down_answers: d(self.shard_down_answers, earlier.shard_down_answers),
-            backend_reconnects: d(self.backend_reconnects, earlier.backend_reconnects),
-        }
-    }
-
-    fn encode_into(&self, w: &mut Writer) {
-        w.u64(self.connections_accepted)
-            .u64(self.connections_shed)
-            .u64(self.requests_routed)
-            .u64(self.requests_local)
-            .u64(self.requests_shed)
-            .u64(self.responses_error)
-            .u64(self.malformed_frames)
-            .u64(self.shard_down_answers)
-            .u64(self.backend_reconnects);
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<RouterStatsReport, RpcDecodeError> {
-        let mut next = |context: &'static str| r.u64().map_err(corrupt(context));
-        Ok(RouterStatsReport {
-            connections_accepted: next("router.connections_accepted")?,
-            connections_shed: next("router.connections_shed")?,
-            requests_routed: next("router.requests_routed")?,
-            requests_local: next("router.requests_local")?,
-            requests_shed: next("router.requests_shed")?,
-            responses_error: next("router.responses_error")?,
-            malformed_frames: next("router.malformed_frames")?,
-            shard_down_answers: next("router.shard_down_answers")?,
-            backend_reconnects: next("router.backend_reconnects")?,
-        })
+stats_counter_table! {
+    /// Router-local counters carried in a [`ClusterStatsReport`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RouterStatsReport in "router" {
+        /// Front connections the router admitted.
+        connections_accepted,
+        /// Front connections answered `Overloaded` and closed at the cap.
+        connections_shed,
+        /// Requests forwarded to a backend shard.
+        requests_routed,
+        /// Requests answered on the router itself (pings, cluster stats).
+        requests_local,
+        /// Requests shed with `Overloaded` because the owning backend's
+        /// pipeline was full.
+        requests_shed,
+        /// Typed error responses the router itself produced.
+        responses_error,
+        /// Frames (or bodies) the router rejected as malformed.
+        malformed_frames,
+        /// Requests answered with a typed `ShardDown`.
+        shard_down_answers,
+        /// Successful backend reconnects after a shard came back.
+        backend_reconnects,
     }
 }
 
@@ -1283,6 +1252,24 @@ mod tests {
                 assert_eq!(context, "stats.counter_count");
             }
             other => panic!("mis-sized counter table accepted: {other:?}"),
+        }
+
+        // The router's table leads a cluster view the same way.
+        let view = Response::ClusterStats(ClusterStatsReport::default()).to_frame();
+        let mut r = Reader::new(&view.body);
+        assert_eq!(r.u32().unwrap(), RouterStatsReport::COUNTER_COUNT);
+        let mut w = Writer::new();
+        w.u32(RouterStatsReport::COUNTER_COUNT + 1);
+        for _ in 0..=RouterStatsReport::COUNTER_COUNT {
+            w.u64(0);
+        }
+        w.u32(0);
+        let forged = Frame::new(kind::RESP_CLUSTER_STATS, w.finish());
+        match Response::from_frame(&forged) {
+            Err(RpcDecodeError::Invalid { context, .. }) => {
+                assert_eq!(context, "router.counter_count");
+            }
+            other => panic!("mis-sized router table accepted: {other:?}"),
         }
     }
 

@@ -35,8 +35,8 @@
 //! ([`crate::frame::DEFAULT_MAX_BODY_BYTES`], checked before allocation),
 //! an idle timeout (an idle peer cannot pin a connection slot forever), a
 //! per-connection request budget, a pipeline depth cap (`MAX_PIPELINED`,
-//! 32), and the default [`RunPolicy`] as a ceiling clamped onto every
-//! refutation request.
+//! 32), and the default `RunPolicy` as a ceiling clamped onto every
+//! refutation request ([`query::clamp_policy`]).
 //!
 //! # Caching
 //!
@@ -60,8 +60,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use flm_sim::RunPolicy;
-
 use flm_sim::runcache::RunKey;
 
 use crate::audit;
@@ -70,7 +68,7 @@ use crate::conn::{self, Conn, ConnCounters, Incoming, Limits};
 use crate::frame::DEFAULT_MAX_BODY_BYTES;
 use crate::query::{self, Theorem};
 use crate::rpc::{ErrorCode, Request, Response, StatsReport};
-use crate::shard::{self, ShardMap};
+use crate::shard::ShardMap;
 use crate::store::{self, CertStore};
 use crate::sys::{self, Event, Interest, Poller};
 
@@ -78,8 +76,8 @@ use crate::sys::{self, Event, Interest, Poller};
 /// quickstart. The front limits are constants in this module that the
 /// server shares with the router: `MAX_CONNECTIONS` (2,048 connections),
 /// `MAX_PIPELINED` (32 requests in flight per connection) and
-/// [`crate::frame::DEFAULT_MAX_BODY_BYTES`]. Every requested [`RunPolicy`]
-/// is clamped to [`RunPolicy::default`].
+/// [`crate::frame::DEFAULT_MAX_BODY_BYTES`]. Every requested `RunPolicy`
+/// is clamped to the default one ([`query::clamp_policy`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7115` or `127.0.0.1:0` (ephemeral).
@@ -842,61 +840,53 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
         }
         Request::Refute(params) => {
             c.requests_refute.fetch_add(1, Ordering::Relaxed);
-            // Sharded: an off-owner request is answered with the owner's
-            // address, never silently double-simulated. The routing key
-            // hashes the request as sent (requested-or-default policy),
-            // exactly what the router hashes — agreement by construction.
-            if let Some(role) = &shared.config.shard {
-                match shard::routing_key(&params) {
-                    Ok(rkey) => {
-                        let owner = role.map.owner_of(&rkey);
-                        if owner != role.id {
-                            c.wrong_shard.fetch_add(1, Ordering::Relaxed);
-                            return Response::WrongShard {
-                                owner,
-                                addr: role.map.addr(owner).to_owned(),
-                            };
-                        }
-                    }
-                    Err(e) => return Response::error(ErrorCode::BadRequest, e),
-                }
-            }
             let theorem = match Theorem::parse(&params.theorem) {
                 Ok(theorem) => theorem,
                 Err(e) => return Response::error(ErrorCode::BadRequest, e),
             };
-            if theorem == Theorem::FlpAsync {
-                c.async_refutes.fetch_add(1, Ordering::Relaxed);
-            }
-            let policy = clamp_policy(params.policy);
+            let policy = query::clamp_policy(params.policy);
             let protocol = params.protocol.as_deref();
             let graph = params.graph.as_ref();
             let f = params.f as usize;
+            // One key for ownership and the store: the clamped query's, the
+            // same key `shard::routing_key` gives the router.
+            let key = query::canonical_query_key(theorem, protocol, graph, f, &policy);
+            // Sharded: an off-owner request is answered with the owner's
+            // address, never silently double-simulated.
+            if let Some(role) = &shared.config.shard {
+                let owner = role.map.owner_of(&key);
+                if owner != role.id {
+                    c.wrong_shard.fetch_add(1, Ordering::Relaxed);
+                    return Response::WrongShard {
+                        owner,
+                        addr: role.map.addr(owner).to_owned(),
+                    };
+                }
+            }
+            if theorem == Theorem::FlpAsync {
+                c.async_refutes.fetch_add(1, Ordering::Relaxed);
+            }
 
             // Durable layer first: memory → disk → simulate. A stored hit
             // is byte-identical to a fresh run of the same canonical key
             // (determinism axiom), so which layer answered is invisible to
             // the client.
-            let key = shared
-                .store
-                .as_ref()
-                .map(|_| query::canonical_query_key(theorem, protocol, graph, f, &policy));
-            if let (Some(store), Some(key)) = (&shared.store, &key) {
-                if let Some(bytes) = store.lookup(key) {
+            if let Some(store) = &shared.store {
+                if let Some(bytes) = store.lookup(&key) {
                     return Response::Certificate { bytes };
                 }
                 // Owned key, cold store: before paying for a simulation,
                 // ask the peer shards — after a topology change the
                 // previous owner's disk still holds the certificate.
-                if let Some(bytes) = fetch_from_peers(shared, key) {
-                    store.store(key, &bytes);
+                if let Some(bytes) = fetch_from_peers(shared, &key) {
+                    store.store(&key, &bytes);
                     return Response::Certificate { bytes };
                 }
             }
             match query::refute_to_bytes(theorem, protocol, graph, f, policy) {
                 Ok(bytes) => {
-                    if let (Some(store), Some(key)) = (&shared.store, &key) {
-                        store.store(key, &bytes);
+                    if let Some(store) = &shared.store {
+                        store.store(&key, &bytes);
                     }
                     Response::Certificate { bytes }
                 }
@@ -1033,34 +1023,9 @@ pub fn write_port_file(path: &Path, addr: SocketAddr) -> std::io::Result<()> {
     }
 }
 
-/// Clamps a requested policy to [`RunPolicy::default`], fieldwise: queries
-/// may tighten their simulation budget but never raise it.
-fn clamp_policy(requested: Option<RunPolicy>) -> RunPolicy {
-    let ceiling = RunPolicy::default();
-    match requested {
-        None => ceiling,
-        Some(p) => RunPolicy {
-            max_payload_bytes: p.max_payload_bytes.min(ceiling.max_payload_bytes),
-            max_ticks: p.max_ticks.min(ceiling.max_ticks),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_clamp_is_fieldwise_min() {
-        let ceiling = RunPolicy::default();
-        assert_eq!(clamp_policy(None), ceiling);
-        let clamped = clamp_policy(Some(RunPolicy {
-            max_payload_bytes: ceiling.max_payload_bytes * 4,
-            max_ticks: 10,
-        }));
-        assert_eq!(clamped.max_payload_bytes, ceiling.max_payload_bytes);
-        assert_eq!(clamped.max_ticks, 10);
-    }
 
     #[test]
     fn port_file_write_is_atomic_under_a_concurrent_reader() {

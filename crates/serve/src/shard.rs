@@ -18,11 +18,11 @@
 //!   rather than to the store size.
 //!
 //! Refutation requests are routed by [`routing_key`]: the canonical query
-//! key computed from the request *as sent* (requested-or-default policy,
-//! before the server-side clamp), so the router and the shard agree without
-//! sharing policy ceilings. Store entries are owned by their stored key
-//! bytes directly ([`ShardMap::owner_of_bytes`]); the two coincide whenever
-//! clients run at the default policy, and both are deterministic always.
+//! key of the request with its policy clamped to the default ceiling, the
+//! very key the owning shard stores its certificate under. Store entries
+//! are owned by their stored key bytes directly
+//! ([`ShardMap::owner_of_bytes`]), so a request and its stored certificate
+//! always have one owner.
 
 use std::fmt;
 use std::path::Path;
@@ -181,24 +181,23 @@ fn rendezvous_weight(shard: u32, fp: u64) -> u64 {
 }
 
 /// The key a refutation request is *routed* by: the canonical query key of
-/// the request as sent, with the requested-or-default policy (no
-/// server-side clamp — the router cannot know a shard's ceiling, so routing
-/// hashes only what is on the wire). Router and shard both call this, which
-/// is the agreement that makes `WrongShard` a misconfiguration signal
-/// rather than a steady-state cost.
+/// the request with its policy clamped by [`query::clamp_policy`], which is
+/// the key the owning shard stores the certificate under. Router and shard
+/// both derive it from what is on the wire, which is the agreement that
+/// makes `WrongShard` a misconfiguration signal rather than a steady-state
+/// cost.
 ///
 /// # Errors
 ///
 /// [`QueryError::UnknownTheorem`] when the family name does not parse.
 pub fn routing_key(params: &RefuteParams) -> Result<RunKey, QueryError> {
     let theorem = Theorem::parse(&params.theorem)?;
-    let policy = params.policy.unwrap_or_default();
     Ok(query::canonical_query_key(
         theorem,
         params.protocol.as_deref(),
         params.graph.as_ref(),
         params.f as usize,
-        &policy,
+        &query::clamp_policy(params.policy),
     ))
 }
 
@@ -392,6 +391,17 @@ mod tests {
         // And it is the same key the store indexes by at default policy.
         let store_key = query::canonical_query_key(theorem, None, None, 2, &RunPolicy::default());
         assert_eq!(a.bytes(), store_key.bytes());
+        // A policy above the ceiling is clamped before hashing, so it routes
+        // to the shard that stores its certificate.
+        let raised = routing_key(&RefuteParams {
+            policy: Some(RunPolicy {
+                max_ticks: u32::MAX,
+                ..RunPolicy::default()
+            }),
+            ..shorthand.clone()
+        })
+        .unwrap();
+        assert_eq!(raised.bytes(), store_key.bytes());
         assert!(routing_key(&RefuteParams {
             theorem: "no-such-family".into(),
             ..shorthand

@@ -82,16 +82,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Writable only.
-    pub const WRITABLE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    /// Readable and writable.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 
     fn bits(self) -> u32 {
         // RDHUP rides with readability: a read() observing the FIN is how
@@ -360,7 +350,11 @@ mod tests {
         let (a, b) = UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
         b.set_nonblocking(true).unwrap();
-        poller.register(b.as_fd(), 7, Interest::BOTH).unwrap();
+        let both = Interest {
+            readable: true,
+            writable: true,
+        };
+        poller.register(b.as_fd(), 7, both).unwrap();
 
         // An idle socket with room in its send buffer: writable, not
         // readable.

@@ -11,9 +11,6 @@ use std::fmt;
 pub struct Tick(pub u32);
 
 impl Tick {
-    /// The start of time.
-    pub const ZERO: Tick = Tick(0);
-
     /// The tick's position when indexing per-tick traces.
     #[inline]
     pub fn index(self) -> usize {
@@ -51,7 +48,7 @@ mod tests {
 
     #[test]
     fn ordering_and_next() {
-        assert!(Tick::ZERO < Tick(1));
+        assert!(Tick(0) < Tick(1));
         assert_eq!(Tick(3).next(), Tick(4));
         assert_eq!(Tick(7).index(), 7);
         assert_eq!(Tick::from(2u32), Tick(2));

@@ -368,10 +368,16 @@ echo "==> cargo test"
 cargo test --workspace --quiet
 
 echo "==> audit round-trip smoke"
-# A refuter-emitted certificate must audit clean (exit 0), and damaged
-# bytes must be rejected as malformed (exit 2) — the flm-audit contract.
+# regen and flm-audit refuse a flag their usage does not list (regen per
+# mode) with exit 2. A refuter-emitted certificate must audit clean
+# (exit 0), and damaged bytes must be rejected as malformed (exit 2) — the
+# flm-audit contract.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
+reject_unknown_flag 2 regen --no-such-flag 1
+reject_unknown_flag 2 regen --campaign --out-dir "$tmpdir/none" --samples 3
+reject_unknown_flag 2 flm-audit --no-such-flag "$tmpdir/none.flmc"
+reject_unknown_flag 2 flm-audit --batch "$tmpdir" --timeline
 ./target/release/regen --refute ba-nodes --emit-cert "$tmpdir/ba.flmc"
 ./target/release/flm-audit "$tmpdir/ba.flmc" --quiet
 ./target/release/regen --refute clock-sync --emit-cert "$tmpdir/clock.flmc"
