@@ -25,7 +25,7 @@
 //! ```
 //!
 //! Each mode accepts exactly the flags its usage line lists; anything else
-//! prints the usage and exits 2.
+//! prints the usage and exits 2, and so does `--help`.
 //!
 //! `THEOREM` is one of `ba-nodes`, `ba-connectivity`, `weak-agreement`,
 //! `firing-squad`, `simple-approx`, `eps-delta-gamma`, `clock-sync`,
@@ -60,7 +60,9 @@ const CAMPAIGN: &str = "regen --campaign --out-dir DIR [--seed N] [--scale smoke
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode = parse(&args).unwrap_or_else(|msg| {
-        eprintln!("regen: {msg}");
+        if !msg.is_empty() {
+            eprintln!("regen: {msg}");
+        }
         eprintln!("usage: {TABLES}\n       {BENCH}\n       {REFUTE}\n       {CAMPAIGN}");
         std::process::exit(2);
     });
@@ -119,7 +121,11 @@ struct RefuteArgs {
 /// The mode `--campaign`, `--refute` or `--bench` selects (the tables when
 /// none is given), after checking the flags against that mode's line.
 fn parse(args: &[String]) -> Result<Mode, String> {
-    let flags = Flags::parse(args, &["campaign"])?;
+    let flags = Flags::parse(args, &["campaign", "help"])?;
+    if flags.switch("help") {
+        // No message: the usage alone is the answer.
+        return Err(String::new());
+    }
     let owned = |flag: &str| flags.get(flag).map(str::to_owned);
     if flags.switch("campaign") {
         flags.reject_unlisted(CAMPAIGN)?;
@@ -423,6 +429,12 @@ mod tests {
         );
         assert_eq!(err(&["--out", "t.md"]), "unknown flag --out");
         assert_eq!(err(&["tables"]), "unexpected operand \"tables\"");
+    }
+
+    #[test]
+    fn help_asks_for_the_usage_alone() {
+        assert_eq!(parse_args(&["--help"]).unwrap_err(), "");
+        assert_eq!(parse_args(&["--bench", "serve", "--help"]).unwrap_err(), "");
     }
 
     #[test]

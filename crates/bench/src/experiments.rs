@@ -119,7 +119,7 @@ pub fn frontier_rows(exhaustive: bool) -> Vec<FrontierRow> {
 }
 
 /// Total payload bytes sent over all edges of a behavior.
-pub fn total_message_bytes(b: &SystemBehavior) -> usize {
+fn total_message_bytes(b: &SystemBehavior) -> usize {
     b.edges()
         .values()
         .flat_map(|trace| trace.iter().flatten())

@@ -11,13 +11,13 @@
 //! * [`ba_connectivity`] — the `2f+1` connectivity bound (§3.2). Split a
 //!   minimum vertex cut into halves `b`, `d` of size at most `f`; classes
 //!   `a`, `c` are the separated sides. Two copies with the `a`–`b` links
-//!   crossed give the 8-ring generalization, and the same three-link chain
-//!   applies with `d`, `b`, `d` faulty in turn.
+//!   crossed give the 8-ring generalization, and the same walk applies
+//!   with `d`, `b`, `d` faulty in turn.
 //!
-//! Both run one engine, [`chain_certificate`]: one cover run, then the
-//! three transplants checked against the problem's conditions. Theorem 5's
-//! simple-approximate-agreement refuters run the same engine with real
-//! inputs.
+//! Both run one engine, [`chain_certificate`]: one cover run, then a chain
+//! up to its first violation, each transplant checked against the
+//! problem's conditions. Theorem 5's simple-approximate-agreement
+//! refuters run the same engine with real inputs.
 
 use std::collections::BTreeSet;
 
@@ -50,12 +50,13 @@ pub(super) fn hexagon_walk(classes: &[BTreeSet<NodeId>; 3], n: usize) -> [BTreeS
     ]
 }
 
-/// Runs the three-link chain shared by the Theorem 1 and Theorem 5
-/// refuters.
+/// Runs a chain up to its first violation, shared by the Theorem 1 and
+/// Theorem 5 refuters.
 ///
 /// `scenarios` lists, per chain behavior, the cover-node set whose scenario
 /// is transplanted and the input assigned to that link's masquerading
-/// nodes. The first violation `check` reports becomes the certificate.
+/// nodes. The first violation `check` reports becomes the certificate, and
+/// its link is the chain's last: no scenario after it is transplanted.
 // The chain's full parameter set, as for `transplant`.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn chain_certificate(
@@ -75,10 +76,9 @@ pub(super) fn chain_certificate(
     let cover_behavior = run_cover(protocol, cov, inputs, horizon, &policy)?;
 
     // The chain links are independent re-executions against the same cover
-    // behavior. They run in input order, so the certificate (first error,
-    // first violated link) is fixed by the order of `scenarios`.
+    // behavior. They run in input order and the chain ends at the first
+    // violated link, so the certificate is fixed by the order of `scenarios`.
     let mut chain = Vec::new();
-    let mut violation: Option<Violation> = None;
     for (i, (u_set, faulty_input)) in scenarios.into_iter().enumerate() {
         let (link, behavior, correct) = transplant(
             protocol,
@@ -90,27 +90,26 @@ pub(super) fn chain_certificate(
             f,
             &policy,
         )?;
-        if violation.is_none() {
-            violation = check(&behavior, &correct, i).err();
-        }
         chain.push(link);
+        if let Err(violation) = check(&behavior, &correct, i) {
+            return Ok(Certificate {
+                theorem,
+                protocol: protocol.name(),
+                base: cov.base().clone(),
+                f,
+                covering: covering_desc,
+                chain,
+                policy,
+                violation,
+            });
+        }
     }
-    let violation = violation.ok_or_else(|| RefuteError::Unrefuted {
+    Err(RefuteError::Unrefuted {
         reason: format!(
             "all {} chain behaviors met the {theorem} conditions, which the covering \
              argument proves impossible",
             chain.len()
         ),
-    })?;
-    Ok(Certificate {
-        theorem,
-        protocol: protocol.name(),
-        base: cov.base().clone(),
-        f,
-        covering: covering_desc,
-        chain,
-        policy,
-        violation,
     })
 }
 
@@ -221,10 +220,11 @@ pub(crate) fn cut_classes(g: &Graph, f: usize) -> Result<CutClasses, RefuteError
     Ok(CutClasses { a, b, c, d, kappa })
 }
 
-/// The §3.2 three-link chain over a connected graph with `κ(G) ≤ 2f`,
-/// shared by the Byzantine and approximate-agreement connectivity
-/// refuters: the crossed double cover over a split vertex cut, Boolean
-/// inputs mapped through `value`, and `faulty_inputs` per link.
+/// The §3.2 walk as a chain up to its first violation, over a connected
+/// graph with `κ(G) ≤ 2f`, shared by the Byzantine and
+/// approximate-agreement connectivity refuters: the crossed double cover
+/// over a split vertex cut, Boolean inputs mapped through `value`, and
+/// `faulty_inputs` per link.
 pub(super) fn connectivity_chain(
     protocol: &dyn Protocol,
     g: &Graph,
@@ -368,7 +368,7 @@ mod tests {
         for i in 0..8 {
             let proto = Zoo(i);
             let cert = ba_nodes(&proto, &g, 1).unwrap_or_else(|e| panic!("zoo#{i}: {e}"));
-            assert!(cert.chain.len() == 3);
+            assert_eq!(cert.chain.len(), cert.violation.link + 1, "zoo#{i}");
             assert!(cert.chain.iter().all(|l| l.scenario_matched));
             cert.verify(&proto)
                 .unwrap_or_else(|e| panic!("zoo#{i} verify: {e}"));

@@ -56,7 +56,7 @@ impl std::fmt::Display for Inadequacy {
 ///
 /// Panics if the graph has fewer than three nodes — the paper assumes
 /// `|G| ≥ 3` throughout.
-pub fn classify(g: &Graph, f: usize) -> Result<(), Inadequacy> {
+fn classify(g: &Graph, f: usize) -> Result<(), Inadequacy> {
     let n = g.node_count();
     assert!(n >= 3, "the FLM model assumes graphs with at least 3 nodes");
     if n < 3 * f + 1 {

@@ -45,7 +45,7 @@ pub fn run_with_faults(
 }
 
 /// All node subsets of size exactly `k`, for exhaustive fault placement.
-pub fn subsets_of_size(graph: &Graph, k: usize) -> Vec<Vec<NodeId>> {
+fn subsets_of_size(graph: &Graph, k: usize) -> Vec<Vec<NodeId>> {
     let nodes: Vec<NodeId> = graph.nodes().collect();
     let mut out = Vec::new();
     let mut pick = Vec::new();

@@ -300,7 +300,7 @@ impl Conn {
     }
 
     /// True while some slot still waits for its answer.
-    pub fn awaiting_answer(&self) -> bool {
+    fn awaiting_answer(&self) -> bool {
         self.inflight.iter().any(Option::is_none)
     }
 

@@ -250,7 +250,7 @@ pub fn read_frame(r: &mut impl Read, max_body: usize) -> Result<Frame, FrameRead
 /// # Errors
 ///
 /// [`FrameError::BodyTooLarge`] past [`MAX_ENCODABLE_BODY_BYTES`].
-pub fn encodable_body_len(len: usize) -> Result<u32, FrameError> {
+fn encodable_body_len(len: usize) -> Result<u32, FrameError> {
     u32::try_from(len).map_err(|_| FrameError::BodyTooLarge { len: len as u64 })
 }
 

@@ -165,7 +165,7 @@ impl std::error::Error for QueryError {}
 /// The canonical clock-sync claim every in-tree entry point refutes against
 /// (hardware clocks between identity and rate 2, envelope `[t, 2t + 8]`,
 /// claimed improvement `α = 2` from `t' = 1`).
-pub fn canonical_clock_claim() -> ClockSyncClaim {
+fn canonical_clock_claim() -> ClockSyncClaim {
     ClockSyncClaim {
         p: TimeFn::identity(),
         q: TimeFn::linear(2.0),

@@ -4,12 +4,19 @@
 //! The in-memory runcache dies with the process; this store is the durable
 //! layer in front of it: the server looks a refutation up here first, and
 //! only a miss reaches the runcache and the simulator. Each entry is one
-//! portable `FLMC` file named by the FNV-1a fingerprint of its canonical
-//! query key ([`crate::query::canonical_query_key`]), with the full key
-//! bytes in a sidecar so probes compare whole keys — fingerprints index,
-//! bytes decide, the same collision discipline as `flm_sim::runcache`. The
-//! `.flmc` file is the certificate bytes and nothing else, so any stored
-//! entry can be fed straight to `flm-audit`.
+//! portable `FLMC` file named by the `flm_sim::runcache::fingerprint` of
+//! its canonical query key ([`crate::query::canonical_query_key`]), with
+//! the full key bytes in a sidecar so probes compare whole keys —
+//! fingerprints index, bytes decide, the same collision discipline as
+//! `flm_sim::runcache`. The `.flmc` file is the certificate bytes and
+//! nothing else, so any stored entry can be fed straight to `flm-audit`.
+//!
+//! File names persist, so they are only as stable as the fingerprint
+//! function. A directory written before it last changed (when it became
+//! word-wise) is unreachable: every lookup misses and re-simulates, the
+//! fresh entry lands under its new name, and [`walk_entries`] skips the
+//! old sidecars because their names no longer match their keys. Nothing
+//! migrates them; delete such a directory or let it be rewritten.
 //!
 //! # Crash atomicity
 //!
@@ -255,7 +262,7 @@ impl CertStore {
         // The sidecar is the commit point: no key file, no entry.
         let stored_key = fs::read(key_path(&self.dir, fp)).ok()?;
         if stored_key != key {
-            // A real FNV collision (or a foreign file): not our entry.
+            // A real fingerprint collision (or a foreign file): not our entry.
             return None;
         }
         let bytes = match fs::read(cert_path(&self.dir, fp)) {

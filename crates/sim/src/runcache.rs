@@ -16,8 +16,9 @@
 //! A cache hit returns the behavior of *some* earlier run whose full
 //! canonical key — every input of the run function — was byte-identical
 //! (fingerprints are only an index; the stored key bytes are compared on
-//! every probe, so FNV collisions cannot alias two different runs). Under
-//! the determinism axiom that earlier behavior *is* this run's behavior.
+//! every probe, so fingerprint collisions cannot alias two different
+//! runs). Under the determinism axiom that earlier behavior *is* this
+//! run's behavior.
 //! The one representation choice is that devices enter the key by their
 //! protocol's registry name rather than by code identity; that is the
 //! registry's standing contract (one name, one device family), the same
@@ -44,6 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::async_sched::AsyncRun;
+use crate::auth::mix64;
 use crate::behavior::SystemBehavior;
 use crate::clock::ClockBehavior;
 
@@ -54,7 +56,7 @@ pub const MAX_ENTRIES: usize = 512;
 pub const MAX_VALUE_BYTES: u64 = 64 << 20;
 
 /// A canonical cache key: the full encoded run ingredients plus their
-/// FNV-1a fingerprint (an index, not a proof of equality — probes compare
+/// [`fingerprint`] (an index, not a proof of equality — probes compare
 /// the full bytes).
 #[derive(Debug, Clone)]
 pub struct RunKey {
@@ -85,7 +87,7 @@ impl RunKey {
         RunKey { bytes, fp }
     }
 
-    /// The FNV-1a fingerprint of the key bytes.
+    /// The [`fingerprint`] of the key bytes.
     pub fn fingerprint(&self) -> u64 {
         self.fp
     }
@@ -99,15 +101,33 @@ impl RunKey {
     }
 }
 
-/// FNV-1a, 64-bit: tiny, dependency-free, and good enough as a bucket
-/// index when full keys are compared on every probe.
+/// A 64-bit word-wise hash: each 8-byte little-endian word (the tail
+/// zero-padded) is xored in and multiply–rotated, the length seeds the
+/// state, and [`mix64`] finishes it. Unseeded, so every process agrees on
+/// it: the store names its files by it and the router and the shard map
+/// place keys by it. An index, not a proof of equality: full keys are
+/// compared on every probe.
 pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = bytes.len() as u64;
+    for word in &mut words {
+        h = absorb(h, word);
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = absorb(h, &word);
+    }
+    mix64(h)
+}
+
+/// One [`fingerprint`] step: xor in an 8-byte little-endian word, then
+/// multiply by the golden-ratio constant and rotate.
+fn absorb(h: u64, word: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let word = u64::from_le_bytes(word.try_into().expect("an 8-byte word"));
+    (h ^ word).wrapping_mul(K).rotate_left(29)
 }
 
 #[derive(Clone)]
@@ -431,10 +451,21 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_fnv1a() {
-        // Known FNV-1a vectors.
-        assert_eq!(fingerprint(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fingerprint(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn fingerprint_known_vectors() {
+        // The empty input is `mix64(0)`, splitmix64's first output.
+        assert_eq!(fingerprint(b""), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(fingerprint(b"a"), 0xde7f_79a3_84ca_1303);
+        assert_eq!(fingerprint(b"abcdefgh"), 0xc5fc_4da1_d181_518b);
+        assert_eq!(fingerprint(b"abcdefghi"), 0x2128_d81c_e1ee_3708);
+        // Every length 0..=16 of one prefix hashes apart: whole words,
+        // zero-padded tails and the length fold all reach the state.
+        let prefix = b"0123456789abcdef";
+        let mut seen: Vec<u64> = (0..=16).map(|n| fingerprint(&prefix[..n])).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 17);
+        // A zero tail byte is not padding: the length tells them apart.
+        assert_ne!(fingerprint(b"a"), fingerprint(b"a\0"));
     }
 
     #[test]
@@ -460,7 +491,7 @@ mod tests {
     fn colliding_fingerprints_fall_back_to_full_key_compare() {
         clear();
         // Two keys forced into the same bucket: identical fingerprint field
-        // can only arise from distinct bytes via a real FNV collision, which
+        // can only arise from distinct bytes via a real hash collision, which
         // we simulate by inserting both and checking the probe compares
         // bytes, not fingerprints (same domain, different payload ⇒ distinct
         // bytes; equal-fp is the worst case the byte compare must survive).

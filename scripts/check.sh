@@ -378,8 +378,20 @@ reject_unknown_flag 2 regen --no-such-flag 1
 reject_unknown_flag 2 regen --campaign --out-dir "$tmpdir/none" --samples 3
 reject_unknown_flag 2 flm-audit --no-such-flag "$tmpdir/none.flmc"
 reject_unknown_flag 2 flm-audit --batch "$tmpdir" --timeline
+# `--help` is a switch: the usage alone, exit 2.
+reject_unknown_flag 2 regen --help
 ./target/release/regen --refute ba-nodes --emit-cert "$tmpdir/ba.flmc"
 ./target/release/flm-audit "$tmpdir/ba.flmc" --quiet
+# A chain ends at its first violation: EIG(f=3) on K8 violates in E1, so
+# its certificate carries that one link and the audit prints no other.
+./target/release/regen --refute ba-nodes --protocol 'EIG(f=3)' --graph complete8 --f 3 \
+    --emit-cert "$tmpdir/eig8.flmc" 2> /dev/null
+./target/release/flm-audit "$tmpdir/eig8.flmc" > "$tmpdir/eig8.txt"
+links="$(grep -oE '^ +E[0-9]+:' "$tmpdir/eig8.txt" | tr -d ' :' | paste -sd ' ')"
+if [[ "$links" != "E1" ]]; then
+    echo "flm-audit printed links [$links] for EIG(f=3) on K8 (expected only E1)"
+    exit 1
+fi
 ./target/release/regen --refute clock-sync --emit-cert "$tmpdir/clock.flmc"
 ./target/release/flm-audit "$tmpdir/clock.flmc" --quiet
 # The asynchronous (kind 2) family: the certificate's body is the full

@@ -1,7 +1,8 @@
 //! Byte pins for the covering refuters: the exact `to_bytes()` of every
 //! ring refuter (weak agreement and firing squad; triangle, direct-general
-//! and direct-connectivity), every three-link chain refuter (`ba_nodes`,
-//! `ba_connectivity`, `simple_approx`, `simple_approx_connectivity`), the
+//! and direct-connectivity), every refuter that runs a chain up to its
+//! first violation (`ba_nodes`, `ba_connectivity`, `simple_approx`,
+//! `simple_approx_connectivity`), the
 //! early-exit certificates of each validity-pin wording, and a run under a
 //! non-default `RunPolicy`; and the simulation- and cut-heavy shapes: EIG
 //! with `f = 3` on K7 and K9, and the connectivity refuters on a 64-cycle,
@@ -33,38 +34,38 @@ use flm_sim::{Protocol, RunPolicy, Tick};
 const PINNED: &[(&str, usize, &str)] = &[
     (
         "ba_connectivity/cycle4/NaiveMajority",
-        537,
-        "ee4b38aa359cd8afa9420788e64ef7ba7eb3c6fa3c9b632fd45a7b711ad2f4a9",
+        431,
+        "885098dd345f2bfc4044686407d835706353a327dfb66bb6ade7525d3ac4f693",
     ),
     (
         "ba_connectivity/cycle5/NaiveMajority",
-        588,
-        "6578dde3b51c48d1b22aac058d169751d12b12aae9c3a1df2a053e436eb7ac7a",
+        469,
+        "e5047d35551e2da02b895abda689ac5bbccdcaf0d4ee100510539fb2f784e68f",
     ),
     (
         "ba_connectivity/cycle6/NaiveMajority",
-        639,
-        "9b425892b7fd5b8bb5aa83dcc789af32eaf3f0fc9ffe931467c9c01a3e6fc5a8",
+        507,
+        "164767f2548c24fa803347e528b26b1553a1bc70ac61a666056e8ad779dd8cbe",
     ),
     (
         "ba_connectivity/cycle64/NaiveMajority",
-        3652,
-        "1522e612876c82faa6745bd4aa7a2bc1706194315d5a8ee0a6c28cedd0781631",
+        2766,
+        "4ab0348b11d8701b746cdc5114f125d423d65630a8c4abd81ba830bfccefd614",
     ),
     (
         "ba_connectivity/path6/NaiveMajority",
-        583,
-        "17906872e1929967b4ff5f10f1dc925b52374a4c7593be81401f6122726795c1",
+        476,
+        "ce0aef0c131768e43ff7851bc108e3f25b5221838dfd909caac7d0d74be49ebe",
     ),
     (
         "ba_connectivity/random_connected(7,4,36)/NaiveMajority",
-        786,
-        "f0a1d98663f46759bedb3f189d9ceebc45c97fef4c97b54be163e1d13dddd016",
+        617,
+        "7ec9fa4945c3fdd361ed2de20195370e9689aeb57fb9cf7bc6156e5e764dd4f1",
     ),
     (
         "ba_nodes/K5/EIG",
-        4111,
-        "732b450c60af85eff6ef18731c3b1e33332a27125fb18ba3cbad5c46b5d822ae",
+        1784,
+        "94e81c0505fedecfb9e119a74646aedf18ef9f3403ffda0a0c7fb7970f1fb2e9",
     ),
     (
         "ba_nodes/K6/Relayed(EIG(f=2), f=2)",
@@ -213,8 +214,8 @@ const PINNED: &[(&str, usize, &str)] = &[
     ),
     (
         "policy/simple_approx_connectivity/cycle4/EchoReal",
-        683,
-        "12bc6caf99f15b4a6c77122df5b38bf3fd00fffbeee81705427aee2f51c237e2",
+        535,
+        "bf521edab892bb398751fcdfee3ff7f84fe48e48a5f992fed86b6cb9dadf1a5a",
     ),
     (
         "policy/weak_agreement/triangle/WeakViaBA",
@@ -223,13 +224,13 @@ const PINNED: &[(&str, usize, &str)] = &[
     ),
     (
         "refute_cold/ba-connectivity/-/-/f=1",
-        537,
-        "ee4b38aa359cd8afa9420788e64ef7ba7eb3c6fa3c9b632fd45a7b711ad2f4a9",
+        431,
+        "885098dd345f2bfc4044686407d835706353a327dfb66bb6ade7525d3ac4f693",
     ),
     (
         "refute_cold/ba-connectivity/-/cycle64/f=1",
-        3652,
-        "1522e612876c82faa6745bd4aa7a2bc1706194315d5a8ee0a6c28cedd0781631",
+        2766,
+        "4ab0348b11d8701b746cdc5114f125d423d65630a8c4abd81ba830bfccefd614",
     ),
     (
         "refute_cold/ba-nodes/-/-/f=1",
@@ -243,8 +244,8 @@ const PINNED: &[(&str, usize, &str)] = &[
     ),
     (
         "refute_cold/ba-nodes/EIG(f=3)/complete8/f=3",
-        193747,
-        "f1f7a32531e15179b967bc35ec8ec190269fbced3b8dc29bb6f50ce366275995",
+        72901,
+        "71f2f1c3bf7d646416b0eba0b23257f8b455b86d71db5ba9a77252b8472821d7",
     ),
     (
         "refute_cold/ba-nodes/EIG(f=3)/complete9/f=3",
@@ -278,8 +279,8 @@ const PINNED: &[(&str, usize, &str)] = &[
     ),
     (
         "refute_cold/simple-approx/-/-/f=1",
-        871,
-        "269d474a1957c8649f1645ca8e516871c46e5a6798a8fec68f3ea717509bcc3c",
+        650,
+        "660503bbef81f9b9d1f553282249c36ae874ec9ff730c6237681fb6097f8cd7d",
     ),
     (
         "refute_cold/weak-agreement/-/-/f=1",
@@ -288,28 +289,28 @@ const PINNED: &[(&str, usize, &str)] = &[
     ),
     (
         "simple_approx/triangle/DLPSW",
-        871,
-        "269d474a1957c8649f1645ca8e516871c46e5a6798a8fec68f3ea717509bcc3c",
+        650,
+        "660503bbef81f9b9d1f553282249c36ae874ec9ff730c6237681fb6097f8cd7d",
     ),
     (
         "simple_approx/triangle/EchoReal",
-        564,
-        "50118b457cf79a24923b264f4a13fbc86f4dfc2dc42f665368876502eaf9101e",
+        443,
+        "05a5fe7c622d34243a9cba5bd2a7e728bea4daa2d9c514a329db5ba3df96d9cd",
     ),
     (
         "simple_approx_connectivity/cycle4/EchoReal",
-        683,
-        "c75263de49b9787e5ed9ade815417669988c80deb18d641f7456adbdc897a81d",
+        535,
+        "8435ff1aadb915130852d1752e3a76734b20d0a8c3a8cf93067283b03f201fbd",
     ),
     (
         "simple_approx_connectivity/cycle5/EchoReal",
-        776,
-        "cba934cf4cf9e77cc4166233f51c70696b3e754f944924468c3e0f0ded09e489",
+        601,
+        "2f7354d0b82081dec70f894a8f36f2d2187044ebd4bdccf49e1b78290dbccb2a",
     ),
     (
         "simple_approx_connectivity/cycle6/EchoReal",
-        869,
-        "1919cf72a12ab58493031cbec57fdd0a2b0568934d6f9cd9f0153e869bfa89a2",
+        667,
+        "c9f7eca7a314bd72a41b07ef0281bf30e0a5a4dbe34bd4ed7ca4d022f4c7f07c",
     ),
     (
         "weak_agreement/triangle/Mute",

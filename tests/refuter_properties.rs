@@ -87,6 +87,32 @@ fn simple_approx_falls_for_random_protocols() {
     });
 }
 
+/// Every chain stops at its first violation: the violating link is the
+/// certificate's last, and the certificate still verifies.
+#[test]
+fn chains_end_at_their_violating_link() {
+    flm_prop::cases_par(48, 0x2EF9, |rng| {
+        let proto = arb_protocol(rng);
+        let n = rng.usize(4..8);
+        let certs = [
+            refute::ba_nodes(&proto, &builders::triangle(), 1),
+            refute::ba_nodes(&proto, &builders::complete(5), 2),
+            refute::ba_connectivity(&proto, &builders::cycle(n), 1),
+            refute::simple_approx(&proto, &builders::triangle(), 1),
+        ];
+        for cert in certs {
+            let cert = cert.expect("inadequate graphs always yield a certificate");
+            assert_eq!(
+                cert.chain.len(),
+                cert.violation.link + 1,
+                "{}",
+                cert.theorem
+            );
+            assert!(cert.verify(&proto).is_ok(), "{}", cert.theorem);
+        }
+    });
+}
+
 #[test]
 fn refuters_never_fire_on_adequate_graphs() {
     flm_prop::cases_par(48, 0x2EF5, |rng| {
