@@ -12,12 +12,14 @@
 //! Kind 0 is a discrete [`Certificate`] (Theorems 1–6), kind 1 a
 //! [`ClockCertificate`] (Theorem 8), kind 2 an [`AsyncCertificate`]
 //! (the FLP-style asynchronous family, where the body's heart is the full
-//! adversarial delivery schedule). The encoding is *canonical* — one byte
-//! string per logical value — built on [`flm_sim::wire`]: big-endian
-//! integers, length-prefixed collections, `f64`s by IEEE-754 bit pattern.
-//! Canonicality gives the audit trail a useful property for free:
-//! `encode(decode(bytes)) == bytes` for every accepted input, so a cert file
-//! can be fingerprinted by its hash.
+//! adversarial delivery schedule). Each body, and each record inside one,
+//! is declared once below with [`flm_sim::wire_schema!`]: its fields in
+//! wire order, each with the context its decode errors name. The encoding
+//! is *canonical* — one byte string per logical value — built on
+//! [`flm_sim::wire`]: big-endian integers, length-prefixed collections,
+//! `f64`s by IEEE-754 bit pattern. Canonicality gives the audit trail a
+//! useful property for free: `encode(decode(bytes)) == bytes` for every
+//! accepted input, so a cert file can be fingerprinted by its hash.
 //!
 //! Decoding is hardened against hostile bytes: every collection count is
 //! checked against the remaining input before allocation, every tag and
@@ -28,24 +30,18 @@
 
 use std::fmt;
 
-use flm_graph::{Graph, NodeId};
-use flm_sim::behavior::{decode_edge_behavior, encode_edge_behavior, EdgeBehavior};
-use flm_sim::clock::TimeFn;
-use flm_sim::wire::{DecodeError, Reader, Writer};
-use flm_sim::{Decision, DeviceMisbehavior, Input, RunPolicy};
+use flm_graph::NodeId;
+use flm_sim::wire::{invalid, Context, Field, FieldError, Reader, Tagged, Writer};
+use flm_sim::wire_schema;
 
 use crate::certificate::{Certificate, ChainLink, Condition, Theorem, Violation};
 use crate::problems::ClockSyncClaim;
 use crate::refute::{AsyncCertificate, ClockCertificate};
 
 /// File magic, first four bytes of every certificate file.
-pub const MAGIC: &[u8; 4] = b"FLMC";
+const MAGIC: &[u8; 4] = b"FLMC";
 /// Current schema version.
-pub const VERSION: u8 = 1;
-
-const KIND_CERTIFICATE: u8 = 0;
-const KIND_CLOCK_CERTIFICATE: u8 = 1;
-const KIND_ASYNC_CERTIFICATE: u8 = 2;
+const VERSION: u8 = 1;
 
 /// Structured decode failure for certificate files.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,309 +95,284 @@ impl fmt::Display for CertDecodeError {
 
 impl std::error::Error for CertDecodeError {}
 
-/// Adds field context to bare wire-level failures.
-trait Ctx<T> {
-    fn ctx(self, context: &'static str) -> Result<T, CertDecodeError>;
-}
-
-impl<T> Ctx<T> for Result<T, DecodeError> {
-    fn ctx(self, context: &'static str) -> Result<T, CertDecodeError> {
-        self.map_err(|DecodeError| CertDecodeError::Corrupt { context })
+impl From<FieldError> for CertDecodeError {
+    fn from(e: FieldError) -> Self {
+        match e {
+            FieldError::Corrupt { context } => CertDecodeError::Corrupt { context },
+            FieldError::Invalid { context, reason } => CertDecodeError::Invalid { context, reason },
+        }
     }
 }
 
-fn invalid(context: &'static str, reason: impl Into<String>) -> CertDecodeError {
-    CertDecodeError::Invalid {
-        context,
-        reason: reason.into(),
+wire_schema! {
+    enum Theorem {
+        BaNodes = 0,
+        BaConnectivity = 1,
+        WeakAgreement = 2,
+        FiringSquad = 3,
+        SimpleApprox = 4,
+        EpsDeltaGamma = 5,
+        ClockSync = 6,
     }
 }
 
-/// Reads a collection count, refusing counts that could not possibly fit in
-/// the remaining input (each element needs ≥ `min_element_bytes`).
-fn checked_count(
-    r: &mut Reader<'_>,
+wire_schema! {
+    enum Condition {
+        Termination = 0,
+        Agreement = 1,
+        Validity = 2,
+    }
+}
+
+wire_schema! {
+    struct Violation {
+        condition: "violation.condition",
+        link: "violation.link",
+        evidence: "violation.evidence",
+    }
+}
+
+wire_schema! {
+    struct ChainLink {
+        correct: "link.correct",
+        masquerade: "link.masquerade",
+        inputs: "link.inputs",
+        scenario_matched: "link.scenario_matched",
+        decisions: "link.decisions",
+        horizon: "link.horizon",
+        misbehavior: "link.misbehavior",
+        degraded: "link.degraded",
+    }
+}
+
+wire_schema! {
+    struct Certificate {
+        theorem: "theorem",
+        protocol: "protocol",
+        base: "base graph",
+        f: "f",
+        covering: "covering",
+        policy: "policy",
+        chain: "chain",
+        violation: "violation",
+    }
+    check(check_certificate)
+}
+
+wire_schema! {
+    struct ClockSyncClaim {
+        p: "claim.p",
+        q: "claim.q",
+        l: "claim.l",
+        u: "claim.u",
+        alpha: "claim.alpha",
+        t_prime: "claim.t_prime",
+    }
+    check(|c: &ClockSyncClaim| {
+        capped(c.alpha, "claim.alpha")?;
+        capped(c.t_prime, "claim.t_prime")
+    })
+}
+
+wire_schema! {
+    struct ClockCertificate {
+        protocol: "protocol",
+        claim: "claim",
+        k: "k",
+        t_eval: "t_eval",
+        logical: "logical",
+        scenario: "scenario",
+        condition: "condition",
+        evidence: "evidence",
+    }
+    check(check_clock_certificate)
+}
+
+wire_schema! {
+    struct AsyncCertificate {
+        protocol: "protocol",
+        base: "base graph",
+        policy: "policy",
+        inputs: "inputs",
+        strategy: "strategy",
+        schedule: "schedule",
+        decisions: "decisions",
+        pending: "pending",
+        budget_exhausted: "budget_exhausted",
+        misbehavior: "misbehavior",
+        condition: "condition",
+        evidence: "evidence",
+    }
+    check(check_async_certificate)
+}
+
+/// `Ok` when `ok` holds, else [`FieldError::Invalid`] in `context`.
+fn ensure(
+    ok: bool,
     context: &'static str,
-    min_element_bytes: usize,
-) -> Result<usize, CertDecodeError> {
-    let n = r.u32().ctx(context)? as usize;
-    if n.saturating_mul(min_element_bytes.max(1)) > r.remaining() {
-        return Err(invalid(
-            context,
-            format!(
-                "claims {n} elements but only {} bytes remain",
-                r.remaining()
-            ),
-        ));
+    reason: impl FnOnce() -> String,
+) -> Result<(), FieldError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(invalid(context, reason()))
     }
-    Ok(n)
 }
 
-fn usize_field(r: &mut Reader<'_>, context: &'static str) -> Result<usize, CertDecodeError> {
-    let v = r.u64().ctx(context)?;
-    usize::try_from(v).map_err(|_| invalid(context, format!("{v} does not fit in usize")))
+/// Requires every node id to name a node of an `n`-node base graph.
+fn nodes_in<'a>(
+    nodes: impl IntoIterator<Item = &'a NodeId>,
+    n: usize,
+    context: &'static str,
+) -> Result<(), FieldError> {
+    nodes.into_iter().try_for_each(|v| {
+        let id = v.0;
+        ensure(v.index() < n, context, || {
+            format!("node {id} out of range for a {n}-node base graph")
+        })
+    })
 }
 
-/// Magnitude bound on every decoded float. Clock replay walks an event loop
-/// out to horizons derived from these values, so a bit-flipped exponent that
-/// is still finite (~1e300) must be rejected here, not discovered as an
-/// effectively unbounded run inside `verify`.
+fn check_certificate(cert: &Certificate) -> Result<(), FieldError> {
+    let n = cert.base.node_count();
+    for link in &cert.chain {
+        nodes_in(&link.correct, n, "link.correct")?;
+        nodes_in(link.masquerade.iter().map(|(v, _)| v), n, "link.masquerade")?;
+        nodes_in(link.decisions.iter().map(|(v, _)| v), n, "link.decisions")?;
+        nodes_in(&link.degraded, n, "link.degraded")?;
+    }
+    let (link, len) = (cert.violation.link, cert.chain.len());
+    ensure(link < len, "violation.link", || {
+        format!("points at link {link} of a {len}-link chain")
+    })
+}
+
+/// Magnitude bound on every decoded clock float. Clock replay walks an
+/// event loop out to horizons derived from these values, so a bit-flipped
+/// exponent that is still finite (~1e300) must be rejected here, not
+/// discovered as an effectively unbounded run inside `verify`.
 const MAX_F64_MAGNITUDE: f64 = 1e12;
 
-fn finite_f64(r: &mut Reader<'_>, context: &'static str) -> Result<f64, CertDecodeError> {
-    let v = f64::from_bits(r.u64().ctx(context)?);
-    if !v.is_finite() {
-        return Err(invalid(context, format!("{v} is not finite")));
-    }
-    if v.abs() > MAX_F64_MAGNITUDE {
-        return Err(invalid(
-            context,
-            format!("|{v}| exceeds the decode cap of {MAX_F64_MAGNITUDE:e}"),
-        ));
-    }
-    Ok(v)
-}
-
-fn node_in(r: &mut Reader<'_>, n: usize, context: &'static str) -> Result<NodeId, CertDecodeError> {
-    let id = r.u32().ctx(context)?;
-    if (id as usize) >= n {
-        return Err(invalid(
-            context,
-            format!("node {id} out of range for a {n}-node base graph"),
-        ));
-    }
-    Ok(NodeId(id))
-}
-
-fn theorem_tag(t: Theorem) -> u8 {
-    match t {
-        Theorem::BaNodes => 0,
-        Theorem::BaConnectivity => 1,
-        Theorem::WeakAgreement => 2,
-        Theorem::FiringSquad => 3,
-        Theorem::SimpleApprox => 4,
-        Theorem::EpsDeltaGamma => 5,
-        Theorem::ClockSync => 6,
-    }
-}
-
-fn theorem_from_tag(tag: u8) -> Option<Theorem> {
-    Some(match tag {
-        0 => Theorem::BaNodes,
-        1 => Theorem::BaConnectivity,
-        2 => Theorem::WeakAgreement,
-        3 => Theorem::FiringSquad,
-        4 => Theorem::SimpleApprox,
-        5 => Theorem::EpsDeltaGamma,
-        6 => Theorem::ClockSync,
-        _ => return None,
+fn capped(v: f64, context: &'static str) -> Result<(), FieldError> {
+    ensure(v.abs() <= MAX_F64_MAGNITUDE, context, || {
+        format!("|{v}| exceeds the decode cap of {MAX_F64_MAGNITUDE:e}")
     })
 }
 
-fn condition_tag(c: Condition) -> u8 {
-    match c {
-        Condition::Termination => 0,
-        Condition::Agreement => 1,
-        Condition::Validity => 2,
-    }
-}
-
-fn condition_from_tag(tag: u8) -> Option<Condition> {
-    Some(match tag {
-        0 => Condition::Termination,
-        1 => Condition::Agreement,
-        2 => Condition::Validity,
-        _ => return None,
+fn check_clock_certificate(cert: &ClockCertificate) -> Result<(), FieldError> {
+    let (k, readings, scenario) = (cert.k, cert.logical.len(), cert.scenario);
+    // `verify` re-runs a (k+2)-node ring; an absurd k is a corrupt cert, not
+    // a simulation request. The refuter itself gives up at k = 3000.
+    ensure(k <= 16_384, "k", || {
+        format!("{k} exceeds the 16384 ring-length cap")
+    })?;
+    capped(cert.t_eval, "t_eval")?;
+    cert.logical
+        .iter()
+        .try_for_each(|&c| capped(c, "logical"))?;
+    ensure(readings == k + 2, "logical", || {
+        format!("{readings} readings for a {}-node ring", k + 2)
+    })?;
+    ensure(scenario <= k, "scenario", || {
+        format!("scenario {scenario} out of range for k = {k}")
     })
 }
 
-fn encode_violation(v: &Violation, w: &mut Writer) {
-    w.u8(condition_tag(v.condition));
-    w.u64(v.link as u64);
-    w.str(&v.evidence);
-}
-
-fn decode_violation(r: &mut Reader<'_>) -> Result<Violation, CertDecodeError> {
-    let tag = r.u8().ctx("violation.condition")?;
-    let condition = condition_from_tag(tag)
-        .ok_or_else(|| invalid("violation.condition", format!("tag {tag}")))?;
-    let link = usize_field(r, "violation.link")?;
-    let evidence = r.str().ctx("violation.evidence")?.to_owned();
-    Ok(Violation {
-        condition,
-        link,
-        evidence,
-    })
-}
-
-fn encode_chain_link(link: &ChainLink, w: &mut Writer) {
-    w.u32(link.correct.len() as u32);
-    for v in &link.correct {
-        w.u32(v.0);
+fn check_async_certificate(cert: &AsyncCertificate) -> Result<(), FieldError> {
+    let n = cert.base.node_count();
+    let edges = cert.base.directed_edges().len() as u32;
+    let inputs = cert.inputs.len();
+    ensure(inputs == n, "inputs", || {
+        format!("{inputs} inputs for a {n}-node base graph")
+    })?;
+    // The schedule is the certificate's heart, and the favorite forgery
+    // target. Three guards: every entry must name a real directed edge, the
+    // length must fit the policy's delivery budget (a schedule/horizon
+    // mismatch is a forgery, not a replay problem), and the count itself is
+    // checked against the remaining bytes like every collection.
+    let (deliveries, budget) = (cert.schedule.len(), cert.policy.max_ticks);
+    ensure(deliveries as u64 <= u64::from(budget), "schedule", || {
+        format!("{deliveries} deliveries exceed the policy budget of {budget}")
+    })?;
+    for (i, &e) in cert.schedule.iter().enumerate() {
+        ensure(e < edges, "schedule", || {
+            format!("entry {i} names edge {e}, graph has {edges} directed edges")
+        })?;
     }
-    w.u32(link.masquerade.len() as u32);
-    for (v, traces) in &link.masquerade {
-        w.u32(v.0);
-        w.u32(traces.len() as u32);
-        for trace in traces {
-            encode_edge_behavior(trace, w);
+    let decisions = cert.decisions.len();
+    ensure(decisions == n, "decisions", || {
+        format!("{decisions} decisions for a {n}-node base graph")
+    })?;
+    let mut prev = None;
+    for &(e, k) in &cert.pending {
+        ensure(e < edges, "pending", || {
+            format!("edge {e} out of range for {edges} directed edges")
+        })?;
+        ensure(k > 0, "pending", || {
+            format!("edge {e} listed with zero pending")
+        })?;
+        if let Some(prev) = prev.filter(|&p| e <= p) {
+            return Err(invalid(
+                "pending",
+                format!("edges not strictly ascending ({prev} then {e})"),
+            ));
         }
-    }
-    w.u32(link.inputs.len() as u32);
-    for input in &link.inputs {
-        input.encode(w);
-    }
-    w.bool(link.scenario_matched);
-    w.u32(link.decisions.len() as u32);
-    for (v, d) in &link.decisions {
-        w.u32(v.0);
-        match d {
-            None => {
-                w.u8(0);
-            }
-            Some(d) => {
-                w.u8(1);
-                d.encode(w);
-            }
-        }
-    }
-    w.u32(link.horizon);
-    w.u32(link.misbehavior.len() as u32);
-    for m in &link.misbehavior {
-        m.encode(w);
-    }
-    w.u32(link.degraded.len() as u32);
-    for v in &link.degraded {
-        w.u32(v.0);
-    }
-}
-
-fn decode_chain_link(r: &mut Reader<'_>, n: usize) -> Result<ChainLink, CertDecodeError> {
-    let correct_len = checked_count(r, "link.correct", 4)?;
-    let mut correct = Vec::with_capacity(correct_len);
-    for _ in 0..correct_len {
-        correct.push(node_in(r, n, "link.correct")?);
-    }
-
-    let masq_len = checked_count(r, "link.masquerade", 8)?;
-    let mut masquerade = Vec::with_capacity(masq_len);
-    for _ in 0..masq_len {
-        let v = node_in(r, n, "link.masquerade")?;
-        let trace_len = checked_count(r, "link.masquerade.traces", 4)?;
-        let mut traces: Vec<EdgeBehavior> = Vec::with_capacity(trace_len);
-        for _ in 0..trace_len {
-            traces.push(decode_edge_behavior(r).ctx("link.masquerade.traces")?);
-        }
-        masquerade.push((v, traces));
-    }
-
-    let inputs_len = checked_count(r, "link.inputs", 1)?;
-    let mut inputs = Vec::with_capacity(inputs_len);
-    for _ in 0..inputs_len {
-        inputs.push(Input::decode(r).ctx("link.inputs")?);
-    }
-
-    let scenario_matched = r.bool().ctx("link.scenario_matched")?;
-
-    let decisions_len = checked_count(r, "link.decisions", 5)?;
-    let mut decisions = Vec::with_capacity(decisions_len);
-    for _ in 0..decisions_len {
-        let v = node_in(r, n, "link.decisions")?;
-        let d = match r.u8().ctx("link.decisions")? {
-            0 => None,
-            1 => Some(Decision::decode(r).ctx("link.decisions")?),
-            tag => return Err(invalid("link.decisions", format!("option tag {tag}"))),
-        };
-        decisions.push((v, d));
-    }
-
-    let horizon = r.u32().ctx("link.horizon")?;
-
-    let misbehavior_len = checked_count(r, "link.misbehavior", 9)?;
-    let mut misbehavior = Vec::with_capacity(misbehavior_len);
-    for _ in 0..misbehavior_len {
-        misbehavior.push(DeviceMisbehavior::decode(r).ctx("link.misbehavior")?);
-    }
-
-    let degraded_len = checked_count(r, "link.degraded", 4)?;
-    let mut degraded = Vec::with_capacity(degraded_len);
-    for _ in 0..degraded_len {
-        degraded.push(node_in(r, n, "link.degraded")?);
-    }
-
-    Ok(ChainLink {
-        correct,
-        masquerade,
-        inputs,
-        scenario_matched,
-        decisions,
-        horizon,
-        misbehavior,
-        degraded,
-    })
-}
-
-fn encode_claim(claim: &ClockSyncClaim, w: &mut Writer) {
-    claim.p.encode(w);
-    claim.q.encode(w);
-    claim.l.encode(w);
-    claim.u.encode(w);
-    w.u64(claim.alpha.to_bits());
-    w.u64(claim.t_prime.to_bits());
-}
-
-fn decode_claim(r: &mut Reader<'_>) -> Result<ClockSyncClaim, CertDecodeError> {
-    let p = TimeFn::decode(r).ctx("claim.p")?;
-    let q = TimeFn::decode(r).ctx("claim.q")?;
-    let l = TimeFn::decode(r).ctx("claim.l")?;
-    let u = TimeFn::decode(r).ctx("claim.u")?;
-    let alpha = finite_f64(r, "claim.alpha")?;
-    let t_prime = finite_f64(r, "claim.t_prime")?;
-    Ok(ClockSyncClaim {
-        p,
-        q,
-        l,
-        u,
-        alpha,
-        t_prime,
-    })
-}
-
-fn header(kind: u8) -> Writer {
-    let mut w = Writer::new();
-    for &b in MAGIC {
-        w.u8(b);
-    }
-    w.u8(VERSION).u8(kind);
-    w
-}
-
-/// Reads the magic/version header, returning the kind byte.
-fn read_header(r: &mut Reader<'_>) -> Result<u8, CertDecodeError> {
-    let mut magic = [0u8; 4];
-    for b in &mut magic {
-        *b = r.u8().map_err(|DecodeError| CertDecodeError::BadMagic)?;
-    }
-    if &magic != MAGIC {
-        return Err(CertDecodeError::BadMagic);
-    }
-    let version = r.u8().ctx("version")?;
-    if version != VERSION {
-        return Err(CertDecodeError::UnsupportedVersion(version));
-    }
-    r.u8().ctx("kind")
-}
-
-fn finish(r: &Reader<'_>) -> Result<(), CertDecodeError> {
-    if r.remaining() != 0 {
-        return Err(CertDecodeError::TrailingBytes {
-            count: r.remaining(),
-        });
+        prev = Some(e);
     }
     Ok(())
 }
 
-/// Either certificate type, as read back from a file.
+/// A certificate file's header: the magic and the version. The kind byte
+/// and the body follow.
+fn header() -> Writer {
+    let mut w = Writer::new();
+    for &b in MAGIC {
+        w.u8(b);
+    }
+    w.u8(VERSION);
+    w
+}
+
+/// Declares the certificate kinds once: the kind-byte table of
+/// [`AnyCertificate`], and each kind's own `to_bytes` and `from_bytes`.
+macro_rules! certificate_kinds {
+    ($($variant:ident($ty:ident) = $kind:literal,)*) => {
+        wire_schema! {
+            enum AnyCertificate {
+                $($variant(cert: "certificate") = $kind,)*
+            }
+        }
+        $(impl $ty {
+            #[doc = concat!("Encodes to the canonical `FLMC` byte format (kind ", $kind, ").")]
+            pub fn to_bytes(&self) -> Vec<u8> {
+                let mut w = header();
+                w.u8($kind);
+                self.put(&mut w);
+                w.finish()
+            }
+
+            #[doc = concat!("Decodes from `FLMC` bytes, expecting kind ", $kind, ".")]
+            ///
+            /// # Errors
+            ///
+            /// Returns [`CertDecodeError`] on any malformed input; never panics.
+            pub fn from_bytes(bytes: &[u8]) -> Result<$ty, CertDecodeError> {
+                match decode_any(bytes)? {
+                    AnyCertificate::$variant(c) => Ok(c),
+                    other => Err(CertDecodeError::UnsupportedKind(other.tag())),
+                }
+            }
+        })*
+    };
+}
+
+certificate_kinds! {
+    Discrete(Certificate) = 0,
+    Clock(ClockCertificate) = 1,
+    Async(AsyncCertificate) = 2,
+}
+
+/// Any certificate kind, as read back from a file.
 #[derive(Debug, Clone)]
 pub enum AnyCertificate {
     /// A discrete-theorem certificate (kind 0).
@@ -424,381 +395,47 @@ impl AnyCertificate {
 
     /// Re-encodes to the canonical bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            AnyCertificate::Discrete(c) => c.to_bytes(),
-            AnyCertificate::Clock(c) => c.to_bytes(),
-            AnyCertificate::Async(c) => c.to_bytes(),
-        }
+        let mut w = header();
+        self.put(&mut w);
+        w.finish()
     }
 }
 
-/// Decodes either certificate kind from file bytes.
+/// Decodes any certificate kind from file bytes.
 ///
 /// # Errors
 ///
 /// Returns [`CertDecodeError`] on any malformed input; never panics.
 pub fn decode_any(bytes: &[u8]) -> Result<AnyCertificate, CertDecodeError> {
     let mut r = Reader::new(bytes);
-    match read_header(&mut r)? {
-        KIND_CERTIFICATE => {
-            let cert = decode_certificate_body(&mut r)?;
-            finish(&r)?;
-            Ok(AnyCertificate::Discrete(cert))
-        }
-        KIND_CLOCK_CERTIFICATE => {
-            let cert = decode_clock_certificate_body(&mut r)?;
-            finish(&r)?;
-            Ok(AnyCertificate::Clock(cert))
-        }
-        KIND_ASYNC_CERTIFICATE => {
-            let cert = decode_async_certificate_body(&mut r)?;
-            finish(&r)?;
-            Ok(AnyCertificate::Async(cert))
-        }
-        kind => Err(CertDecodeError::UnsupportedKind(kind)),
+    let mut magic = [0u8; 4];
+    for b in &mut magic {
+        *b = r.u8().map_err(|_| CertDecodeError::BadMagic)?;
     }
-}
-
-fn decode_certificate_body(r: &mut Reader<'_>) -> Result<Certificate, CertDecodeError> {
-    let tag = r.u8().ctx("theorem")?;
-    let theorem = theorem_from_tag(tag).ok_or_else(|| invalid("theorem", format!("tag {tag}")))?;
-    let protocol = r.str().ctx("protocol")?.to_owned();
-    let base_bytes = r.bytes().ctx("base graph")?;
-    let base = Graph::from_bytes(base_bytes).map_err(|e| invalid("base graph", e.to_string()))?;
-    let n = base.node_count();
-    let f = usize_field(r, "f")?;
-    let covering = r.str().ctx("covering")?.to_owned();
-    let policy = RunPolicy::decode(r).ctx("policy")?;
-    let chain_len = checked_count(r, "chain", 4)?;
-    let mut chain = Vec::with_capacity(chain_len);
-    for _ in 0..chain_len {
-        chain.push(decode_chain_link(r, n)?);
+    if &magic != MAGIC {
+        return Err(CertDecodeError::BadMagic);
     }
-    let violation = decode_violation(r)?;
-    if violation.link >= chain.len() {
-        return Err(invalid(
-            "violation.link",
-            format!(
-                "points at link {} of a {}-link chain",
-                violation.link,
-                chain.len()
-            ),
-        ));
+    let version = r.u8().ctx("version")?;
+    if version != VERSION {
+        return Err(CertDecodeError::UnsupportedVersion(version));
     }
-    Ok(Certificate {
-        theorem,
-        protocol,
-        base,
-        f,
-        covering,
-        chain,
-        policy,
-        violation,
-    })
-}
-
-fn decode_clock_certificate_body(r: &mut Reader<'_>) -> Result<ClockCertificate, CertDecodeError> {
-    let protocol = r.str().ctx("protocol")?.to_owned();
-    let claim = decode_claim(r)?;
-    let k = usize_field(r, "k")?;
-    // `verify` re-runs a (k+2)-node ring; an absurd k is a corrupt cert, not
-    // a simulation request. The refuter itself gives up at k = 3000.
-    if k > 16_384 {
-        return Err(invalid(
-            "k",
-            format!("{k} exceeds the 16384 ring-length cap"),
-        ));
+    let kind = r.u8().ctx("kind")?;
+    let cert =
+        AnyCertificate::get_body(kind, &mut r)?.ok_or(CertDecodeError::UnsupportedKind(kind))?;
+    if !r.is_empty() {
+        return Err(CertDecodeError::TrailingBytes {
+            count: r.remaining(),
+        });
     }
-    let t_eval = finite_f64(r, "t_eval")?;
-    let logical_len = checked_count(r, "logical", 8)?;
-    let mut logical = Vec::with_capacity(logical_len);
-    for _ in 0..logical_len {
-        logical.push(finite_f64(r, "logical")?);
-    }
-    if logical.len() != k + 2 {
-        return Err(invalid(
-            "logical",
-            format!("{} readings for a {}-node ring", logical.len(), k + 2),
-        ));
-    }
-    let scenario = usize_field(r, "scenario")?;
-    if scenario > k {
-        return Err(invalid(
-            "scenario",
-            format!("scenario {scenario} out of range for k = {k}"),
-        ));
-    }
-    let tag = r.u8().ctx("condition")?;
-    let condition =
-        condition_from_tag(tag).ok_or_else(|| invalid("condition", format!("tag {tag}")))?;
-    let evidence = r.str().ctx("evidence")?.to_owned();
-    Ok(ClockCertificate {
-        protocol,
-        claim,
-        k,
-        t_eval,
-        logical,
-        scenario,
-        condition,
-        evidence,
-    })
-}
-
-fn decode_async_certificate_body(r: &mut Reader<'_>) -> Result<AsyncCertificate, CertDecodeError> {
-    let protocol = r.str().ctx("protocol")?.to_owned();
-    let base_bytes = r.bytes().ctx("base graph")?;
-    let base = Graph::from_bytes(base_bytes).map_err(|e| invalid("base graph", e.to_string()))?;
-    let n = base.node_count();
-    let edges = base.directed_edges().len() as u32;
-    let policy = RunPolicy::decode(r).ctx("policy")?;
-
-    let inputs_len = checked_count(r, "inputs", 1)?;
-    if inputs_len != n {
-        return Err(invalid(
-            "inputs",
-            format!("{inputs_len} inputs for a {n}-node base graph"),
-        ));
-    }
-    let mut inputs = Vec::with_capacity(inputs_len);
-    for _ in 0..inputs_len {
-        inputs.push(Input::decode(r).ctx("inputs")?);
-    }
-
-    let strategy = r.str().ctx("strategy")?.to_owned();
-
-    // The schedule is the certificate's heart, and the favorite forgery
-    // target. Three guards: every entry must name a real directed edge, the
-    // length must fit the policy's delivery budget (a schedule/horizon
-    // mismatch is a forgery, not a replay problem), and the count itself is
-    // checked against the remaining bytes like every collection.
-    let sched_len = checked_count(r, "schedule", 4)?;
-    if sched_len as u64 > u64::from(policy.max_ticks) {
-        return Err(invalid(
-            "schedule",
-            format!(
-                "{sched_len} deliveries exceed the policy budget of {}",
-                policy.max_ticks
-            ),
-        ));
-    }
-    let mut schedule = Vec::with_capacity(sched_len);
-    for i in 0..sched_len {
-        let e = r.u32().ctx("schedule")?;
-        if e >= edges {
-            return Err(invalid(
-                "schedule",
-                format!("entry {i} names edge {e}, graph has {edges} directed edges"),
-            ));
-        }
-        schedule.push(e);
-    }
-
-    let decisions_len = checked_count(r, "decisions", 1)?;
-    if decisions_len != n {
-        return Err(invalid(
-            "decisions",
-            format!("{decisions_len} decisions for a {n}-node base graph"),
-        ));
-    }
-    let mut decisions = Vec::with_capacity(decisions_len);
-    for _ in 0..decisions_len {
-        let d = match r.u8().ctx("decisions")? {
-            0 => None,
-            1 => Some(Decision::decode(r).ctx("decisions")?),
-            tag => return Err(invalid("decisions", format!("option tag {tag}"))),
-        };
-        decisions.push(d);
-    }
-
-    let pending_len = checked_count(r, "pending", 8)?;
-    let mut pending: Vec<(u32, u32)> = Vec::with_capacity(pending_len);
-    for _ in 0..pending_len {
-        let e = r.u32().ctx("pending")?;
-        let k = r.u32().ctx("pending")?;
-        if e >= edges {
-            return Err(invalid(
-                "pending",
-                format!("edge {e} out of range for {edges} directed edges"),
-            ));
-        }
-        if k == 0 {
-            return Err(invalid(
-                "pending",
-                format!("edge {e} listed with zero pending"),
-            ));
-        }
-        if let Some(&(prev, _)) = pending.last() {
-            if e <= prev {
-                return Err(invalid(
-                    "pending",
-                    format!("edges not strictly ascending ({prev} then {e})"),
-                ));
-            }
-        }
-        pending.push((e, k));
-    }
-
-    let budget_exhausted = r.bool().ctx("budget_exhausted")?;
-
-    let misbehavior_len = checked_count(r, "misbehavior", 9)?;
-    let mut misbehavior = Vec::with_capacity(misbehavior_len);
-    for _ in 0..misbehavior_len {
-        misbehavior.push(DeviceMisbehavior::decode(r).ctx("misbehavior")?);
-    }
-
-    let tag = r.u8().ctx("condition")?;
-    let condition =
-        condition_from_tag(tag).ok_or_else(|| invalid("condition", format!("tag {tag}")))?;
-    let evidence = r.str().ctx("evidence")?.to_owned();
-
-    Ok(AsyncCertificate {
-        protocol,
-        base,
-        inputs,
-        strategy,
-        schedule,
-        decisions,
-        pending,
-        budget_exhausted,
-        misbehavior,
-        policy,
-        condition,
-        evidence,
-    })
-}
-
-impl AsyncCertificate {
-    /// Encodes to the canonical `FLMC` byte format (kind 2).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = header(KIND_ASYNC_CERTIFICATE);
-        w.str(&self.protocol);
-        w.bytes(&self.base.to_bytes());
-        self.policy.encode(&mut w);
-        w.u32(self.inputs.len() as u32);
-        for &input in &self.inputs {
-            input.encode(&mut w);
-        }
-        w.str(&self.strategy);
-        w.u32(self.schedule.len() as u32);
-        for &e in &self.schedule {
-            w.u32(e);
-        }
-        w.u32(self.decisions.len() as u32);
-        for d in &self.decisions {
-            match d {
-                None => {
-                    w.u8(0);
-                }
-                Some(d) => {
-                    w.u8(1);
-                    d.encode(&mut w);
-                }
-            }
-        }
-        w.u32(self.pending.len() as u32);
-        for &(e, k) in &self.pending {
-            w.u32(e).u32(k);
-        }
-        w.bool(self.budget_exhausted);
-        w.u32(self.misbehavior.len() as u32);
-        for m in &self.misbehavior {
-            m.encode(&mut w);
-        }
-        w.u8(condition_tag(self.condition));
-        w.str(&self.evidence);
-        w.finish()
-    }
-
-    /// Decodes from `FLMC` bytes, expecting kind 2.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CertDecodeError`] on any malformed input; never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<AsyncCertificate, CertDecodeError> {
-        match decode_any(bytes)? {
-            AnyCertificate::Async(c) => Ok(c),
-            AnyCertificate::Discrete(_) => Err(CertDecodeError::UnsupportedKind(KIND_CERTIFICATE)),
-            AnyCertificate::Clock(_) => {
-                Err(CertDecodeError::UnsupportedKind(KIND_CLOCK_CERTIFICATE))
-            }
-        }
-    }
-}
-
-impl Certificate {
-    /// Encodes to the canonical `FLMC` byte format (kind 0).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = header(KIND_CERTIFICATE);
-        w.u8(theorem_tag(self.theorem));
-        w.str(&self.protocol);
-        w.bytes(&self.base.to_bytes());
-        w.u64(self.f as u64);
-        w.str(&self.covering);
-        self.policy.encode(&mut w);
-        w.u32(self.chain.len() as u32);
-        for link in &self.chain {
-            encode_chain_link(link, &mut w);
-        }
-        encode_violation(&self.violation, &mut w);
-        w.finish()
-    }
-
-    /// Decodes from `FLMC` bytes, expecting kind 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CertDecodeError`] on any malformed input; never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Certificate, CertDecodeError> {
-        match decode_any(bytes)? {
-            AnyCertificate::Discrete(c) => Ok(c),
-            AnyCertificate::Clock(_) => {
-                Err(CertDecodeError::UnsupportedKind(KIND_CLOCK_CERTIFICATE))
-            }
-            AnyCertificate::Async(_) => {
-                Err(CertDecodeError::UnsupportedKind(KIND_ASYNC_CERTIFICATE))
-            }
-        }
-    }
-}
-
-impl ClockCertificate {
-    /// Encodes to the canonical `FLMC` byte format (kind 1).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = header(KIND_CLOCK_CERTIFICATE);
-        w.str(&self.protocol);
-        encode_claim(&self.claim, &mut w);
-        w.u64(self.k as u64);
-        w.u64(self.t_eval.to_bits());
-        w.u32(self.logical.len() as u32);
-        for &c in &self.logical {
-            w.u64(c.to_bits());
-        }
-        w.u64(self.scenario as u64);
-        w.u8(condition_tag(self.condition));
-        w.str(&self.evidence);
-        w.finish()
-    }
-
-    /// Decodes from `FLMC` bytes, expecting kind 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CertDecodeError`] on any malformed input; never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ClockCertificate, CertDecodeError> {
-        match decode_any(bytes)? {
-            AnyCertificate::Clock(c) => Ok(c),
-            AnyCertificate::Discrete(_) => Err(CertDecodeError::UnsupportedKind(KIND_CERTIFICATE)),
-            AnyCertificate::Async(_) => {
-                Err(CertDecodeError::UnsupportedKind(KIND_ASYNC_CERTIFICATE))
-            }
-        }
-    }
+    Ok(cert)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use flm_graph::builders;
+    use flm_sim::clock::TimeFn;
+    use flm_sim::{Decision, Input, RunPolicy};
 
     fn sample() -> Certificate {
         Certificate {
@@ -887,8 +524,9 @@ mod tests {
         // Find the (now zero) chain count and blast it. It sits right after
         // the policy; rather than compute the offset, scan for the violation
         // tail and patch the 4 bytes before it — simpler: re-encode by hand.
-        let mut w = header(KIND_CERTIFICATE);
-        w.u8(theorem_tag(cert.theorem));
+        let mut w = header();
+        w.u8(0);
+        cert.theorem.put(&mut w);
         w.str(&cert.protocol);
         w.bytes(&cert.base.to_bytes());
         w.u64(cert.f as u64);

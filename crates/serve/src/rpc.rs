@@ -8,67 +8,49 @@
 //! certificate, so anything a server returns can be piped straight into
 //! `flm-audit`. Malformed bodies decode to a structured
 //! [`RpcDecodeError`] — the server answers those with a typed
-//! [`Response::Error`] frame, never a dropped socket.
-//!
-//! Kind bytes: requests occupy `0x01..=0x07`, successful responses mirror
-//! them at `0x81..=0x87` (plus `0x88` for a router's aggregated cluster
-//! stats), and the failure responses live at `0xE0` (error), `0xE1`
-//! (overloaded — the load-shedding answer), `0xE2` (wrong shard, with an
-//! owner hint), and `0xE3` (shard down behind a router).
+//! [`Response::Error`] frame, never a dropped socket. Every message, and
+//! both stats tables, is declared once with [`flm_sim::wire_schema!`]: its
+//! fields in wire order, each with the context its decode errors name, and
+//! its kind byte from the [`kind`] table.
 
 use std::fmt;
 
 use flm_graph::Graph;
-use flm_sim::wire::{Reader, Writer};
-use flm_sim::RunPolicy;
+use flm_sim::wire::{FieldError, Reader, Tagged, Writer};
+use flm_sim::{wire_schema, RunPolicy};
 
 use crate::frame::Frame;
 
-/// Request kind bytes.
+/// Frame kind bytes: the one tag table of [`Request`] and [`Response`],
+/// whose variants say what each kind carries. Requests occupy
+/// `0x01..=0x07`, successful responses mirror them at `0x81..=0x87` (plus
+/// `0x88` for a router's aggregated cluster stats), and the failure
+/// responses live at `0xE0` (error), `0xE1` (overloaded — the load-shedding
+/// answer), `0xE2` (wrong shard, with an owner hint), and `0xE3` (shard
+/// down behind a router). Only the kinds another module names are public.
 pub mod kind {
-    /// Liveness probe / load-generator pacing primitive.
-    pub const REQ_PING: u8 = 0x01;
-    /// Run a refuter, answer with a certificate.
-    pub const REQ_REFUTE: u8 = 0x02;
-    /// Re-verify a certificate's violation.
-    pub const REQ_VERIFY: u8 = 0x03;
-    /// Full audit path (decode, canonicality, resolve, re-verify).
-    pub const REQ_AUDIT: u8 = 0x04;
-    /// Server counters and cache statistics.
-    pub const REQ_STATS: u8 = 0x05;
-    /// Pull a stored certificate (plus its key sidecar semantics) out of a
-    /// peer shard's `CertStore` — the cross-shard shipping primitive.
-    pub const REQ_FETCH_CERT: u8 = 0x06;
-    /// Push a certificate into the owning shard's `CertStore` (verified on
-    /// receive before it is owned).
-    pub const REQ_PUT_CERT: u8 = 0x07;
-    /// Response to [`REQ_PING`].
+    pub(crate) const REQ_PING: u8 = 0x01;
+    pub(crate) const REQ_REFUTE: u8 = 0x02;
+    pub(crate) const REQ_VERIFY: u8 = 0x03;
+    pub(crate) const REQ_AUDIT: u8 = 0x04;
+    pub(crate) const REQ_STATS: u8 = 0x05;
+    pub(crate) const REQ_FETCH_CERT: u8 = 0x06;
+    pub(crate) const REQ_PUT_CERT: u8 = 0x07;
+    /// [`Response::Pong`](super::Response::Pong).
     pub const RESP_PONG: u8 = 0x81;
-    /// Response to [`REQ_REFUTE`]: a portable `FLMC` certificate.
-    pub const RESP_CERTIFICATE: u8 = 0x82;
-    /// Response to [`REQ_VERIFY`].
-    pub const RESP_VERIFY: u8 = 0x83;
-    /// Response to [`REQ_AUDIT`].
-    pub const RESP_AUDIT: u8 = 0x84;
-    /// Response to [`REQ_STATS`].
-    pub const RESP_STATS: u8 = 0x85;
-    /// Response to [`REQ_FETCH_CERT`].
-    pub const RESP_FETCH_CERT: u8 = 0x86;
-    /// Response to [`REQ_PUT_CERT`].
-    pub const RESP_PUT_CERT: u8 = 0x87;
-    /// Response to [`REQ_STATS`] from a router: the aggregated per-shard
-    /// cluster view instead of one server's counters.
-    pub const RESP_CLUSTER_STATS: u8 = 0x88;
-    /// Typed failure response.
+    pub(crate) const RESP_CERTIFICATE: u8 = 0x82;
+    pub(crate) const RESP_VERIFY: u8 = 0x83;
+    pub(crate) const RESP_AUDIT: u8 = 0x84;
+    pub(crate) const RESP_STATS: u8 = 0x85;
+    pub(crate) const RESP_FETCH_CERT: u8 = 0x86;
+    pub(crate) const RESP_PUT_CERT: u8 = 0x87;
+    pub(crate) const RESP_CLUSTER_STATS: u8 = 0x88;
+    /// [`Response::Error`](super::Response::Error); the router spots a
+    /// shard's error answers by it without decoding the others.
     pub const RESP_ERROR: u8 = 0xE0;
-    /// Load-shedding response: the server is saturated, try again later.
-    pub const RESP_OVERLOADED: u8 = 0xE1;
-    /// The request's canonical key is owned by a different shard; the body
-    /// carries the owner's identity as a hint.
-    pub const RESP_WRONG_SHARD: u8 = 0xE2;
-    /// The shard owning the request's key range is unreachable through the
-    /// router; other key ranges keep serving.
-    pub const RESP_SHARD_DOWN: u8 = 0xE3;
+    pub(crate) const RESP_OVERLOADED: u8 = 0xE1;
+    pub(crate) const RESP_WRONG_SHARD: u8 = 0xE2;
+    pub(crate) const RESP_SHARD_DOWN: u8 = 0xE3;
 }
 
 /// Structured decode failure for RPC bodies.
@@ -114,18 +96,52 @@ impl fmt::Display for RpcDecodeError {
 
 impl std::error::Error for RpcDecodeError {}
 
-fn corrupt(context: &'static str) -> impl Fn(flm_sim::wire::DecodeError) -> RpcDecodeError {
-    move |_| RpcDecodeError::Corrupt { context }
+impl From<FieldError> for RpcDecodeError {
+    fn from(e: FieldError) -> Self {
+        match e {
+            FieldError::Corrupt { context } => RpcDecodeError::Corrupt { context },
+            FieldError::Invalid { context, reason } => RpcDecodeError::Invalid { context, reason },
+        }
+    }
 }
 
-fn finish(r: &Reader<'_>) -> Result<(), RpcDecodeError> {
-    if r.is_empty() {
-        Ok(())
-    } else {
-        Err(RpcDecodeError::TrailingBytes {
-            count: r.remaining(),
-        })
-    }
+/// Gives each message type its frame codec: the kind byte from its tag
+/// table, and the body that kind's schema declares.
+macro_rules! frame_codec {
+    ($($ty:ident: $what:literal;)*) => {$(
+        impl $ty {
+            #[doc = concat!("Encodes the ", $what, " into its frame.")]
+            pub fn to_frame(&self) -> Frame {
+                let mut w = Writer::new();
+                self.put_body(&mut w);
+                Frame::new(self.tag(), w.finish())
+            }
+
+            #[doc = concat!("Decodes a ", $what, " from a frame.")]
+            ///
+            /// # Errors
+            ///
+            /// Returns a structured [`RpcDecodeError`] on unknown kinds,
+            /// truncated or invalid bodies (including graphs rejected by
+            /// [`Graph::from_bytes`]), and trailing bytes.
+            pub fn from_frame(frame: &Frame) -> Result<$ty, RpcDecodeError> {
+                let mut r = Reader::new(&frame.body);
+                let msg = $ty::get_body(frame.kind, &mut r)?
+                    .ok_or(RpcDecodeError::UnknownKind(frame.kind))?;
+                if !r.is_empty() {
+                    return Err(RpcDecodeError::TrailingBytes {
+                        count: r.remaining(),
+                    });
+                }
+                Ok(msg)
+            }
+        }
+    )*};
+}
+
+frame_codec! {
+    Request: "request";
+    Response: "response";
 }
 
 /// A refutation query: everything `regen --refute` takes, over the wire.
@@ -194,122 +210,25 @@ pub enum Request {
     },
 }
 
-impl Request {
-    /// Encodes the request into its frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut w = Writer::new();
-        let kind = match self {
-            Request::Ping { payload, hold_ms } => {
-                w.bytes(payload).u32(*hold_ms);
-                kind::REQ_PING
-            }
-            Request::Refute(p) => {
-                w.str(&p.theorem);
-                match &p.protocol {
-                    Some(name) => w.bool(true).str(name),
-                    None => w.bool(false),
-                };
-                match &p.graph {
-                    Some(g) => w.bool(true).bytes(&g.to_bytes()),
-                    None => w.bool(false),
-                };
-                w.u32(p.f);
-                match &p.policy {
-                    Some(policy) => {
-                        w.bool(true);
-                        policy.encode(&mut w);
-                    }
-                    None => {
-                        w.bool(false);
-                    }
-                };
-                kind::REQ_REFUTE
-            }
-            Request::Verify { cert } => {
-                w.bytes(cert);
-                kind::REQ_VERIFY
-            }
-            Request::Audit { cert } => {
-                w.bytes(cert);
-                kind::REQ_AUDIT
-            }
-            Request::Stats => kind::REQ_STATS,
-            Request::FetchCert { key } => {
-                w.bytes(key);
-                kind::REQ_FETCH_CERT
-            }
-            Request::PutCert { key, cert } => {
-                w.bytes(key).bytes(cert);
-                kind::REQ_PUT_CERT
-            }
-        };
-        Frame::new(kind, w.finish())
+wire_schema! {
+    struct RefuteParams {
+        theorem: "refute.theorem",
+        protocol: "refute.protocol",
+        graph: "refute.graph",
+        f: "refute.f",
+        policy: "refute.policy",
     }
+}
 
-    /// Decodes a request from a frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured [`RpcDecodeError`] on unknown kinds, truncated
-    /// or invalid bodies (including graphs rejected by
-    /// [`Graph::from_bytes`]), and trailing bytes.
-    pub fn from_frame(frame: &Frame) -> Result<Request, RpcDecodeError> {
-        let mut r = Reader::new(&frame.body);
-        let req = match frame.kind {
-            kind::REQ_PING => Request::Ping {
-                payload: r.bytes().map_err(corrupt("ping.payload"))?.to_vec(),
-                hold_ms: r.u32().map_err(corrupt("ping.hold_ms"))?,
-            },
-            kind::REQ_REFUTE => {
-                let theorem = r.str().map_err(corrupt("refute.theorem"))?.to_owned();
-                let protocol = if r.bool().map_err(corrupt("refute.protocol tag"))? {
-                    Some(r.str().map_err(corrupt("refute.protocol"))?.to_owned())
-                } else {
-                    None
-                };
-                let graph = if r.bool().map_err(corrupt("refute.graph tag"))? {
-                    let bytes = r.bytes().map_err(corrupt("refute.graph"))?;
-                    Some(
-                        Graph::from_bytes(bytes).map_err(|e| RpcDecodeError::Invalid {
-                            context: "refute.graph",
-                            reason: e.to_string(),
-                        })?,
-                    )
-                } else {
-                    None
-                };
-                let f = r.u32().map_err(corrupt("refute.f"))?;
-                let policy = if r.bool().map_err(corrupt("refute.policy tag"))? {
-                    Some(RunPolicy::decode(&mut r).map_err(corrupt("refute.policy"))?)
-                } else {
-                    None
-                };
-                Request::Refute(RefuteParams {
-                    theorem,
-                    protocol,
-                    graph,
-                    f,
-                    policy,
-                })
-            }
-            kind::REQ_VERIFY => Request::Verify {
-                cert: r.bytes().map_err(corrupt("verify.cert"))?.to_vec(),
-            },
-            kind::REQ_AUDIT => Request::Audit {
-                cert: r.bytes().map_err(corrupt("audit.cert"))?.to_vec(),
-            },
-            kind::REQ_STATS => Request::Stats,
-            kind::REQ_FETCH_CERT => Request::FetchCert {
-                key: r.bytes().map_err(corrupt("fetch_cert.key"))?.to_vec(),
-            },
-            kind::REQ_PUT_CERT => Request::PutCert {
-                key: r.bytes().map_err(corrupt("put_cert.key"))?.to_vec(),
-                cert: r.bytes().map_err(corrupt("put_cert.cert"))?.to_vec(),
-            },
-            other => return Err(RpcDecodeError::UnknownKind(other)),
-        };
-        finish(&r)?;
-        Ok(req)
+wire_schema! {
+    enum Request {
+        Ping { payload: "ping.payload", hold_ms: "ping.hold_ms" } = kind::REQ_PING,
+        Refute(params: "refute") = kind::REQ_REFUTE,
+        Verify { cert: "verify.cert" } = kind::REQ_VERIFY,
+        Audit { cert: "audit.cert" } = kind::REQ_AUDIT,
+        Stats = kind::REQ_STATS,
+        FetchCert { key: "fetch_cert.key" } = kind::REQ_FETCH_CERT,
+        PutCert { key: "put_cert.key", cert: "put_cert.cert" } = kind::REQ_PUT_CERT,
     }
 }
 
@@ -325,22 +244,18 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// The `flm-audit` exit code this verdict maps to.
+    /// The `flm-audit` exit code this verdict maps to; it is also the
+    /// verdict's wire tag.
     pub fn exit_code(self) -> u8 {
-        match self {
-            Verdict::Verified => 0,
-            Verdict::NotReproduced => 1,
-            Verdict::Malformed => 2,
-        }
+        self.tag()
     }
+}
 
-    fn from_u8(v: u8) -> Option<Verdict> {
-        match v {
-            0 => Some(Verdict::Verified),
-            1 => Some(Verdict::NotReproduced),
-            2 => Some(Verdict::Malformed),
-            _ => None,
-        }
+wire_schema! {
+    enum Verdict {
+        Verified = 0,
+        NotReproduced = 1,
+        Malformed = 2,
     }
 }
 
@@ -370,26 +285,13 @@ pub enum ErrorCode {
     Internal,
 }
 
-impl ErrorCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::MalformedFrame => 1,
-            ErrorCode::BadRequest => 2,
-            ErrorCode::RefuteFailed => 3,
-            ErrorCode::ConnectionBudget => 4,
-            ErrorCode::Internal => 5,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<ErrorCode> {
-        match v {
-            1 => Some(ErrorCode::MalformedFrame),
-            2 => Some(ErrorCode::BadRequest),
-            3 => Some(ErrorCode::RefuteFailed),
-            4 => Some(ErrorCode::ConnectionBudget),
-            5 => Some(ErrorCode::Internal),
-            _ => None,
-        }
+wire_schema! {
+    enum ErrorCode {
+        MalformedFrame = 1,
+        BadRequest = 2,
+        RefuteFailed = 3,
+        ConnectionBudget = 4,
+        Internal = 5,
     }
 }
 
@@ -406,10 +308,10 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// Declares a stats report exactly once: its struct, its fields' wire order
-/// and its length-tagged codec are all generated from the same list, so
-/// adding a counter is a single-site change that cannot drift between the
-/// encoder and the decoder. On the wire the counters travel as a `u32`
+/// Declares a stats report exactly once: its struct, and its fields' wire
+/// order through one `wire_schema!` use, are generated from the same list,
+/// so adding a counter is a single-site change that cannot drift between
+/// the encoder and the decoder. On the wire the counters travel as a `u32`
 /// entry count followed by that many `u64` values, then the optional
 /// trailing text field as a string. A peer built with a different table
 /// answers with a structured [`RpcDecodeError::Invalid`] instead of
@@ -431,7 +333,7 @@ macro_rules! stats_counter_table {
         impl $report {
             /// How many `u64` counters this build's table carries; the
             /// length tag every encoded report leads with.
-            pub const COUNTER_COUNT: u32 = [$(stringify!($name)),+].len() as u32;
+            const COUNTER_COUNT: u32 = [$(stringify!($name)),+].len() as u32;
 
             /// Every counter's change since `earlier` (saturating), gauges
             /// included; a text field is `self`'s.
@@ -441,34 +343,12 @@ macro_rules! stats_counter_table {
                     $( $text: self.$text.clone(), )?
                 }
             }
+        }
 
-            fn encode_into(&self, w: &mut Writer) {
-                w.u32(Self::COUNTER_COUNT);
-                $( w.u64(self.$name); )+
-                $( w.str(&self.$text); )?
-            }
-
-            fn decode_from(r: &mut Reader<'_>) -> Result<$report, RpcDecodeError> {
-                const COUNT: &str = concat!($context, ".counter_count");
-                let count = r.u32().map_err(corrupt(COUNT))?;
-                if count != Self::COUNTER_COUNT {
-                    return Err(RpcDecodeError::Invalid {
-                        context: COUNT,
-                        reason: format!(
-                            "counter table has {count} entries, this build speaks {}",
-                            Self::COUNTER_COUNT
-                        ),
-                    });
-                }
-                Ok($report {
-                    $( $name: r
-                        .u64()
-                        .map_err(corrupt(concat!($context, ".", stringify!($name))))?, )+
-                    $( $text: r
-                        .str()
-                        .map_err(corrupt(concat!($context, ".", stringify!($text))))?
-                        .to_owned(), )?
-                })
+        wire_schema! {
+            struct $report [Self::COUNTER_COUNT => concat!($context, ".counter_count")] {
+                $( $name: concat!($context, ".", stringify!($name)), )+
+                $( $text: concat!($context, ".", stringify!($text)), )?
             }
         }
     };
@@ -700,6 +580,23 @@ pub struct ClusterStatsReport {
     pub shards: Vec<ShardStatus>,
 }
 
+wire_schema! {
+    struct ShardStatus {
+        shard: "cluster.shard",
+        addr: "cluster.addr",
+        up: "cluster.up",
+        routed: "cluster.routed",
+        report: "cluster.report",
+    }
+}
+
+wire_schema! {
+    struct ClusterStatsReport {
+        router: "router",
+        shards: "cluster.shard_count",
+    }
+}
+
 impl ClusterStatsReport {
     /// Shards whose backend connection was up.
     pub fn shards_up(&self) -> usize {
@@ -869,177 +766,26 @@ impl Response {
             detail: detail.to_string(),
         }
     }
+}
 
-    /// Encodes the response into its frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut w = Writer::new();
-        let kind = match self {
-            Response::Pong { payload } => {
-                w.bytes(payload);
-                kind::RESP_PONG
-            }
-            Response::Certificate { bytes } => {
-                w.bytes(bytes);
-                kind::RESP_CERTIFICATE
-            }
-            Response::Verify { verdict, detail } => {
-                w.u8(verdict.exit_code()).str(detail);
-                kind::RESP_VERIFY
-            }
-            Response::Audit {
-                exit_code,
-                report,
-                diagnostics,
-            } => {
-                w.u8(*exit_code).str(report).str(diagnostics);
-                kind::RESP_AUDIT
-            }
-            Response::Stats(s) => {
-                s.encode_into(&mut w);
-                kind::RESP_STATS
-            }
-            Response::ClusterStats(c) => {
-                c.router.encode_into(&mut w);
-                w.u32(c.shards.len() as u32);
-                for s in &c.shards {
-                    w.u32(s.shard).str(&s.addr).bool(s.up).u64(s.routed);
-                    match &s.report {
-                        Some(report) => {
-                            w.bool(true);
-                            report.encode_into(&mut w);
-                        }
-                        None => {
-                            w.bool(false);
-                        }
-                    }
-                }
-                kind::RESP_CLUSTER_STATS
-            }
-            Response::FetchCert { cert } => {
-                match cert {
-                    Some(bytes) => w.bool(true).bytes(bytes),
-                    None => w.bool(false),
-                };
-                kind::RESP_FETCH_CERT
-            }
-            Response::PutCert => kind::RESP_PUT_CERT,
-            Response::WrongShard { owner, addr } => {
-                w.u32(*owner).str(addr);
-                kind::RESP_WRONG_SHARD
-            }
-            Response::ShardDown { shard, detail } => {
-                w.u32(*shard).str(detail);
-                kind::RESP_SHARD_DOWN
-            }
-            Response::Error { code, detail } => {
-                w.u8(code.to_u8()).str(detail);
-                kind::RESP_ERROR
-            }
-            Response::Overloaded { queued, detail } => {
-                w.u32(*queued).str(detail);
-                kind::RESP_OVERLOADED
-            }
-        };
-        Frame::new(kind, w.finish())
-    }
-
-    /// Decodes a response from a frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured [`RpcDecodeError`] on unknown kinds, truncated
-    /// or invalid bodies, and trailing bytes.
-    pub fn from_frame(frame: &Frame) -> Result<Response, RpcDecodeError> {
-        let mut r = Reader::new(&frame.body);
-        let resp = match frame.kind {
-            kind::RESP_PONG => Response::Pong {
-                payload: r.bytes().map_err(corrupt("pong.payload"))?.to_vec(),
-            },
-            kind::RESP_CERTIFICATE => Response::Certificate {
-                bytes: r.bytes().map_err(corrupt("certificate.bytes"))?.to_vec(),
-            },
-            kind::RESP_VERIFY => {
-                let raw = r.u8().map_err(corrupt("verify.verdict"))?;
-                let verdict = Verdict::from_u8(raw).ok_or(RpcDecodeError::Invalid {
-                    context: "verify.verdict",
-                    reason: format!("unknown verdict tag {raw}"),
-                })?;
-                Response::Verify {
-                    verdict,
-                    detail: r.str().map_err(corrupt("verify.detail"))?.to_owned(),
-                }
-            }
-            kind::RESP_AUDIT => Response::Audit {
-                exit_code: r.u8().map_err(corrupt("audit.exit_code"))?,
-                report: r.str().map_err(corrupt("audit.report"))?.to_owned(),
-                diagnostics: r.str().map_err(corrupt("audit.diagnostics"))?.to_owned(),
-            },
-            kind::RESP_STATS => Response::Stats(StatsReport::decode_from(&mut r)?),
-            kind::RESP_CLUSTER_STATS => {
-                let router = RouterStatsReport::decode_from(&mut r)?;
-                let count = r.u32().map_err(corrupt("cluster.shard_count"))?;
-                if count as usize > 1 << 16 {
-                    return Err(RpcDecodeError::Invalid {
-                        context: "cluster.shard_count",
-                        reason: format!("{count} shards is past the sanity cap"),
-                    });
-                }
-                let mut shards = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let shard = r.u32().map_err(corrupt("cluster.shard"))?;
-                    let addr = r.str().map_err(corrupt("cluster.addr"))?.to_owned();
-                    let up = r.bool().map_err(corrupt("cluster.up"))?;
-                    let routed = r.u64().map_err(corrupt("cluster.routed"))?;
-                    let report = if r.bool().map_err(corrupt("cluster.report tag"))? {
-                        Some(StatsReport::decode_from(&mut r)?)
-                    } else {
-                        None
-                    };
-                    shards.push(ShardStatus {
-                        shard,
-                        addr,
-                        up,
-                        routed,
-                        report,
-                    });
-                }
-                Response::ClusterStats(ClusterStatsReport { router, shards })
-            }
-            kind::RESP_FETCH_CERT => Response::FetchCert {
-                cert: if r.bool().map_err(corrupt("fetch_cert.tag"))? {
-                    Some(r.bytes().map_err(corrupt("fetch_cert.cert"))?.to_vec())
-                } else {
-                    None
-                },
-            },
-            kind::RESP_PUT_CERT => Response::PutCert,
-            kind::RESP_WRONG_SHARD => Response::WrongShard {
-                owner: r.u32().map_err(corrupt("wrong_shard.owner"))?,
-                addr: r.str().map_err(corrupt("wrong_shard.addr"))?.to_owned(),
-            },
-            kind::RESP_SHARD_DOWN => Response::ShardDown {
-                shard: r.u32().map_err(corrupt("shard_down.shard"))?,
-                detail: r.str().map_err(corrupt("shard_down.detail"))?.to_owned(),
-            },
-            kind::RESP_ERROR => {
-                let raw = r.u8().map_err(corrupt("error.code"))?;
-                let code = ErrorCode::from_u8(raw).ok_or(RpcDecodeError::Invalid {
-                    context: "error.code",
-                    reason: format!("unknown error code {raw}"),
-                })?;
-                Response::Error {
-                    code,
-                    detail: r.str().map_err(corrupt("error.detail"))?.to_owned(),
-                }
-            }
-            kind::RESP_OVERLOADED => Response::Overloaded {
-                queued: r.u32().map_err(corrupt("overloaded.queued"))?,
-                detail: r.str().map_err(corrupt("overloaded.detail"))?.to_owned(),
-            },
-            other => return Err(RpcDecodeError::UnknownKind(other)),
-        };
-        finish(&r)?;
-        Ok(resp)
+wire_schema! {
+    enum Response {
+        Pong { payload: "pong.payload" } = kind::RESP_PONG,
+        Certificate { bytes: "certificate.bytes" } = kind::RESP_CERTIFICATE,
+        Verify { verdict: "verify.verdict", detail: "verify.detail" } = kind::RESP_VERIFY,
+        Audit {
+            exit_code: "audit.exit_code",
+            report: "audit.report",
+            diagnostics: "audit.diagnostics",
+        } = kind::RESP_AUDIT,
+        Stats(report: "stats") = kind::RESP_STATS,
+        ClusterStats(report: "cluster") = kind::RESP_CLUSTER_STATS,
+        FetchCert { cert: "fetch_cert.cert" } = kind::RESP_FETCH_CERT,
+        PutCert = kind::RESP_PUT_CERT,
+        WrongShard { owner: "wrong_shard.owner", addr: "wrong_shard.addr" } = kind::RESP_WRONG_SHARD,
+        ShardDown { shard: "shard_down.shard", detail: "shard_down.detail" } = kind::RESP_SHARD_DOWN,
+        Error { code: "error.code", detail: "error.detail" } = kind::RESP_ERROR,
+        Overloaded { queued: "overloaded.queued", detail: "overloaded.detail" } = kind::RESP_OVERLOADED,
     }
 }
 

@@ -1,13 +1,24 @@
-//! A tiny deterministic byte codec for message payloads and state snapshots.
+//! A tiny deterministic byte codec for message payloads, state snapshots,
+//! certificates and RPC messages.
 //!
 //! Device behaviors are compared byte-for-byte by the refuters, so every
 //! encoding must be canonical: the same logical value always serializes to
-//! the same bytes. This module provides a minimal writer/reader pair used by
-//! the protocol implementations; it is *not* a general serialization
-//! framework, just enough structure to keep protocol code honest and
-//! readable.
+//! the same bytes. [`Writer`] and [`Reader`] are the primitives the
+//! protocol implementations use. On top of them, [`wire_schema!`] declares
+//! a struct's or a tagged enum's wire order once, as a list of fields with
+//! a decode-error context each, and generates both directions from it
+//! through the [`Field`] trait; the `FLMC` certificate format and the
+//! FLMC-RPC messages are declared this way.
+//!
+//! [`wire_schema!`]: crate::wire_schema
 
 use std::fmt;
+
+use flm_graph::{Graph, NodeId};
+
+use crate::behavior::{decode_edge_behavior, encode_edge_behavior, EdgeBehavior};
+use crate::clock::TimeFn;
+use crate::{Decision, DeviceMisbehavior, Input, RunPolicy};
 
 /// Canonical byte writer.
 ///
@@ -80,16 +91,6 @@ impl Writer {
     /// [`Writer::bytes`]).
     pub fn str(&mut self, v: &str) -> &mut Self {
         self.bytes(v.as_bytes())
-    }
-
-    /// Appends an `Option<bool>` as one byte (0 = none, 1 = false, 2 = true).
-    pub fn opt_bool(&mut self, v: Option<bool>) -> &mut Self {
-        self.buf.push(match v {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
-        self
     }
 
     /// Consumes the writer, returning the bytes.
@@ -207,20 +208,6 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| DecodeError)
     }
 
-    /// Reads an `Option<bool>` (see [`Writer::opt_bool`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncated input or an invalid tag.
-    pub fn opt_bool(&mut self) -> Result<Option<bool>, DecodeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(false)),
-            2 => Ok(Some(true)),
-            _ => Err(DecodeError),
-        }
-    }
-
     /// True when all bytes have been consumed.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
@@ -232,6 +219,411 @@ impl<'a> Reader<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len()
     }
+}
+
+/// A decode failure in a named schema field: the context-carrying error
+/// every [`Field`] returns. The certificate and RPC decoders each convert
+/// it into their own error type, variant for variant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldError {
+    /// The input ran out of bytes or had a bad tag in the named field.
+    Corrupt {
+        /// Which field was being decoded.
+        context: &'static str,
+    },
+    /// The bytes decoded but describe an impossible value.
+    Invalid {
+        /// Which field was being decoded.
+        context: &'static str,
+        /// Why the value is impossible.
+        reason: String,
+    },
+}
+
+/// Builds a [`FieldError::Invalid`]; the form every hand-written check
+/// returns.
+pub fn invalid(context: &'static str, reason: impl Into<String>) -> FieldError {
+    FieldError::Invalid {
+        context,
+        reason: reason.into(),
+    }
+}
+
+/// Names the field a bare [`DecodeError`] happened in.
+pub trait Context<T> {
+    /// Turns a [`DecodeError`] into [`FieldError::Corrupt`] in `context`.
+    fn ctx(self, context: &'static str) -> Result<T, FieldError>;
+}
+
+impl<T> Context<T> for Result<T, DecodeError> {
+    fn ctx(self, context: &'static str) -> Result<T, FieldError> {
+        self.map_err(|DecodeError| FieldError::Corrupt { context })
+    }
+}
+
+/// One value in a [`wire_schema!`](crate::wire_schema): how it is written
+/// and read back. The schema calls these in its field order, so the order
+/// lives in one list and both directions follow it.
+pub trait Field: Sized {
+    /// The fewest bytes any encoding of the type takes. A counted list
+    /// refuses a count whose elements could not fit in the bytes left.
+    fn min_bytes() -> usize;
+    /// Appends the value.
+    fn put(&self, w: &mut Writer);
+    /// Reads a value written by [`Field::put`].
+    ///
+    /// # Errors
+    ///
+    /// [`FieldError`] in `context` (or in the nested schema's own fields).
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError>;
+}
+
+/// A [`Field`] that may be the element of a counted list (`Vec<T>`). Every
+/// field type but `u8` is one: a `Vec<u8>` is a byte string.
+pub trait Item: Field {}
+
+/// A tagged enum's tag table and variant bodies, as [`wire_schema!`]
+/// generates them. RPC frames carry the tag in the frame header and
+/// certificate files in theirs, so the body is written and read apart from
+/// it.
+///
+/// [`wire_schema!`]: crate::wire_schema
+pub trait Tagged: Sized {
+    /// The variant's tag byte.
+    fn tag(&self) -> u8;
+    /// Appends the variant's fields, without the tag.
+    fn put_body(&self, w: &mut Writer);
+    /// Reads the fields of the variant `tag` names; `Ok(None)` when it
+    /// names none.
+    ///
+    /// # Errors
+    ///
+    /// [`FieldError`] from the variant's fields.
+    fn get_body(tag: u8, r: &mut Reader<'_>) -> Result<Option<Self>, FieldError>;
+}
+
+/// Reads a collection count, refusing counts that could not possibly fit in
+/// the remaining input (each element needs at least `min_element_bytes`).
+fn checked_count(
+    r: &mut Reader<'_>,
+    context: &'static str,
+    min_element_bytes: usize,
+) -> Result<usize, FieldError> {
+    let n = r.u32().ctx(context)? as usize;
+    if n.saturating_mul(min_element_bytes.max(1)) > r.remaining() {
+        return Err(invalid(
+            context,
+            format!(
+                "claims {n} elements but only {} bytes remain",
+                r.remaining()
+            ),
+        ));
+    }
+    Ok(n)
+}
+
+/// `T::min_bytes()` for the field a projection names; lets
+/// [`wire_schema!`](crate::wire_schema) sum a struct's fields without
+/// their types being spelled out.
+#[doc(hidden)]
+pub fn min_bytes_of<S, T: Field>(_: fn(&S) -> &T) -> usize {
+    T::min_bytes()
+}
+
+/// Reads a counter table's length tag and requires this build's `count`,
+/// so a peer built with a different table fails typed instead of reading
+/// misaligned values.
+#[doc(hidden)]
+pub fn expect_count(
+    r: &mut Reader<'_>,
+    count: u32,
+    context: &'static str,
+) -> Result<(), FieldError> {
+    let got = r.u32().ctx(context)?;
+    if got != count {
+        return Err(invalid(
+            context,
+            format!("counter table has {got} entries, this build speaks {count}"),
+        ));
+    }
+    Ok(())
+}
+
+/// Fields whose bytes are one existing encoder and decoder, and whose
+/// failures are all [`FieldError::Corrupt`].
+macro_rules! leaf_fields {
+    ($($ty:ty: $min:expr, |$v:ident, $w:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
+        impl Field for $ty {
+            fn min_bytes() -> usize {
+                $min
+            }
+            fn put(&self, $w: &mut Writer) {
+                let $v = self;
+                $put;
+            }
+            fn get($r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError> {
+                $get.ctx(context)
+            }
+        }
+    )*};
+}
+
+leaf_fields! {
+    u8: 1, |v, w| w.u8(*v), |r| r.u8();
+    u32: 4, |v, w| w.u32(*v), |r| r.u32();
+    u64: 8, |v, w| w.u64(*v), |r| r.u64();
+    bool: 1, |v, w| w.bool(*v), |r| r.bool();
+    NodeId: 4, |v, w| w.u32(v.0), |r| r.u32().map(NodeId);
+    String: 4, |v, w| w.str(v), |r| r.str().map(str::to_owned);
+    Vec<u8>: 4, |v, w| w.bytes(v), |r| r.bytes().map(<[u8]>::to_vec);
+    Input: 1, |v, w| v.encode(w), |r| Input::decode(r);
+    Decision: 1, |v, w| v.encode(w), |r| Decision::decode(r);
+    DeviceMisbehavior: 9, |v, w| v.encode(w), |r| DeviceMisbehavior::decode(r);
+    RunPolicy: 12, |v, w| v.encode(w), |r| RunPolicy::decode(r);
+    TimeFn: 1, |v, w| v.encode(w), |r| TimeFn::decode(r);
+    EdgeBehavior: 4, |v, w| encode_edge_behavior(v, w), |r| decode_edge_behavior(r);
+}
+
+impl Item for u32 {}
+impl Item for NodeId {}
+impl Item for Input {}
+impl Item for DeviceMisbehavior {}
+impl Item for EdgeBehavior {}
+
+/// A `usize` travels as a `u64`.
+impl Field for usize {
+    fn min_bytes() -> usize {
+        8
+    }
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self as u64);
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError> {
+        let v = r.u64().ctx(context)?;
+        usize::try_from(v).map_err(|_| invalid(context, format!("{v} does not fit in usize")))
+    }
+}
+
+/// An `f64` travels by its bit pattern; a decoded one must be finite.
+impl Field for f64 {
+    fn min_bytes() -> usize {
+        8
+    }
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.to_bits());
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError> {
+        let v = f64::from_bits(r.u64().ctx(context)?);
+        if !v.is_finite() {
+            return Err(invalid(context, format!("{v} is not finite")));
+        }
+        Ok(v)
+    }
+}
+impl Item for f64 {}
+
+/// A graph travels as its [`Graph::to_bytes`] image, length-prefixed, and
+/// is re-validated by [`Graph::from_bytes`] on the way in.
+impl Field for Graph {
+    fn min_bytes() -> usize {
+        4
+    }
+    fn put(&self, w: &mut Writer) {
+        w.bytes(&self.to_bytes());
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError> {
+        let bytes = r.bytes().ctx(context)?;
+        Graph::from_bytes(bytes).map_err(|e| invalid(context, e.to_string()))
+    }
+}
+
+/// A list travels as a `u32` count, checked against the bytes left before
+/// anything is allocated, then its elements.
+impl<T: Item> Field for Vec<T> {
+    fn min_bytes() -> usize {
+        4
+    }
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.len() as u32);
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError> {
+        let n = checked_count(r, context, T::min_bytes())?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r, context)?);
+        }
+        Ok(items)
+    }
+}
+
+/// An option travels as a `bool` tag, then the value when it is set.
+impl<T: Field> Field for Option<T> {
+    fn min_bytes() -> usize {
+        1
+    }
+    fn put(&self, w: &mut Writer) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError> {
+        match r.u8().ctx(context)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r, context)?)),
+            tag => Err(invalid(context, format!("option tag {tag}"))),
+        }
+    }
+}
+impl<T: Field> Item for Option<T> {}
+
+/// A pair travels as its two fields in order.
+impl<A: Field, B: Field> Field for (A, B) {
+    fn min_bytes() -> usize {
+        A::min_bytes() + B::min_bytes()
+    }
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError> {
+        Ok((A::get(r, context)?, B::get(r, context)?))
+    }
+}
+impl<A: Field, B: Field> Item for (A, B) {}
+
+/// Declares the wire schema of an existing struct or enum once, and
+/// generates both its encoder and its decoder from that one list.
+///
+/// A struct lists its fields in wire order, each with the context label
+/// its decode errors carry; each field's type must implement [`Field`].
+/// `[N => "label"]` after the name leads the body with the `u32` `N`,
+/// which the decoder requires to read back unchanged (a counter table's
+/// length tag). `check(f)` after the fields runs `f(&value)` inside the
+/// same decode, after every field is read: the place for cross-field
+/// checks, which return [`FieldError`]s built with [`invalid`]. The struct
+/// gets [`Field`] and [`Item`].
+///
+/// An enum lists its variants with their tag bytes: unit variants, one-field
+/// tuple variants (`Name(binding: "label")`), or struct variants with
+/// labeled fields. It gets [`Tagged`], and [`Field`] and [`Item`], which
+/// write the tag byte before the body.
+///
+/// ```
+/// use flm_sim::wire::{Field, Reader, Tagged, Writer};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point { x: u32, label: String }
+/// flm_sim::wire_schema! {
+///     struct Point { x: "point.x", label: "point.label" }
+/// }
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Empty, Dot(Point), Span { from: Point, to: Option<Point> } }
+/// flm_sim::wire_schema! {
+///     enum Shape {
+///         Empty = 0,
+///         Dot(at: "dot") = 1,
+///         Span { from: "span.from", to: "span.to" } = 2,
+///     }
+/// }
+///
+/// let shape = Shape::Span { from: Point { x: 1, label: "a".into() }, to: None };
+/// let mut w = Writer::new();
+/// shape.put(&mut w);
+/// let bytes = w.finish();
+/// assert_eq!(Shape::get(&mut Reader::new(&bytes), "shape").unwrap(), shape);
+/// assert_eq!(shape.tag(), 2);
+/// ```
+#[macro_export]
+macro_rules! wire_schema {
+    (
+        struct $ty:ident $([$count:expr => $count_context:expr])? {
+            $($field:ident: $context:expr),* $(,)?
+        }
+        $(check($check:expr))?
+    ) => {
+        impl $crate::wire::Field for $ty {
+            fn min_bytes() -> usize {
+                0 $(+ $crate::wire::min_bytes_of(|v: &Self| &v.$field))*
+            }
+            fn put(&self, w: &mut $crate::wire::Writer) {
+                $(w.u32($count);)?
+                $($crate::wire::Field::put(&self.$field, w);)*
+            }
+            fn get(
+                r: &mut $crate::wire::Reader<'_>,
+                _: &'static str,
+            ) -> Result<Self, $crate::wire::FieldError> {
+                $($crate::wire::expect_count(r, $count, $count_context)?;)?
+                let value = $ty {
+                    $($field: $crate::wire::Field::get(r, $context)?,)*
+                };
+                $(($check)(&value)?;)?
+                Ok(value)
+            }
+        }
+        impl $crate::wire::Item for $ty {}
+    };
+    (
+        enum $ty:ident {
+            $($variant:ident
+                $(($inner:ident: $inner_context:expr))?
+                $({$($field:ident: $context:expr),* $(,)?})?
+                = $tag:expr),* $(,)?
+        }
+    ) => {
+        impl $crate::wire::Tagged for $ty {
+            fn tag(&self) -> u8 {
+                match self {
+                    $($ty::$variant { .. } => $tag,)*
+                }
+            }
+            #[allow(unused_variables)]
+            fn put_body(&self, w: &mut $crate::wire::Writer) {
+                match self {
+                    $($ty::$variant $(($inner))? $({$($field),*})? => {
+                        $($crate::wire::Field::put($inner, w);)?
+                        $($($crate::wire::Field::put($field, w);)*)?
+                    })*
+                }
+            }
+            #[allow(unused_variables)]
+            fn get_body(
+                tag: u8,
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Option<Self>, $crate::wire::FieldError> {
+                $(if tag == $tag {
+                    return Ok(Some($ty::$variant
+                        $(($crate::wire::Field::get(r, $inner_context)?))?
+                        $({$($field: $crate::wire::Field::get(r, $context)?),*})?));
+                })*
+                Ok(None)
+            }
+        }
+        impl $crate::wire::Field for $ty {
+            fn min_bytes() -> usize {
+                1
+            }
+            fn put(&self, w: &mut $crate::wire::Writer) {
+                w.u8($crate::wire::Tagged::tag(self));
+                $crate::wire::Tagged::put_body(self, w);
+            }
+            fn get(
+                r: &mut $crate::wire::Reader<'_>,
+                context: &'static str,
+            ) -> Result<Self, $crate::wire::FieldError> {
+                let tag = $crate::wire::Context::ctx(r.u8(), context)?;
+                <Self as $crate::wire::Tagged>::get_body(tag, r)?.ok_or_else(|| {
+                    $crate::wire::invalid(context, format!("unknown tag {tag}"))
+                })
+            }
+        }
+        impl $crate::wire::Item for $ty {}
+    };
 }
 
 #[cfg(test)]
@@ -246,9 +638,7 @@ mod tests {
             .u64(u64::MAX - 1)
             .bool(false)
             .f64(-2.5)
-            .bytes(b"hello")
-            .opt_bool(Some(true))
-            .opt_bool(None);
+            .bytes(b"hello");
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 0xAB);
@@ -257,8 +647,6 @@ mod tests {
         assert!(!r.bool().unwrap());
         assert_eq!(r.f64().unwrap(), -2.5);
         assert_eq!(r.bytes().unwrap(), b"hello");
-        assert_eq!(r.opt_bool().unwrap(), Some(true));
-        assert_eq!(r.opt_bool().unwrap(), None);
         assert!(r.is_empty());
     }
 
@@ -274,8 +662,6 @@ mod tests {
     fn invalid_tags_error() {
         let mut r = Reader::new(&[7]);
         assert_eq!(r.bool(), Err(DecodeError));
-        let mut r = Reader::new(&[9]);
-        assert_eq!(r.opt_bool(), Err(DecodeError));
     }
 
     #[test]

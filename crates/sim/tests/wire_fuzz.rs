@@ -14,25 +14,19 @@ enum Field {
     Bool(bool),
     F64(f64),
     Bytes(Vec<u8>),
-    OptBool(Option<bool>),
 }
 
 fn random_fields(rng: &mut flm_prop::Rng) -> Vec<Field> {
     let n = rng.usize(0..12);
     (0..n)
-        .map(|_| match rng.usize(0..7) {
+        .map(|_| match rng.usize(0..6) {
             0 => Field::U8(rng.byte()),
             1 => Field::U32(rng.u32()),
             2 => Field::U64(rng.u64()),
             3 => Field::Bool(rng.bool()),
             // Finite, non-NaN: canonical encodings only.
             4 => Field::F64(f64::from(rng.i32(-1_000_000..1_000_000)) / 128.0),
-            5 => Field::Bytes(rng.bytes(0..32)),
-            _ => Field::OptBool(match rng.usize(0..3) {
-                0 => None,
-                1 => Some(false),
-                _ => Some(true),
-            }),
+            _ => Field::Bytes(rng.bytes(0..32)),
         })
         .collect()
 }
@@ -47,7 +41,6 @@ fn encode(fields: &[Field]) -> Vec<u8> {
             Field::Bool(v) => w.bool(*v),
             Field::F64(v) => w.f64(*v),
             Field::Bytes(v) => w.bytes(v),
-            Field::OptBool(v) => w.opt_bool(*v),
         };
     }
     w.finish()
@@ -64,7 +57,6 @@ fn decode(fields: &[Field], buf: &[u8]) -> Result<Vec<Field>, DecodeError> {
             Field::Bool(_) => Field::Bool(r.bool()?),
             Field::F64(_) => Field::F64(r.f64()?),
             Field::Bytes(_) => Field::Bytes(r.bytes()?.to_vec()),
-            Field::OptBool(_) => Field::OptBool(r.opt_bool()?),
         });
     }
     if !r.is_empty() {
@@ -132,9 +124,6 @@ fn corruption_errors_or_decodes_but_never_panics() {
 fn invalid_tags_are_rejected() {
     for bad in [2u8, 3, 0xFF] {
         assert_eq!(Reader::new(&[bad]).bool(), Err(DecodeError));
-    }
-    for bad in [3u8, 4, 0xFF] {
-        assert_eq!(Reader::new(&[bad]).opt_bool(), Err(DecodeError));
     }
     // Length prefix larger than the remaining buffer.
     let mut w = Writer::new();
