@@ -11,16 +11,14 @@
 //!   while validity at the far end demands a value near `kδ` — pick `k`
 //!   with `δ > 2γ/(k−1) + ε` and the chain must break somewhere.
 
-use std::collections::BTreeSet;
-
 use flm_graph::covering::Covering;
 use flm_graph::{Graph, NodeId};
 use flm_sim::{Input, Protocol};
 
-use crate::certificate::{Certificate, Theorem, Violation};
+use crate::certificate::{Certificate, Theorem};
 use crate::problems;
 use crate::refute::ba::{chain_certificate, connectivity_chain, hexagon_walk};
-use crate::refute::{partition_with_crossing_link, run_cover, transplant, RefuteError};
+use crate::refute::{partition_with_crossing_link, RefuteError};
 
 /// Faulty inputs that keep each chain link's input range tight: all-0 in
 /// `E₁`, mid-range in `E₂`, all-1 in `E₃`.
@@ -54,7 +52,7 @@ pub fn simple_approx(
             .into_iter()
             .zip(FAULTY_INPUTS)
             .collect(),
-        problems::simple_approx,
+        &problems::simple_approx,
     )
 }
 
@@ -129,55 +127,38 @@ pub fn eps_delta_gamma(
     }
     let m = k.div_ceil(3);
     let cov = Covering::cyclic_cover(3, m)?;
-    let horizon = protocol.horizon(g);
-    let policy = crate::refute::current_policy();
     let inputs = move |s: NodeId| Input::Real(s.index() as f64 * delta);
-    let cover_behavior = run_cover(protocol, &cov, &inputs, horizon, &policy)?;
-
     // Scenario S_i = ring nodes {i, i+1}, for 0 ≤ i ≤ k. Faulty third node
     // of the triangle gets an input inside the correct range so validity
     // ranges are driven by the correct inputs, as in the paper.
-    let mut chain = Vec::new();
-    let mut violation: Option<Violation> = None;
-    for i in 0..=k {
-        let u_set: BTreeSet<NodeId> = [NodeId(i as u32), NodeId(i as u32 + 1)].into();
-        let (link, behavior, correct) = transplant(
-            protocol,
-            &cov,
-            &cover_behavior,
-            &u_set,
-            Input::Real(i as f64 * delta),
-            horizon,
-            f,
-            &policy,
-        )?;
-        if violation.is_none() {
-            violation = problems::eps_delta_gamma(&behavior, &correct, eps, gamma, i).err();
-        }
-        chain.push(link);
-        if violation.is_some() {
-            break; // later links don't strengthen the certificate
-        }
-    }
-    let violation = violation.ok_or_else(|| RefuteError::Unrefuted {
-        reason: format!(
-            "all {} two-node scenarios met (ε,δ,γ)-agreement, contradicting Lemma 7's \
-             arithmetic (kδ − γ ≤ δ + γ + (k−1)ε fails for k = {k})",
-            k + 1
-        ),
-    })?;
-    Ok(Certificate {
-        theorem: Theorem::EpsDeltaGamma,
-        protocol: protocol.name(),
-        base: g.clone(),
-        f,
-        covering: format!(
+    let scenarios = (0..=k as u32)
+        .map(|i| {
+            let u_set = [NodeId(i), NodeId(i + 1)].into();
+            (u_set, Input::Real(f64::from(i) * delta))
+        })
+        .collect();
+    chain_certificate(
+        protocol,
+        &cov,
+        Theorem::EpsDeltaGamma,
+        format!(
             "cyclic {m}-fold cover of the triangle ({} -node ring)",
             k + 2
         ),
-        chain,
-        policy,
-        violation,
+        f,
+        &inputs,
+        scenarios,
+        &|behavior, correct, i| problems::eps_delta_gamma(behavior, correct, eps, gamma, i),
+    )
+    .map_err(|e| match e {
+        RefuteError::Unrefuted { .. } => RefuteError::Unrefuted {
+            reason: format!(
+                "all {} two-node scenarios met (ε,δ,γ)-agreement, contradicting Lemma 7's \
+                 arithmetic (kδ − γ ≤ δ + γ + (k−1)ε fails for k = {k})",
+                k + 1
+            ),
+        },
+        e => e,
     })
 }
 

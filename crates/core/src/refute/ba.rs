@@ -17,7 +17,8 @@
 //! Both run one engine, [`chain_certificate`]: one cover run, then a chain
 //! up to its first violation, each transplant checked against the
 //! problem's conditions. Theorem 5's simple-approximate-agreement
-//! refuters run the same engine with real inputs.
+//! refuters run the same engine with real inputs, and Theorem 6's
+//! (ε,δ,γ) refuter runs it around a `(k+2)`-node ring.
 
 use std::collections::BTreeSet;
 
@@ -50,8 +51,13 @@ pub(super) fn hexagon_walk(classes: &[BTreeSet<NodeId>; 3], n: usize) -> [BTreeS
     ]
 }
 
-/// Runs a chain up to its first violation, shared by the Theorem 1 and
-/// Theorem 5 refuters.
+/// A problem's conditions on one chain link: its behavior, its correct
+/// nodes and its index in, the violation (if any) out.
+type LinkCheck<'a> =
+    dyn Fn(&SystemBehavior, &BTreeSet<NodeId>, usize) -> Result<(), Violation> + 'a;
+
+/// Runs a chain up to its first violation, shared by the Theorem 1, 5 and
+/// 6 refuters.
 ///
 /// `scenarios` lists, per chain behavior, the cover-node set whose scenario
 /// is transplanted and the input assigned to that link's masquerading
@@ -67,7 +73,7 @@ pub(super) fn chain_certificate(
     f: usize,
     inputs: &dyn Fn(NodeId) -> Input,
     scenarios: Vec<(BTreeSet<NodeId>, Input)>,
-    check: fn(&SystemBehavior, &BTreeSet<NodeId>, usize) -> Result<(), Violation>,
+    check: &LinkCheck<'_>,
 ) -> Result<Certificate, RefuteError> {
     let horizon = protocol.horizon(cov.base());
     // Read once at entry: every run of the chain and the certificate
@@ -139,7 +145,7 @@ pub fn ba_nodes(protocol: &dyn Protocol, g: &Graph, f: usize) -> Result<Certific
         f,
         &inputs,
         hexagon_walk(&classes, n).map(|u| (u, Input::None)).into(),
-        problems::byzantine_agreement,
+        &problems::byzantine_agreement,
     )
 }
 
@@ -274,7 +280,7 @@ pub(super) fn connectivity_chain(
         f,
         &inputs,
         walk.into_iter().zip(faulty_inputs).collect(),
-        check,
+        &check,
     )
 }
 
