@@ -53,7 +53,8 @@ pub mod kind {
     pub(crate) const RESP_SHARD_DOWN: u8 = 0xE3;
 }
 
-/// Structured decode failure for RPC bodies.
+/// Structured decode failure for RPC bodies; public as the error of
+/// [`Request::from_frame`] and [`Response::from_frame`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpcDecodeError {
     /// The frame kind byte names no known message.
@@ -232,7 +233,8 @@ wire_schema! {
     }
 }
 
-/// Verification verdict, mirroring `flm-audit`'s exit codes.
+/// Verification verdict, mirroring `flm-audit`'s exit codes, which are
+/// also its wire tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Certificate decoded and the violation reproduced (exit 0).
@@ -241,14 +243,6 @@ pub enum Verdict {
     NotReproduced,
     /// Bytes malformed or protocol unresolvable (exit 2).
     Malformed,
-}
-
-impl Verdict {
-    /// The `flm-audit` exit code this verdict maps to; it is also the
-    /// verdict's wire tag.
-    pub fn exit_code(self) -> u8 {
-        self.tag()
-    }
 }
 
 wire_schema! {

@@ -279,7 +279,8 @@ pub trait Field: Sized {
 }
 
 /// A [`Field`] that may be the element of a counted list (`Vec<T>`). Every
-/// field type but `u8` is one: a `Vec<u8>` is a byte string.
+/// field type but `u8` is one: a `Vec<u8>` is a byte string. Public because
+/// every [`wire_schema!`](crate::wire_schema) type implements it.
 pub trait Item: Field {}
 
 /// A tagged enum's tag table and variant bodies, as [`wire_schema!`]
@@ -332,7 +333,7 @@ pub fn min_bytes_of<S, T: Field>(_: fn(&S) -> &T) -> usize {
 
 /// Reads a counter table's length tag and requires this build's `count`,
 /// so a peer built with a different table fails typed instead of reading
-/// misaligned values.
+/// misaligned values; [`wire_schema!`](crate::wire_schema)'s `[N => label]`.
 #[doc(hidden)]
 pub fn expect_count(
     r: &mut Reader<'_>,

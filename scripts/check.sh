@@ -8,7 +8,8 @@
 # `run_reference` oracle), the graph suite (its minimum-cut oracle), the
 # protocol unit tests (EIG's rank and digest among them), the EIG lockstep
 # oracle, the refuter certificate-byte pins, the hostile-certificate
-# corpus, the certificate-audit and campaign suites, the run-cache and
+# corpus, the RPC frame pins with the hostile-frame and wire-codec fuzz
+# suites, the certificate-audit and campaign suites, the run-cache and
 # cross-thread determinism suites, and the asynchronous scheduler's
 # determinism suite and byte pins — for a quick pre-push signal; the
 # default (full) mode is the gate that counts.
@@ -252,6 +253,10 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo test --test refuter_bytes --quiet
     echo "==> smoke: hostile certificates (decoder and verify, fault budget)"
     cargo test --test hostile_certificates --quiet
+    echo "==> smoke: RPC frame pins, hostile frames, and the wire codec fuzz"
+    cargo test --test rpc_bytes --quiet
+    cargo test -p flm-serve --test frame_fuzz --quiet
+    cargo test -p flm-sim --test wire_fuzz --quiet
     echo "==> smoke: certificate audit and campaign probes (both run links through run_link)"
     cargo test --test certificate_audit --quiet
     cargo test -p flm-bench --test campaign --quiet
