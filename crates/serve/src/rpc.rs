@@ -331,7 +331,7 @@ macro_rules! stats_counter_table {
 
             /// Every counter's change since `earlier` (saturating), gauges
             /// included; a text field is `self`'s.
-            pub fn since(&self, earlier: &$report) -> $report {
+            fn since(&self, earlier: &$report) -> $report {
                 $report {
                     $( $name: self.$name.saturating_sub(earlier.$name), )+
                     $( $text: self.$text.clone(), )?

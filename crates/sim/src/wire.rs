@@ -700,4 +700,136 @@ mod tests {
         assert_eq!(enc(5), enc(5));
         assert_ne!(enc(5), enc(6));
     }
+
+    #[derive(Debug, PartialEq)]
+    struct Entry {
+        id: u32,
+        tags: Vec<u32>,
+        note: Option<String>,
+    }
+    crate::wire_schema! {
+        struct Entry { id: "entry.id", tags: "entry.tags", note: "entry.note" }
+        check(|e: &Entry| {
+            if e.tags.contains(&e.id) {
+                return Err(invalid("entry.tags", "lists its own id"));
+            }
+            Ok(())
+        })
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Table {
+        hits: u64,
+    }
+    crate::wire_schema! {
+        struct Table [1 => "table.count"] { hits: "table.hits" }
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Message {
+        Empty,
+        One(Entry),
+        Two { first: Entry, second: Entry },
+    }
+    crate::wire_schema! {
+        enum Message {
+            Empty = 7,
+            One(entry: "one") = 8,
+            Two { first: "two.first", second: "two.second" } = 9,
+        }
+    }
+
+    fn entry(id: u32) -> Entry {
+        Entry {
+            id,
+            tags: vec![id + 1, id + 2],
+            note: id.is_multiple_of(2).then(|| format!("n{id}")),
+        }
+    }
+
+    fn bytes_of(value: &impl Field) -> Vec<u8> {
+        let mut w = Writer::new();
+        value.put(&mut w);
+        w.finish()
+    }
+
+    fn decode<T: Field>(bytes: &[u8]) -> Result<T, FieldError> {
+        T::get(&mut Reader::new(bytes), "top")
+    }
+
+    #[test]
+    fn schemas_write_fields_in_declared_order() {
+        let mut w = Writer::new();
+        w.u32(4).u32(2).u32(5).u32(6).bool(true).str("n4");
+        assert_eq!(bytes_of(&entry(4)), w.finish());
+        let table = Table { hits: 3 };
+        assert_eq!(bytes_of(&table), [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3]);
+        for msg in [
+            Message::Empty,
+            Message::One(entry(1)),
+            Message::Two {
+                first: entry(2),
+                second: entry(3),
+            },
+        ] {
+            let bytes = bytes_of(&msg);
+            assert_eq!(bytes[0], msg.tag());
+            assert_eq!(decode::<Message>(&bytes).unwrap(), msg);
+            let mut body = Writer::new();
+            msg.put_body(&mut body);
+            let body = body.finish();
+            assert_eq!(body, bytes[1..]);
+            let back = Message::get_body(msg.tag(), &mut Reader::new(&body)).unwrap();
+            assert_eq!(back, Some(msg));
+        }
+        assert_eq!(Message::get_body(3, &mut Reader::new(&[])), Ok(None));
+    }
+
+    #[test]
+    fn decode_errors_name_their_field() {
+        let bytes = bytes_of(&entry(4));
+        let corrupt = |context| Err(FieldError::Corrupt { context });
+        assert_eq!(decode::<Entry>(&bytes[..2]), corrupt("entry.id"));
+        assert_eq!(
+            decode::<Entry>(&bytes[..bytes.len() - 1]),
+            corrupt("entry.note")
+        );
+        // A count the remaining bytes cannot hold is refused before any
+        // allocation.
+        let mut forged = bytes.clone();
+        forged[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(
+            decode::<Entry>(&forged),
+            Err(FieldError::Invalid {
+                context: "entry.tags",
+                ..
+            })
+        ));
+        // An option tag other than 0 or 1.
+        let mut forged = bytes.clone();
+        forged[16] = 2;
+        assert_eq!(
+            decode::<Entry>(&forged),
+            Err(invalid("entry.note", "option tag 2"))
+        );
+        // The check runs after the reads, in the same decode.
+        let mut looped = entry(4);
+        looped.tags.push(4);
+        assert_eq!(
+            decode::<Entry>(&bytes_of(&looped)),
+            Err(invalid("entry.tags", "lists its own id"))
+        );
+        // A counter table of another length, and an unknown enum tag.
+        assert_eq!(
+            decode::<Table>(&[0, 0, 0, 2]),
+            Err(invalid(
+                "table.count",
+                "counter table has 2 entries, this build speaks 1"
+            ))
+        );
+        assert_eq!(
+            decode::<Message>(&[3]),
+            Err(invalid("top", "unknown tag 3"))
+        );
+    }
 }
