@@ -311,11 +311,10 @@ fn check_async_certificate(cert: &AsyncCertificate) -> Result<(), FieldError> {
         ensure(k > 0, "pending", || {
             format!("edge {e} listed with zero pending")
         })?;
-        if let Some(prev) = prev.filter(|&p| e <= p) {
-            return Err(invalid(
-                "pending",
-                format!("edges not strictly ascending ({prev} then {e})"),
-            ));
+        if let Some(p) = prev {
+            ensure(e > p, "pending", || {
+                format!("edges not strictly ascending ({p} then {e})")
+            })?;
         }
         prev = Some(e);
     }

@@ -501,6 +501,8 @@ impl<A: Field, B: Field> Item for (A, B) {}
 ///
 /// A struct lists its fields in wire order, each with the context label
 /// its decode errors carry; each field's type must implement [`Field`].
+/// The decoder builds the value from the list, so a field left out of it
+/// does not compile.
 /// `[N => "label"]` after the name leads the body with the `u32` `N`,
 /// which the decoder requires to read back unchanged (a counter table's
 /// length tag). `check(f)` after the fields runs `f(&value)` inside the
@@ -508,7 +510,7 @@ impl<A: Field, B: Field> Item for (A, B) {}
 /// checks, which return [`FieldError`]s built with [`invalid`]. The struct
 /// gets [`Field`] and [`Item`].
 ///
-/// An enum lists its variants with their tag bytes: unit variants, one-field
+/// An enum lists every variant with its tag byte: unit variants, one-field
 /// tuple variants (`Name(binding: "label")`), or struct variants with
 /// labeled fields. It gets [`Tagged`], and [`Field`] and [`Item`], which
 /// write the tag byte before the body.
