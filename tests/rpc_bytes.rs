@@ -9,15 +9,22 @@
 //! `common`); a mismatch lists every moved case with its new pin. Every case
 //! also round-trips: decoding the frame and encoding it again yields the
 //! same bytes.
+//!
+//! Two more byte strings leave the process and are pinned the same way: the
+//! canonical query key, which names a certificate's store file and picks the
+//! shard that owns it, and the shard map's encoding, which two processes
+//! compare to agree on the cluster topology.
 
 mod common;
 
 use flm_graph::builders;
 use flm_serve::frame::{Frame, DEFAULT_MAX_BODY_BYTES};
+use flm_serve::query::{self, Theorem};
 use flm_serve::rpc::{
     ClusterStatsReport, ErrorCode, RefuteParams, Request, Response, RouterStatsReport, ShardStatus,
     StatsReport, Verdict,
 };
+use flm_serve::shard::ShardMap;
 use flm_sim::RunPolicy;
 
 use common::sha256;
@@ -158,6 +165,56 @@ const PINNED: &[(&str, usize, &str)] = &[
         "response/wrong_shard",
         32,
         "a1e10bd0501287e326869b8677aaa84e4cde7f72bb89c2c0bc441563d1211284",
+    ),
+    (
+        "query_key/ba-connectivity",
+        108,
+        "55c0c8c8066024c1b6307f47118f59124e4ffb77519df1b155502a106886595a",
+    ),
+    (
+        "query_key/ba-nodes",
+        88,
+        "824b02ceecd30840c294499f2b54f628df7bad05ffec2f18fcb2ca7a89ad299f",
+    ),
+    (
+        "query_key/clock-sync",
+        98,
+        "b3f983cdce3e6d67881438e66325c696d524d723719c8479502c41efcfe1866a",
+    ),
+    (
+        "query_key/eps-delta-gamma",
+        102,
+        "d8370e216caef5f1edbd5cde31cd8a4c4ba8bd42b2de871047a8ffec034a6405",
+    ),
+    (
+        "query_key/explicit-clamped",
+        112,
+        "59e81e48067fe8be091456370ac22cb73fe4027acda93719b542dec54e23c0df",
+    ),
+    (
+        "query_key/firing-squad",
+        105,
+        "4adb26e7f83b065f059fcdb5c9f34eaead25c608f225f2cc384e93471c00e688",
+    ),
+    (
+        "query_key/flp-async",
+        115,
+        "29fbb240923799e435dcd463ac9a318e2a312177e3ab655c5f171230455bf3d5",
+    ),
+    (
+        "query_key/simple-approx",
+        100,
+        "043d2bdbc6b4c6dce8e1c336ad6e194aeafcf8721d285e52c6da968e71a387b0",
+    ),
+    (
+        "query_key/weak-agreement",
+        105,
+        "511047d1a9026a3589d92be47540f2e0fee335ac46e4a34b4286b5af985426e3",
+    ),
+    (
+        "shard_map/3",
+        57,
+        "5a9d623d5794046ddb0ea2cf7b7951686ea847ec61a681cfd676b3a1ce3256b9",
     ),
 ];
 
@@ -436,4 +493,48 @@ fn every_response_variant_is_pinned() {
         })
         .collect();
     check_pins(&cases);
+}
+
+/// The canonical query key of every family's default query at `f = 1`,
+/// and of one fully spelled-out query whose policy is clamped to the
+/// ceiling: the stored certificates of a running cluster are filed, and
+/// their owners chosen, by these bytes.
+#[test]
+fn canonical_query_keys_are_pinned() {
+    let mut cases: Vec<(String, Vec<u8>)> = Theorem::ALL
+        .iter()
+        .map(|&theorem| {
+            let key = query::canonical_query_key(theorem, None, None, 1, &RunPolicy::default());
+            (
+                format!("query_key/{}", theorem.name()),
+                key.bytes().to_vec(),
+            )
+        })
+        .collect();
+    let policy = query::clamp_policy(Some(RunPolicy {
+        max_payload_bytes: 1 << 20,
+        max_ticks: 1 << 20,
+    }));
+    let key = query::canonical_query_key(
+        Theorem::BaNodes,
+        Some("EIG(f=1)"),
+        Some(&builders::complete(4)),
+        1,
+        &policy,
+    );
+    cases.push(("query_key/explicit-clamped".into(), key.bytes().to_vec()));
+    let named: Vec<(&str, Vec<u8>)> = cases.iter().map(|(c, b)| (c.as_str(), b.clone())).collect();
+    check_pins(&named);
+}
+
+/// The shard map of a 3-shard cluster.
+#[test]
+fn shard_map_encoding_is_pinned() {
+    let map = ShardMap::new(
+        ["127.0.0.1:7001", "127.0.0.1:7002", "10.0.0.3:7003"]
+            .map(String::from)
+            .to_vec(),
+    )
+    .expect("valid map");
+    check_pins(&[("shard_map/3", map.encode())]);
 }
