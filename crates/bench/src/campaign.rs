@@ -50,6 +50,7 @@ use flm_sim::campaign::{
     SchedulerKind, ViolationRecord,
 };
 use flm_sim::system::System;
+use flm_sim::wire::Field;
 use flm_sim::{
     contain_panics, EdgeBehavior, FaultPlan, Input, Protocol, RunPolicy, SystemBehavior,
 };
@@ -262,50 +263,14 @@ fn faulted_key(
     scenario: &Scenario,
     policy: &RunPolicy,
 ) -> flm_sim::runcache::RunKey {
-    use flm_sim::faults::FaultAction;
     let mut w = flm_sim::wire::Writer::new();
-    w.str("campaignfaulted");
-    w.u8(match problem {
-        ProblemKind::ByzantineAgreement => 0,
-        ProblemKind::WeakAgreement => 1,
-        ProblemKind::FiringSquad => 2,
-        ProblemKind::ApproxAgreement => 3,
-    });
+    problem.put(&mut w);
     w.str(&protocol.name());
-    w.bytes(&g.to_bytes());
-    w.u64(scenario.plan.seed());
-    let rules = scenario.plan.rules();
-    w.u32(rules.len() as u32);
-    for r in rules {
-        w.u32(r.from.0);
-        match r.to {
-            None => {
-                w.u8(0);
-            }
-            Some(v) => {
-                w.u8(1).u32(v.0);
-            }
-        }
-        w.u32(r.from_tick).u32(r.until_tick);
-        match r.action {
-            FaultAction::Drop => {
-                w.u8(0);
-            }
-            FaultAction::Corrupt => {
-                w.u8(1);
-            }
-            FaultAction::Equivocate => {
-                w.u8(2);
-            }
-            FaultAction::Delay(d) => {
-                w.u8(3).u32(d);
-            }
-        }
-    }
-    policy.encode(&mut w);
-    let mut payload = w.finish();
-    payload.extend_from_slice(&scenario.horizon.to_le_bytes());
-    flm_sim::runcache::RunKey::new("campaignfaulted", payload)
+    g.put(&mut w);
+    scenario.plan.put(&mut w);
+    policy.put(&mut w);
+    scenario.horizon.put(&mut w);
+    flm_sim::runcache::RunKey::new("campaignfaulted", w.finish())
 }
 
 /// Probes one scenario. `Ok(Some(cert))` is a self-verified violation

@@ -23,8 +23,10 @@
 //!
 //! Decoding is hardened against hostile bytes: every collection count is
 //! checked against the remaining input before allocation, every tag and
-//! node id is validated, floats must be finite, and the embedded base graph
-//! is re-validated by [`flm_graph::Graph::from_bytes`]. A corrupted file
+//! node id is validated, every clock float must be finite and within a
+//! magnitude cap (an input's or decision's real reads any bit pattern, so it
+//! re-encodes byte for byte), and the embedded base graph is re-validated by
+//! [`flm_graph::Graph::from_bytes`]. A corrupted file
 //! yields a structured [`CertDecodeError`], never a panic or an oversized
 //! allocation.
 
@@ -253,7 +255,10 @@ fn check_certificate(cert: &Certificate) -> Result<(), FieldError> {
 /// discovered as an effectively unbounded run inside `verify`.
 const MAX_F64_MAGNITUDE: f64 = 1e12;
 
+/// Requires a decoded clock float to be finite and within
+/// [`MAX_F64_MAGNITUDE`]; the `f64` field itself reads any bit pattern.
 fn capped(v: f64, context: &'static str) -> Result<(), FieldError> {
+    ensure(v.is_finite(), context, || format!("{v} is not finite"))?;
     ensure(v.abs() <= MAX_F64_MAGNITUDE, context, || {
         format!("|{v}| exceeds the decode cap of {MAX_F64_MAGNITUDE:e}")
     })
@@ -419,8 +424,8 @@ pub fn decode_any(bytes: &[u8]) -> Result<AnyCertificate, CertDecodeError> {
         return Err(CertDecodeError::UnsupportedVersion(version));
     }
     let kind = r.u8().ctx("kind")?;
-    let cert =
-        AnyCertificate::get_body(kind, &mut r)?.ok_or(CertDecodeError::UnsupportedKind(kind))?;
+    let cert = AnyCertificate::get_body(kind, &mut r, "certificate")?
+        .ok_or(CertDecodeError::UnsupportedKind(kind))?;
     if !r.is_empty() {
         return Err(CertDecodeError::TrailingBytes {
             count: r.remaining(),
@@ -530,7 +535,7 @@ mod tests {
         w.bytes(&cert.base.to_bytes());
         w.u64(cert.f as u64);
         w.str(&cert.covering);
-        cert.policy.encode(&mut w);
+        cert.policy.put(&mut w);
         w.u32(u32::MAX);
         let hostile = w.finish();
         assert!(matches!(

@@ -3,10 +3,10 @@
 //! A deterministic run is a pure function of its assembly: the graph, which
 //! device sits at each node (named via the protocol registry contract — see
 //! `flm_sim::runcache`), the wiring, the inputs, the horizon, and the run
-//! policy. Each builder below serializes exactly that assembly through
-//! [`flm_sim::wire::Writer`] — the same canonical encoding the FLMC
-//! certificate format uses — so two call sites that would execute the same
-//! run produce byte-identical keys and share one execution.
+//! policy. Each builder below writes exactly that assembly through the
+//! [`flm_sim::wire::Field`] impls that encode the same values inside FLMC
+//! certificates, so two call sites that would execute the same run produce
+//! byte-identical keys and share one execution.
 //!
 //! The "link" key has one builder, [`crate::certificate::run_link`], which
 //! every caller that records or re-executes a chain link goes through: a
@@ -14,9 +14,10 @@
 
 use flm_graph::covering::Covering;
 use flm_graph::{Graph, NodeId};
-use flm_sim::behavior::{encode_edge_behavior, EdgeBehavior};
+use flm_sim::async_sched::Strategy;
+use flm_sim::behavior::EdgeBehavior;
 use flm_sim::runcache::RunKey;
-use flm_sim::wire::Writer;
+use flm_sim::wire::{put_list, Field, Writer};
 use flm_sim::{Input, RunPolicy};
 
 use crate::problems::ClockSyncClaim;
@@ -31,20 +32,20 @@ pub(crate) fn cover_key(
 ) -> RunKey {
     let mut w = Writer::new();
     w.str(protocol_name);
-    w.bytes(&cov.base().to_bytes());
-    w.bytes(&cov.cover().to_bytes());
+    cov.base().put(&mut w);
+    cov.cover().put(&mut w);
     for s in cov.cover().nodes() {
         let g = cov.project(s);
-        w.u32(g.0);
+        g.put(&mut w);
         // The lifted wiring: which cover node backs each port (sorted base
         // neighbors — the port order System::assign_lifted uses).
         for t in cov.base().neighbors(g) {
-            w.u32(cov.lift_neighbor(s, t).0);
+            cov.lift_neighbor(s, t).put(&mut w);
         }
-        inputs(s).encode(&mut w);
+        inputs(s).put(&mut w);
     }
-    w.u32(horizon);
-    policy.encode(&mut w);
+    horizon.put(&mut w);
+    policy.put(&mut w);
     RunKey::new("cover", w.finish())
 }
 
@@ -61,25 +62,12 @@ pub(crate) fn link_key(
 ) -> RunKey {
     let mut w = Writer::new();
     w.str(protocol_name);
-    w.bytes(&base.to_bytes());
-    w.u32(correct.len() as u32);
-    for v in correct {
-        w.u32(v.0);
-    }
-    w.u32(masquerade.len() as u32);
-    for (v, traces) in masquerade {
-        w.u32(v.0);
-        w.u32(traces.len() as u32);
-        for trace in traces {
-            encode_edge_behavior(trace, &mut w);
-        }
-    }
-    w.u32(inputs.len() as u32);
-    for &input in inputs {
-        input.encode(&mut w);
-    }
-    w.u32(horizon);
-    policy.encode(&mut w);
+    base.put(&mut w);
+    put_list(correct, &mut w);
+    put_list(masquerade, &mut w);
+    put_list(inputs, &mut w);
+    horizon.put(&mut w);
+    policy.put(&mut w);
     RunKey::new("link", w.finish())
 }
 
@@ -92,19 +80,16 @@ pub(crate) fn async_probe_key(
     protocol_name: &str,
     g: &Graph,
     inputs: &[Input],
-    strategy: &flm_sim::async_sched::Strategy,
+    strategy: &Strategy,
     policy: &RunPolicy,
 ) -> RunKey {
     let mut w = Writer::new();
     w.u8(0); // mode: recorded probe
     w.str(protocol_name);
-    w.bytes(&g.to_bytes());
-    w.u32(inputs.len() as u32);
-    for &input in inputs {
-        input.encode(&mut w);
-    }
-    strategy.encode(&mut w);
-    policy.encode(&mut w);
+    g.put(&mut w);
+    put_list(inputs, &mut w);
+    strategy.put(&mut w);
+    policy.put(&mut w);
     RunKey::new("async", w.finish())
 }
 
@@ -121,16 +106,10 @@ pub(crate) fn async_replay_key(
     let mut w = Writer::new();
     w.u8(1); // mode: schedule replay
     w.str(protocol_name);
-    w.bytes(&g.to_bytes());
-    w.u32(inputs.len() as u32);
-    for &input in inputs {
-        input.encode(&mut w);
-    }
-    w.u32(schedule.len() as u32);
-    for &e in schedule {
-        w.u32(e);
-    }
-    policy.encode(&mut w);
+    g.put(&mut w);
+    put_list(inputs, &mut w);
+    put_list(schedule, &mut w);
+    policy.put(&mut w);
     RunKey::new("async", w.finish())
 }
 
@@ -146,14 +125,9 @@ pub(crate) fn clock_ring_key(
 ) -> RunKey {
     let mut w = Writer::new();
     w.str(protocol_name);
-    w.bytes(&g.to_bytes());
-    claim.p.encode(&mut w);
-    claim.q.encode(&mut w);
-    claim.l.encode(&mut w);
-    claim.u.encode(&mut w);
-    w.f64(claim.alpha);
-    w.f64(claim.t_prime);
-    w.u32(k as u32);
-    w.f64(t_eval);
+    g.put(&mut w);
+    claim.put(&mut w);
+    k.put(&mut w);
+    t_eval.put(&mut w);
     RunKey::new("clockring", w.finish())
 }

@@ -114,7 +114,8 @@ impl Graph {
     /// `u < v`, sorted lexicographically. The link list is exactly
     /// [`Graph::links`], so equal graphs encode to identical bytes and the
     /// encoding is its own canonical form: `from_bytes` rejects any stream
-    /// that `to_bytes` would not have produced.
+    /// that `to_bytes` would not have produced. Written by hand because this
+    /// crate sits below `flm-sim`, which declares the other wire schemas.
     pub fn to_bytes(&self) -> Vec<u8> {
         let links = self.links();
         let mut out = Vec::with_capacity(8 + links.len() * 8);

@@ -17,6 +17,7 @@ use flm_core::refute;
 use flm_graph::{builders, Graph};
 use flm_protocols::{resolve, resolve_clock};
 use flm_sim::clock::TimeFn;
+use flm_sim::wire::Field;
 use flm_sim::RunPolicy;
 
 /// The eight refutable theorem families.
@@ -245,9 +246,9 @@ pub fn canonical_query_key(
     let mut w = flm_sim::wire::Writer::new();
     w.str(theorem.name());
     w.str(name);
-    w.bytes(&g.to_bytes());
-    w.u32(f as u32);
-    policy.encode(&mut w);
+    g.put(&mut w);
+    (f as u32).put(&mut w);
+    policy.put(&mut w);
     flm_sim::runcache::RunKey::new("serve-query", w.finish())
 }
 

@@ -127,7 +127,7 @@ macro_rules! frame_codec {
             /// [`Graph::from_bytes`]), and trailing bytes.
             pub fn from_frame(frame: &Frame) -> Result<$ty, RpcDecodeError> {
                 let mut r = Reader::new(&frame.body);
-                let msg = $ty::get_body(frame.kind, &mut r)?
+                let msg = $ty::get_body(frame.kind, &mut r, $what)?
                     .ok_or(RpcDecodeError::UnknownKind(frame.kind))?;
                 if !r.is_empty() {
                     return Err(RpcDecodeError::TrailingBytes {

@@ -28,14 +28,15 @@ use std::fmt;
 use std::path::Path;
 
 use flm_sim::runcache::{fingerprint, RunKey};
-use flm_sim::wire::{Reader, Writer};
+use flm_sim::wire::{invalid, Field, Writer};
+use flm_sim::wire_schema;
 
 use crate::query::{self, QueryError, Theorem};
 use crate::rpc::RefuteParams;
 use crate::store;
 
-/// Sanity cap on shard count (the wire decode refuses more, so a hostile
-/// map cannot force allocation).
+/// Sanity cap on shard count; [`ShardMap::new`] and the wire decode refuse
+/// more.
 pub const MAX_SHARDS: usize = 1 << 16;
 
 /// An ordered shard topology: index = shard id, value = address.
@@ -52,6 +53,13 @@ impl ShardMap {
     /// Rejects an empty list, more than [`MAX_SHARDS`] entries, and blank
     /// addresses.
     pub fn new(addrs: Vec<String>) -> Result<ShardMap, String> {
+        let map = ShardMap { addrs };
+        map.validate()?;
+        Ok(map)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let addrs = &self.addrs;
         if addrs.is_empty() {
             return Err("a shard map needs at least one shard".into());
         }
@@ -64,7 +72,7 @@ impl ShardMap {
         if let Some(blank) = addrs.iter().position(|a| a.trim().is_empty()) {
             return Err(format!("shard {blank} has a blank address"));
         }
-        Ok(ShardMap { addrs })
+        Ok(())
     }
 
     /// Parses a comma-separated peer list (`--peers a:1,b:2,c:3`) into a
@@ -103,42 +111,21 @@ impl ShardMap {
         owner_for_count(self.count(), fingerprint(key))
     }
 
-    /// Canonical wire encoding: `u32` count, then each address as a
-    /// length-prefixed string. Two processes hold the same topology exactly
-    /// when these bytes are identical — the byte-agreement tests pin this.
+    /// Canonical wire encoding, the bytes of the map's wire schema. Two
+    /// processes hold the same topology exactly when these bytes are
+    /// identical; `tests/rpc_bytes.rs` pins them.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u32(self.count());
-        for addr in &self.addrs {
-            w.str(addr);
-        }
+        self.put(&mut w);
         w.finish()
     }
+}
 
-    /// Decodes [`ShardMap::encode`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Truncated bytes, trailing bytes, or a count past [`MAX_SHARDS`].
-    pub fn decode(bytes: &[u8]) -> Result<ShardMap, String> {
-        let mut r = Reader::new(bytes);
-        let count = r.u32().map_err(|e| format!("shard map count: {e}"))?;
-        if count as usize > MAX_SHARDS {
-            return Err(format!("{count} shards is past the {MAX_SHARDS} cap"));
-        }
-        let mut addrs = Vec::with_capacity(count as usize);
-        for shard in 0..count {
-            addrs.push(
-                r.str()
-                    .map_err(|e| format!("shard {shard} address: {e}"))?
-                    .to_owned(),
-            );
-        }
-        if !r.is_empty() {
-            return Err(format!("{} trailing bytes after shard map", r.remaining()));
-        }
-        ShardMap::new(addrs)
-    }
+// A map travels as its address list: a `u32` count, then each address as a
+// length-prefixed string. A decoded map must pass the checks `new` makes.
+wire_schema! {
+    struct ShardMap { addrs: "shard map" }
+    check(|m: &ShardMap| m.validate().map_err(|e| invalid("shard map", e)))
 }
 
 impl fmt::Display for ShardMap {
@@ -290,6 +277,7 @@ pub fn rebalance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flm_sim::wire::Reader;
     use flm_sim::RunPolicy;
 
     fn map3() -> ShardMap {
@@ -347,16 +335,24 @@ mod tests {
     fn map_round_trips_byte_for_byte() {
         let map = map3();
         let bytes = map.encode();
-        let back = ShardMap::decode(&bytes).unwrap();
+        let decode = |bytes: &[u8]| ShardMap::get(&mut Reader::new(bytes), "map");
+        let back = decode(&bytes).unwrap();
         assert_eq!(back, map);
         assert_eq!(back.encode(), bytes);
-        // Trailing bytes and oversized counts are rejected.
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(ShardMap::decode(&trailing).is_err());
+        // A count the bytes cannot hold, more shards than the cap, and a
+        // blank address are rejected.
         let mut w = Writer::new();
         w.u32((MAX_SHARDS + 1) as u32);
-        assert!(ShardMap::decode(&w.finish()).is_err());
+        assert!(decode(&w.finish()).is_err());
+        let mut w = Writer::new();
+        w.u32((MAX_SHARDS + 1) as u32);
+        for _ in 0..=MAX_SHARDS {
+            w.str("a");
+        }
+        assert!(decode(&w.finish()).is_err());
+        let mut w = Writer::new();
+        w.u32(1).str(" ");
+        assert!(decode(&w.finish()).is_err());
     }
 
     #[test]

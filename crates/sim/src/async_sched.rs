@@ -87,21 +87,14 @@ impl Strategy {
             }
         }
     }
+}
 
-    /// Encodes the strategy into a cache-key writer (deterministic, wire
-    /// module canonical form).
-    pub fn encode(&self, w: &mut crate::wire::Writer) {
-        match *self {
-            Strategy::Fair => {
-                w.u8(0);
-            }
-            Strategy::Random { seed } => {
-                w.u8(1).u64(seed);
-            }
-            Strategy::Adversarial { seed, victim } => {
-                w.u8(2).u64(seed).u32(victim.0);
-            }
-        }
+// A run key records the strategy by its tag and fields.
+crate::wire_schema! {
+    enum Strategy {
+        Fair = 0,
+        Random { seed } = 1,
+        Adversarial { seed, victim } = 2,
     }
 }
 

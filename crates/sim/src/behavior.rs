@@ -22,7 +22,9 @@ use crate::device::{snapshot, Decision, Input, Payload};
 use crate::Tick;
 
 /// The trace of one directed edge: the payload sent at each tick (`None` is
-/// observable silence).
+/// observable silence). On the wire it is the `Vec<Option<Payload>>`
+/// [`crate::wire::Field`]: a tick count, then `0` or `1` plus the
+/// length-prefixed bytes per tick.
 pub type EdgeBehavior = Vec<Option<Payload>>;
 
 /// How a device violated its contract during a contained run.
@@ -84,94 +86,18 @@ impl fmt::Display for DeviceMisbehavior {
     }
 }
 
-impl DeviceMisbehavior {
-    /// Appends this incident to a wire writer: node, tick, then the kind as
-    /// a tag byte plus its fields (`usize` fields travel as `u64`).
-    pub fn encode(&self, w: &mut crate::wire::Writer) {
-        w.u32(self.node.0).u32(self.tick.0);
-        match &self.kind {
-            MisbehaviorKind::Panic(msg) => {
-                w.u8(0).str(msg);
-            }
-            MisbehaviorKind::PortMismatch { expected, got } => {
-                w.u8(1).u64(*expected as u64).u64(*got as u64);
-            }
-            MisbehaviorKind::OversizedPayload { port, len, limit } => {
-                w.u8(2)
-                    .u64(*port as u64)
-                    .u64(*len as u64)
-                    .u64(*limit as u64);
-            }
-        }
-    }
-
-    /// Reads an incident written by [`DeviceMisbehavior::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::wire::DecodeError`] on truncation, an unknown kind
-    /// tag, or a field that does not fit in `usize`.
-    pub fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::wire::DecodeError> {
-        let node = NodeId(r.u32()?);
-        let tick = Tick(r.u32()?);
-        let to_usize = |v: u64| usize::try_from(v).map_err(|_| crate::wire::DecodeError);
-        let kind = match r.u8()? {
-            0 => MisbehaviorKind::Panic(r.str()?.to_owned()),
-            1 => MisbehaviorKind::PortMismatch {
-                expected: to_usize(r.u64()?)?,
-                got: to_usize(r.u64()?)?,
-            },
-            2 => MisbehaviorKind::OversizedPayload {
-                port: to_usize(r.u64()?)?,
-                len: to_usize(r.u64()?)?,
-                limit: to_usize(r.u64()?)?,
-            },
-            _ => return Err(crate::wire::DecodeError),
-        };
-        Ok(DeviceMisbehavior { node, tick, kind })
-    }
+// An incident travels as its node, tick, and kind (a tag byte, then the
+// kind's fields; `usize` fields as `u64`), all in the container's context.
+crate::wire_schema! {
+    struct DeviceMisbehavior { node, tick, kind }
 }
 
-/// Appends an edge trace to a wire writer: tick count, then each tick's
-/// payload as `0` (silence) or `1` plus the length-prefixed bytes.
-pub fn encode_edge_behavior(trace: &EdgeBehavior, w: &mut crate::wire::Writer) {
-    w.u32(trace.len() as u32);
-    for payload in trace {
-        match payload {
-            None => {
-                w.u8(0);
-            }
-            Some(p) => {
-                w.u8(1).bytes(p);
-            }
-        }
+crate::wire_schema! {
+    enum MisbehaviorKind {
+        Panic(message) = 0,
+        PortMismatch { expected, got } = 1,
+        OversizedPayload { port, len, limit } = 2,
     }
-}
-
-/// Reads an edge trace written by [`encode_edge_behavior`].
-///
-/// # Errors
-///
-/// Returns [`crate::wire::DecodeError`] on truncation, an unknown tag, or a
-/// tick count that exceeds the bytes actually present (each tick encodes to
-/// at least one byte, so the count is checked against
-/// [`crate::wire::Reader::remaining`] before any allocation).
-pub fn decode_edge_behavior(
-    r: &mut crate::wire::Reader<'_>,
-) -> Result<EdgeBehavior, crate::wire::DecodeError> {
-    let ticks = r.u32()? as usize;
-    if ticks > r.remaining() {
-        return Err(crate::wire::DecodeError);
-    }
-    let mut trace = Vec::with_capacity(ticks);
-    for _ in 0..ticks {
-        trace.push(match r.u8()? {
-            0 => None,
-            1 => Some(Payload::from(r.bytes()?)),
-            _ => return Err(crate::wire::DecodeError),
-        });
-    }
-    Ok(trace)
 }
 
 /// The behavior of a single node: its device, input, and snapshot trace.

@@ -250,6 +250,16 @@ pub enum ProblemKind {
     ApproxAgreement,
 }
 
+// The tag byte a campaign's run key records the kind by.
+crate::wire_schema! {
+    enum ProblemKind {
+        ByzantineAgreement = 0,
+        WeakAgreement = 1,
+        FiringSquad = 2,
+        ApproxAgreement = 3,
+    }
+}
+
 impl ProblemKind {
     /// Every kind, in the canonical sweep order.
     pub const ALL: [ProblemKind; 4] = [

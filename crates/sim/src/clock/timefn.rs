@@ -78,7 +78,8 @@ impl TimeFn {
 
     /// Appends this function to a wire writer: a tag byte per constructor
     /// (`0` affine, `1` log₂, `2` compose, `3` inverse), affine parameters
-    /// as raw IEEE-754 bit patterns.
+    /// as raw IEEE-754 bit patterns. Written by hand, not with
+    /// [`crate::wire_schema!`], because its decode caps the recursion depth.
     pub fn encode(&self, w: &mut crate::wire::Writer) {
         match self {
             TimeFn::Affine { rate, offset } => {

@@ -133,41 +133,18 @@ pub enum Input {
     Real(f64),
 }
 
+// Reals travel by raw bit pattern (the `f64` field), so a decoded
+// certificate re-encodes byte for byte even for NaN payloads a device would
+// never produce. Unlabeled fields report errors in the container's context.
+crate::wire_schema! {
+    enum Input {
+        None = 0,
+        Bool(b) = 1,
+        Real(r) = 2,
+    }
+}
+
 impl Input {
-    /// Appends this input to a wire writer (tag byte, then the value).
-    ///
-    /// Reals are written as raw IEEE-754 bit patterns — not via
-    /// [`crate::wire::Writer::f64`] — so that re-encoding a decoded
-    /// certificate is byte-identical even for bit patterns (NaN payloads in
-    /// hostile certificates) a device would never legitimately produce.
-    pub fn encode(self, w: &mut crate::wire::Writer) {
-        match self {
-            Input::None => {
-                w.u8(0);
-            }
-            Input::Bool(b) => {
-                w.u8(1).bool(b);
-            }
-            Input::Real(r) => {
-                w.u8(2).u64(r.to_bits());
-            }
-        }
-    }
-
-    /// Reads an input written by [`Input::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::wire::DecodeError`] on truncation or an unknown tag.
-    pub fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::wire::DecodeError> {
-        match r.u8()? {
-            0 => Ok(Input::None),
-            1 => Ok(Input::Bool(r.bool()?)),
-            2 => Ok(Input::Real(f64::from_bits(r.u64()?))),
-            _ => Err(crate::wire::DecodeError),
-        }
-    }
-
     /// The Boolean value, if this is a Boolean input.
     pub fn as_bool(self) -> Option<bool> {
         match self {
@@ -206,36 +183,11 @@ pub enum Decision {
     Fire,
 }
 
-impl Decision {
-    /// Appends this decision to a wire writer (tag byte, then the value).
-    /// Reals are written as raw bit patterns for the same canonicality
-    /// reason as [`Input::encode`].
-    pub fn encode(self, w: &mut crate::wire::Writer) {
-        match self {
-            Decision::Bool(b) => {
-                w.u8(0).bool(b);
-            }
-            Decision::Real(r) => {
-                w.u8(1).u64(r.to_bits());
-            }
-            Decision::Fire => {
-                w.u8(2);
-            }
-        }
-    }
-
-    /// Reads a decision written by [`Decision::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::wire::DecodeError`] on truncation or an unknown tag.
-    pub fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::wire::DecodeError> {
-        match r.u8()? {
-            0 => Ok(Decision::Bool(r.bool()?)),
-            1 => Ok(Decision::Real(f64::from_bits(r.u64()?))),
-            2 => Ok(Decision::Fire),
-            _ => Err(crate::wire::DecodeError),
-        }
+crate::wire_schema! {
+    enum Decision {
+        Bool(b) = 0,
+        Real(r) = 1,
+        Fire = 2,
     }
 }
 

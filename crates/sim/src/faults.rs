@@ -71,6 +71,19 @@ pub struct FaultRule {
     pub action: FaultAction,
 }
 
+crate::wire_schema! {
+    enum FaultAction {
+        Drop = 0,
+        Corrupt = 1,
+        Equivocate = 2,
+        Delay(ticks) = 3,
+    }
+}
+
+crate::wire_schema! {
+    struct FaultRule { from, to, from_tick, until_tick, action }
+}
+
 impl FaultRule {
     fn applies(&self, t: Tick, to: NodeId) -> bool {
         t.0 >= self.from_tick && t.0 < self.until_tick && self.to.is_none_or(|w| w == to)
@@ -82,6 +95,12 @@ impl FaultRule {
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<FaultRule>,
+}
+
+// A plan travels as its seed, then its rules: everything its injectors
+// derive their behavior from, so equal bytes mean equal faulted runs.
+crate::wire_schema! {
+    struct FaultPlan { seed, rules }
 }
 
 impl FaultPlan {

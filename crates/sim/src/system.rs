@@ -91,28 +91,11 @@ impl Default for RunPolicy {
     }
 }
 
-impl RunPolicy {
-    /// Appends this policy to a wire writer (`max_payload_bytes` as `u64`,
-    /// then `max_ticks`). Certificates record the policy their refuter ran
-    /// under so verification replays with the same budgets.
-    pub fn encode(&self, w: &mut crate::wire::Writer) {
-        w.u64(self.max_payload_bytes as u64).u32(self.max_ticks);
-    }
-
-    /// Reads a policy written by [`RunPolicy::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::wire::DecodeError`] on truncation or a payload
-    /// limit that does not fit in `usize`.
-    pub fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::wire::DecodeError> {
-        let max_payload_bytes = usize::try_from(r.u64()?).map_err(|_| crate::wire::DecodeError)?;
-        let max_ticks = r.u32()?;
-        Ok(RunPolicy {
-            max_payload_bytes,
-            max_ticks,
-        })
-    }
+// Certificates record the policy their refuter ran under, so verification
+// replays with the same budgets: `max_payload_bytes` as a `u64`, then
+// `max_ticks`, both in the container's context.
+crate::wire_schema! {
+    struct RunPolicy { max_payload_bytes, max_ticks }
 }
 
 thread_local! {

@@ -16,9 +16,8 @@ use std::fmt;
 
 use flm_graph::{Graph, NodeId};
 
-use crate::behavior::{decode_edge_behavior, encode_edge_behavior, EdgeBehavior};
 use crate::clock::TimeFn;
-use crate::{Decision, DeviceMisbehavior, Input, RunPolicy};
+use crate::{Payload, Tick};
 
 /// Canonical byte writer.
 ///
@@ -295,12 +294,17 @@ pub trait Tagged: Sized {
     /// Appends the variant's fields, without the tag.
     fn put_body(&self, w: &mut Writer);
     /// Reads the fields of the variant `tag` names; `Ok(None)` when it
-    /// names none.
+    /// names none. A field the schema gives no label of its own reports
+    /// its errors in `context`.
     ///
     /// # Errors
     ///
     /// [`FieldError`] from the variant's fields.
-    fn get_body(tag: u8, r: &mut Reader<'_>) -> Result<Option<Self>, FieldError>;
+    fn get_body(
+        tag: u8,
+        r: &mut Reader<'_>,
+        context: &'static str,
+    ) -> Result<Option<Self>, FieldError>;
 }
 
 /// Reads a collection count, refusing counts that could not possibly fit in
@@ -375,21 +379,16 @@ leaf_fields! {
     u64: 8, |v, w| w.u64(*v), |r| r.u64();
     bool: 1, |v, w| w.bool(*v), |r| r.bool();
     NodeId: 4, |v, w| w.u32(v.0), |r| r.u32().map(NodeId);
+    Tick: 4, |v, w| w.u32(v.0), |r| r.u32().map(Tick);
     String: 4, |v, w| w.str(v), |r| r.str().map(str::to_owned);
     Vec<u8>: 4, |v, w| w.bytes(v), |r| r.bytes().map(<[u8]>::to_vec);
-    Input: 1, |v, w| v.encode(w), |r| Input::decode(r);
-    Decision: 1, |v, w| v.encode(w), |r| Decision::decode(r);
-    DeviceMisbehavior: 9, |v, w| v.encode(w), |r| DeviceMisbehavior::decode(r);
-    RunPolicy: 12, |v, w| v.encode(w), |r| RunPolicy::decode(r);
+    Payload: 4, |v, w| w.bytes(v), |r| r.bytes().map(Payload::from);
     TimeFn: 1, |v, w| v.encode(w), |r| TimeFn::decode(r);
-    EdgeBehavior: 4, |v, w| encode_edge_behavior(v, w), |r| decode_edge_behavior(r);
 }
 
 impl Item for u32 {}
 impl Item for NodeId {}
-impl Item for Input {}
-impl Item for DeviceMisbehavior {}
-impl Item for EdgeBehavior {}
+impl Item for String {}
 
 /// A `usize` travels as a `u64`.
 impl Field for usize {
@@ -405,7 +404,9 @@ impl Field for usize {
     }
 }
 
-/// An `f64` travels by its bit pattern; a decoded one must be finite.
+/// An `f64` travels by its raw bit pattern, and every pattern reads back,
+/// NaN payloads included, so a decoded value re-encodes to the same bytes.
+/// A schema whose reals must be finite says so in its `check`.
 impl Field for f64 {
     fn min_bytes() -> usize {
         8
@@ -414,11 +415,7 @@ impl Field for f64 {
         w.u64(self.to_bits());
     }
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError> {
-        let v = f64::from_bits(r.u64().ctx(context)?);
-        if !v.is_finite() {
-            return Err(invalid(context, format!("{v} is not finite")));
-        }
-        Ok(v)
+        r.u64().map(f64::from_bits).ctx(context)
     }
 }
 impl Item for f64 {}
@@ -438,6 +435,15 @@ impl Field for Graph {
     }
 }
 
+/// Appends a borrowed list exactly as the `Vec<T>` [`Field`] writes it: a
+/// `u32` count, then its elements.
+pub fn put_list<T: Item>(items: &[T], w: &mut Writer) {
+    w.u32(items.len() as u32);
+    for item in items {
+        item.put(w);
+    }
+}
+
 /// A list travels as a `u32` count, checked against the bytes left before
 /// anything is allocated, then its elements.
 impl<T: Item> Field for Vec<T> {
@@ -445,10 +451,7 @@ impl<T: Item> Field for Vec<T> {
         4
     }
     fn put(&self, w: &mut Writer) {
-        w.u32(self.len() as u32);
-        for item in self {
-            item.put(w);
-        }
+        put_list(self, w);
     }
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, FieldError> {
         let n = checked_count(r, context, T::min_bytes())?;
@@ -459,6 +462,7 @@ impl<T: Item> Field for Vec<T> {
         Ok(items)
     }
 }
+impl<T: Item> Item for Vec<T> {}
 
 /// An option travels as a `bool` tag, then the value when it is set.
 impl<T: Field> Field for Option<T> {
@@ -501,8 +505,10 @@ impl<A: Field, B: Field> Item for (A, B) {}
 ///
 /// A struct lists its fields in wire order, each with the context label
 /// its decode errors carry; each field's type must implement [`Field`].
-/// The decoder builds the value from the list, so a field left out of it
-/// does not compile.
+/// A field without a label (`name` for `name: "label"`) reports its errors
+/// in the context its container is read in, so a leaf value nested in a
+/// certificate names the certificate's field. The decoder builds the value
+/// from the list, so a field left out of it does not compile.
 /// `[N => "label"]` after the name leads the body with the `u32` `N`,
 /// which the decoder requires to read back unchanged (a counter table's
 /// length tag). `check(f)` after the fields runs `f(&value)` inside the
@@ -511,9 +517,11 @@ impl<A: Field, B: Field> Item for (A, B) {}
 /// gets [`Field`] and [`Item`].
 ///
 /// An enum lists every variant with its tag byte: unit variants, one-field
-/// tuple variants (`Name(binding: "label")`), or struct variants with
-/// labeled fields. It gets [`Tagged`], and [`Field`] and [`Item`], which
-/// write the tag byte before the body.
+/// tuple variants (`Name(binding: "label")` or `Name(binding)`), or struct
+/// variants with labeled or unlabeled fields. It gets [`Tagged`], and
+/// [`Field`] and [`Item`], which write the tag byte before the body; an
+/// unknown tag is [`FieldError::Invalid`] "unknown tag N" in the context
+/// the enum is read in.
 ///
 /// ```
 /// use flm_sim::wire::{Field, Reader, Tagged, Writer};
@@ -545,7 +553,7 @@ impl<A: Field, B: Field> Item for (A, B) {}
 macro_rules! wire_schema {
     (
         struct $ty:ident $([$count:expr => $count_context:expr])? {
-            $($field:ident: $context:expr),* $(,)?
+            $($field:ident $(: $context:expr)?),* $(,)?
         }
         $(check($check:expr))?
     ) => {
@@ -557,13 +565,17 @@ macro_rules! wire_schema {
                 $(w.u32($count);)?
                 $($crate::wire::Field::put(&self.$field, w);)*
             }
+            #[allow(unused_variables)]
             fn get(
                 r: &mut $crate::wire::Reader<'_>,
-                _: &'static str,
+                context: &'static str,
             ) -> Result<Self, $crate::wire::FieldError> {
                 $($crate::wire::expect_count(r, $count, $count_context)?;)?
                 let value = $ty {
-                    $($field: $crate::wire::Field::get(r, $context)?,)*
+                    $($field: $crate::wire::Field::get(
+                        r,
+                        $crate::wire_context!(context $(, $context)?),
+                    )?,)*
                 };
                 $(($check)(&value)?;)?
                 Ok(value)
@@ -574,8 +586,8 @@ macro_rules! wire_schema {
     (
         enum $ty:ident {
             $($variant:ident
-                $(($inner:ident: $inner_context:expr))?
-                $({$($field:ident: $context:expr),* $(,)?})?
+                $(($inner:ident $(: $inner_context:expr)?))?
+                $({$($field:ident $(: $context:expr)?),* $(,)?})?
                 = $tag:expr),* $(,)?
         }
     ) => {
@@ -598,11 +610,18 @@ macro_rules! wire_schema {
             fn get_body(
                 tag: u8,
                 r: &mut $crate::wire::Reader<'_>,
+                context: &'static str,
             ) -> Result<Option<Self>, $crate::wire::FieldError> {
                 $(if tag == $tag {
                     return Ok(Some($ty::$variant
-                        $(($crate::wire::Field::get(r, $inner_context)?))?
-                        $({$($field: $crate::wire::Field::get(r, $context)?),*})?));
+                        $(($crate::wire::Field::get(
+                            r,
+                            $crate::wire_context!(context $(, $inner_context)?),
+                        )?))?
+                        $({$($field: $crate::wire::Field::get(
+                            r,
+                            $crate::wire_context!(context $(, $context)?),
+                        )?),*})?));
                 })*
                 Ok(None)
             }
@@ -620,12 +639,25 @@ macro_rules! wire_schema {
                 context: &'static str,
             ) -> Result<Self, $crate::wire::FieldError> {
                 let tag = $crate::wire::Context::ctx(r.u8(), context)?;
-                <Self as $crate::wire::Tagged>::get_body(tag, r)?.ok_or_else(|| {
+                <Self as $crate::wire::Tagged>::get_body(tag, r, context)?.ok_or_else(|| {
                     $crate::wire::invalid(context, format!("unknown tag {tag}"))
                 })
             }
         }
         impl $crate::wire::Item for $ty {}
+    };
+}
+
+/// A field's own context label when the schema names one, else the
+/// context its container was read in; [`wire_schema!`]'s optional labels.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! wire_context {
+    ($inherited:ident) => {
+        $inherited
+    };
+    ($inherited:ident, $own:expr) => {
+        $own
     };
 }
 
@@ -741,6 +773,16 @@ mod tests {
         }
     }
 
+    /// Unlabeled fields: errors name the context the pair is read in.
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        a: u32,
+        b: Option<u32>,
+    }
+    crate::wire_schema! {
+        struct Pair { a, b }
+    }
+
     fn entry(id: u32) -> Entry {
         Entry {
             id,
@@ -781,10 +823,10 @@ mod tests {
             msg.put_body(&mut body);
             let body = body.finish();
             assert_eq!(body, bytes[1..]);
-            let back = Message::get_body(msg.tag(), &mut Reader::new(&body)).unwrap();
+            let back = Message::get_body(msg.tag(), &mut Reader::new(&body), "msg").unwrap();
             assert_eq!(back, Some(msg));
         }
-        assert_eq!(Message::get_body(3, &mut Reader::new(&[])), Ok(None));
+        assert_eq!(Message::get_body(3, &mut Reader::new(&[]), "msg"), Ok(None));
     }
 
     #[test]
@@ -832,6 +874,15 @@ mod tests {
         assert_eq!(
             decode::<Message>(&[3]),
             Err(invalid("top", "unknown tag 3"))
+        );
+        // Unlabeled fields inherit the context they are read in.
+        assert_eq!(
+            decode::<Pair>(&[0, 0, 0, 1]),
+            Err(FieldError::Corrupt { context: "top" })
+        );
+        assert_eq!(
+            decode::<Pair>(&[0, 0, 0, 1, 2]),
+            Err(invalid("top", "option tag 2"))
         );
     }
 }

@@ -22,7 +22,7 @@ use flm_core::refute;
 use flm_graph::{builders, Graph, NodeId};
 use flm_sim::async_sched::{AsyncRun, AsyncSystem, Strategy};
 use flm_sim::campaign::SchedulerKind;
-use flm_sim::wire::Writer;
+use flm_sim::wire::{Field, Writer};
 use flm_sim::{Input, RunPolicy};
 
 use common::sha256;
@@ -224,7 +224,7 @@ fn run_bytes(run: &AsyncRun) -> Vec<u8> {
         match d {
             Some(d) => {
                 w.u8(1);
-                d.encode(&mut w);
+                d.put(&mut w);
             }
             None => {
                 w.u8(0);
