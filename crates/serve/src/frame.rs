@@ -167,20 +167,7 @@ impl Frame {
             }
             return Err(FrameError::Truncated);
         }
-        if &bytes[..4] != MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        if bytes[4] != VERSION {
-            return Err(FrameError::UnsupportedVersion(bytes[4]));
-        }
-        let kind = bytes[5];
-        let len = u32::from_be_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
-        if len > max_body {
-            return Err(FrameError::Oversize {
-                len: len as u64,
-                max: max_body,
-            });
-        }
+        let (kind, len) = parse_header(&bytes[..HEADER_BYTES], max_body)?;
         let rest = &bytes[HEADER_BYTES..];
         if rest.len() < len {
             return Err(FrameError::Truncated);
@@ -193,6 +180,25 @@ impl Frame {
             HEADER_BYTES + len,
         ))
     }
+}
+
+/// Checks a full header's magic, version and length prefix against
+/// `max_body`, returning the kind byte and the body length.
+fn parse_header(header: &[u8], max_body: usize) -> Result<(u8, usize), FrameError> {
+    if header[..4] != MAGIC[..] {
+        return Err(FrameError::BadMagic);
+    }
+    if header[4] != VERSION {
+        return Err(FrameError::UnsupportedVersion(header[4]));
+    }
+    let len = u32::from_be_bytes([header[6], header[7], header[8], header[9]]) as usize;
+    if len > max_body {
+        return Err(FrameError::Oversize {
+            len: len as u64,
+            max: max_body,
+        });
+    }
+    Ok((header[5], len))
 }
 
 /// Reads one frame from a stream, enforcing the `max_body` cap *before*
@@ -216,21 +222,7 @@ pub fn read_frame(r: &mut impl Read, max_body: usize) -> Result<Frame, FrameRead
             Err(e) => return Err(FrameReadError::Io(e)),
         }
     }
-    if &header[..4] != MAGIC {
-        return Err(FrameError::BadMagic.into());
-    }
-    if header[4] != VERSION {
-        return Err(FrameError::UnsupportedVersion(header[4]).into());
-    }
-    let kind = header[5];
-    let len = u32::from_be_bytes([header[6], header[7], header[8], header[9]]) as usize;
-    if len > max_body {
-        return Err(FrameError::Oversize {
-            len: len as u64,
-            max: max_body,
-        }
-        .into());
-    }
+    let (kind, len) = parse_header(&header, max_body)?;
     // `take` bounds what a hostile peer can make us buffer; `read_to_end`
     // grows the vector only as bytes actually arrive.
     let mut body = Vec::new();
