@@ -180,11 +180,6 @@ impl CertStore {
         })
     }
 
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Looks `key` up: memory first, then disk (verified on load). Returns
     /// the certificate bytes, or `None` on a miss — including any form of
     /// on-disk damage, which is quarantined rather than served.

@@ -194,7 +194,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_ctl` failure.
-    pub fn modify(&self, fd: BorrowedFd<'_>, token: u64, interest: Interest) -> io::Result<()> {
+    fn modify(&self, fd: BorrowedFd<'_>, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(ffi::EPOLL_CTL_MOD, fd, interest.bits(), token)
     }
 

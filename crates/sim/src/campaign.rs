@@ -386,7 +386,7 @@ impl RunSpec {
     /// The seed-deterministic sender set for fault injection on `g`: at
     /// most `min(f, n − 1)` distinct nodes (always leaving at least one
     /// node correct).
-    pub fn senders(&self, g: &Graph) -> BTreeSet<NodeId> {
+    fn senders(&self, g: &Graph) -> BTreeSet<NodeId> {
         let n = g.node_count();
         let want = self.f.min(n.saturating_sub(1));
         let mut senders = BTreeSet::new();

@@ -287,7 +287,7 @@ impl FaultPlan {
     }
 
     /// The injector for node `v`, if any rule names it as sender.
-    pub fn injector(&self, v: NodeId) -> Option<FaultInjector> {
+    fn injector(&self, v: NodeId) -> Option<FaultInjector> {
         let rules: Vec<FaultRule> = self.rules.iter().filter(|r| r.from == v).cloned().collect();
         if rules.is_empty() {
             None

@@ -227,7 +227,7 @@ impl System {
     /// Returns [`SystemError::BadWiring`] unless `wiring` is a bijection
     /// onto the physical neighbors of `v` with the same length as
     /// `base_ports`.
-    pub fn assign_wired(
+    fn assign_wired(
         &mut self,
         v: NodeId,
         mut device: Box<dyn Device>,
