@@ -13,7 +13,7 @@ use flm_core::codec::CertDecodeError;
 use flm_core::{refute, Certificate};
 use flm_graph::{builders, NodeId};
 use flm_protocols::Eig;
-use flm_sim::{Decision, Input};
+use flm_sim::{Decision, DeviceMisbehavior, Input, MisbehaviorKind, Tick};
 
 fn sample() -> (Certificate, Eig) {
     let protocol = Eig::new(1);
@@ -159,6 +159,58 @@ fn out_of_range_nodes_are_rejected_at_decode() {
         Certificate::from_bytes(&bad_decision.to_bytes()),
         Err(CertDecodeError::Invalid { .. })
     ));
+}
+
+/// Returns `bytes` with the byte just before the one occurrence of
+/// `marker`, minus `back` more, replaced by `tag`.
+fn retagged(bytes: &[u8], marker: &[u8], back: usize, tag: u8) -> Vec<u8> {
+    let at = bytes
+        .windows(marker.len())
+        .position(|w| w == marker)
+        .expect("marker present");
+    assert_eq!(
+        bytes.windows(marker.len()).filter(|w| *w == marker).count(),
+        1,
+        "marker is unique"
+    );
+    let mut out = bytes.to_vec();
+    out[at - 1 - back] = tag;
+    out
+}
+
+/// An unknown input or misbehavior-kind tag is a typed error at the chain
+/// link field that holds the value.
+#[test]
+fn unknown_leaf_tags_are_typed_at_their_field() {
+    let (mut cert, _) = sample();
+    let marker = 0x0123_4567_89AB_CDEFu64;
+    cert.chain[0].inputs[0] = Input::Real(f64::from_bits(marker));
+    let bytes = retagged(&cert.to_bytes(), &marker.to_be_bytes(), 0, 7);
+    let err = Certificate::from_bytes(&bytes).unwrap_err();
+    assert_eq!(
+        err,
+        CertDecodeError::Invalid {
+            context: "link.inputs",
+            reason: "unknown tag 7".into()
+        }
+    );
+
+    let (mut cert, _) = sample();
+    cert.chain[0].misbehavior.push(DeviceMisbehavior {
+        node: NodeId(0),
+        tick: Tick(0),
+        kind: MisbehaviorKind::Panic("unknown-kind-marker".into()),
+    });
+    // The kind tag sits before the message's 4-byte length prefix.
+    let bytes = retagged(&cert.to_bytes(), b"unknown-kind-marker", 4, 9);
+    let err = Certificate::from_bytes(&bytes).unwrap_err();
+    assert_eq!(
+        err,
+        CertDecodeError::Invalid {
+            context: "link.misbehavior",
+            reason: "unknown tag 9".into()
+        }
+    );
 }
 
 /// A node assigned both as correct and masquerading is caught by the
