@@ -8,11 +8,12 @@
 # `run_reference` oracle), the graph suite (its minimum-cut oracle), the
 # protocol unit tests (EIG's rank and digest among them), the EIG lockstep
 # oracle, the refuter certificate-byte pins, the hostile-certificate
-# corpus, the RPC frame pins with the hostile-frame and wire-codec fuzz
-# suites, the certificate-audit and campaign suites, the run-cache and
-# cross-thread determinism suites, and the asynchronous scheduler's
-# determinism suite and byte pins — for a quick pre-push signal; the
-# default (full) mode is the gate that counts.
+# corpus, the RPC frame, query key and shard map pins with the hostile-frame
+# and wire-codec fuzz suites, the flm-serve unit tests, the
+# certificate-audit and campaign suites, the run-cache and cross-thread
+# determinism suites, and the asynchronous scheduler's determinism suite
+# and byte pins — for a quick pre-push signal; the default (full) mode is
+# the gate that counts.
 #
 # `--bench-gate` re-measures every labeled speedup ratio and compares it
 # against the committed BENCH_*.json snapshots: any ratio that lands below
@@ -253,9 +254,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo test --test refuter_bytes --quiet
     echo "==> smoke: hostile certificates (decoder and verify, fault budget)"
     cargo test --test hostile_certificates --quiet
-    echo "==> smoke: RPC frame pins, hostile frames, and the wire codec fuzz"
+    echo "==> smoke: RPC frame, query key and shard map pins, hostile frames, and the wire codec fuzz"
     cargo test --test rpc_bytes --quiet
     cargo test -p flm-serve --test frame_fuzz --quiet
+    echo "==> smoke: flm-serve unit tests (frame header, shard map, routing key)"
+    cargo test -p flm-serve --lib --quiet
     cargo test -p flm-sim --test wire_fuzz --quiet
     echo "==> smoke: certificate audit and campaign probes (both run links through run_link)"
     cargo test --test certificate_audit --quiet
