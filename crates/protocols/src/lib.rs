@@ -33,6 +33,10 @@
 //!   OR of its neighborhood once every neighbor has been heard, so it
 //!   terminates under every fair schedule but hangs forever when the
 //!   scheduling adversary starves one node.
+//!
+//! Message payloads and snapshots are written by hand with
+//! [`flm_sim::wire::Writer`], not declared with [`flm_sim::wire_schema!`]:
+//! their bytes sit inside every pinned certificate's masquerade traces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
