@@ -1,9 +1,12 @@
 //! The chaos-campaign driver: sweep, probe, shrink, emit.
 //!
 //! A campaign takes a [`CampaignConfig`] (see [`flm_sim::campaign`] for the
-//! sweep grammar), probes every cell of the protocol × topology ×
-//! fault-plan cross-product in parallel, and turns what it finds into two
-//! artifacts:
+//! sweep grammar) and runs one pool pass over the cells of the protocol ×
+//! topology × fault-plan × scheduler cross-product: each job probes one
+//! cell and, when the probe finds a violation, shrinks it in the same job.
+//! Long shrinks (the async-fair cells on the big covering rings) thus
+//! overlap the other cells' probes instead of waiting for a probe barrier.
+//! What the pass finds becomes two artifacts:
 //!
 //! * **certificates** — every violation is shrunk by greedy delta-debugging
 //!   ([`flm_core::shrink`]) and emitted as a portable `FLMC` file that
@@ -38,7 +41,9 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use flm_core::certificate::{run_link, Certificate, ChainLink, LinkError, Theorem, Violation};
+use flm_core::certificate::{
+    run_link, Certificate, ChainLink, Condition, LinkError, Theorem, Violation,
+};
 use flm_core::problems;
 use flm_core::refute::AsyncCertificate;
 use flm_core::shrink;
@@ -201,10 +206,7 @@ pub fn shrink_async_violation(
         async_shrink_candidates,
         |cand| {
             let cert = probe_async(protocol, cand, policy).ok()??;
-            if cert.condition != original {
-                return None;
-            }
-            Some(cert)
+            (cert.condition == original).then_some(cert)
         },
         MAX_SHRINK_ATTEMPTS,
     )
@@ -463,7 +465,12 @@ fn shrink_candidates(s: &Scenario) -> Vec<(Scenario, ScenarioDims)> {
 }
 
 /// Shrinks a violating scenario to a local minimum that still refutes the
-/// *same condition* through the full verify path.
+/// *same condition*. Each candidate goes through [`probe`], whose
+/// self-check runs [`Certificate::verify`] once; the shrinker then only
+/// compares the condition. Without that comparison, shrinking a horizon
+/// would degenerate every violation into a trivial termination failure
+/// ("nobody decided in 1 tick") — smaller, but a different and far weaker
+/// counterexample.
 pub fn shrink_violation(
     problem: ProblemKind,
     protocol: &dyn Protocol,
@@ -481,8 +488,7 @@ pub fn shrink_violation(
         shrink_candidates,
         |cand| {
             let cert = probe(problem, protocol, cand, f, policy).ok()??;
-            shrink::reverify_same_condition(&cert, protocol, original).ok()?;
-            Some(cert)
+            (cert.violation.condition == original).then_some(cert)
         },
         MAX_SHRINK_ATTEMPTS,
     )
@@ -500,114 +506,35 @@ pub struct CampaignOutcome {
     pub certs: Vec<(String, Vec<u8>)>,
 }
 
-enum ProbeResult {
+/// One spec's job: clean, an incident, or a shrunk violation's report
+/// record with its certificate bytes.
+enum SpecResult {
     Clean,
-    Violation(Box<(Scenario, Certificate)>),
-    AsyncViolation(Box<(AsyncScenario, AsyncCertificate)>),
     Incident(Incident),
+    Violation(Box<ViolationRecord>, Vec<u8>),
 }
 
-/// Runs the full campaign: probe every spec in parallel (input-ordered,
-/// so parallelism never perturbs the output), shrink every violation,
-/// emit certificates and the report.
+/// Runs the full campaign in one pool pass: each job probes one spec and,
+/// when the probe finds a violation, shrinks it right away with
+/// [`shrink_violation`] or [`shrink_async_violation`]. The pool returns
+/// results in input order, so parallelism never perturbs the report or the
+/// certificates.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignOutcome {
     let specs = config.specs();
     let runs = specs.len();
-    let results: Vec<(RunSpec, ProbeResult)> = flm_par::par_map(specs, |spec| {
-        let result = probe_spec(&spec, config);
-        (spec, result)
-    });
-
     let mut incidents = Vec::new();
-    let mut found: Vec<(RunSpec, Scenario, Certificate)> = Vec::new();
-    let mut found_async: Vec<(RunSpec, AsyncScenario, AsyncCertificate)> = Vec::new();
-    for (spec, result) in results {
+    let mut violations = Vec::new();
+    let mut certs = Vec::new();
+    for result in flm_par::par_map(specs, |spec| run_spec(&spec, config)) {
         match result {
-            ProbeResult::Clean => {}
-            ProbeResult::Incident(incident) => incidents.push(incident),
-            ProbeResult::Violation(boxed) => {
-                let (scenario, cert) = *boxed;
-                found.push((spec, scenario, cert));
-            }
-            ProbeResult::AsyncViolation(boxed) => {
-                let (scenario, cert) = *boxed;
-                found_async.push((spec, scenario, cert));
+            SpecResult::Clean => {}
+            SpecResult::Incident(incident) => incidents.push(incident),
+            SpecResult::Violation(record, bytes) => {
+                certs.push((record.cert_file.clone(), bytes));
+                violations.push(*record);
             }
         }
     }
-
-    let shrunk: Vec<Option<(RunSpec, Scenario, shrink::ShrinkOutcome<Scenario>)>> =
-        flm_par::par_map(found, |(spec, scenario, cert)| {
-            let protocol = match flm_protocols::resolve(&spec.protocol) {
-                Ok(p) => p,
-                Err(_) => return None,
-            };
-            let original = scenario.clone();
-            let outcome = shrink_violation(
-                spec.problem,
-                &*protocol,
-                scenario,
-                cert,
-                spec.f,
-                &config.policy,
-            );
-            Some((spec, original, outcome))
-        });
-    type ShrunkAsync = (
-        RunSpec,
-        AsyncScenario,
-        shrink::ShrinkOutcome<AsyncScenario, AsyncCertificate>,
-    );
-    let shrunk_async: Vec<Option<ShrunkAsync>> =
-        flm_par::par_map(found_async, |(spec, scenario, cert)| {
-            let protocol = match flm_protocols::resolve(&spec.protocol) {
-                Ok(p) => p,
-                Err(_) => return None,
-            };
-            let original = scenario.clone();
-            let outcome = shrink_async_violation(&*protocol, scenario, cert, &config.policy);
-            Some((spec, original, outcome))
-        });
-
-    let mut violations = Vec::new();
-    let mut certs = Vec::new();
-    for (spec, original, outcome) in shrunk.into_iter().flatten() {
-        let cert_file = format!("c{:03}-{}.flmc", spec.index, spec.problem.name());
-        violations.push(ViolationRecord {
-            spec: spec.index,
-            problem: spec.problem.name().into(),
-            protocol: spec.protocol.clone(),
-            graph: original.family.name(),
-            scheduler: spec.scheduler.name().into(),
-            condition: outcome.certificate.violation.condition.to_string(),
-            original: original.dims(),
-            shrunk: outcome.dims,
-            shrink_attempts: outcome.attempts,
-            shrink_accepted: outcome.accepted,
-            cert_file: cert_file.clone(),
-        });
-        certs.push((cert_file, outcome.certificate.to_bytes()));
-    }
-    for (spec, original, outcome) in shrunk_async.into_iter().flatten() {
-        let cert_file = format!("c{:03}-flp-async.flmc", spec.index);
-        violations.push(ViolationRecord {
-            spec: spec.index,
-            problem: spec.problem.name().into(),
-            protocol: spec.protocol.clone(),
-            graph: original.family.name(),
-            scheduler: spec.scheduler.name().into(),
-            condition: outcome.certificate.condition.to_string(),
-            original: original.dims(),
-            shrunk: outcome.dims,
-            shrink_attempts: outcome.attempts,
-            shrink_accepted: outcome.accepted,
-            cert_file: cert_file.clone(),
-        });
-        certs.push((cert_file, outcome.certificate.to_bytes()));
-    }
-    // Interleaved probes finish in input order per pass; merging the two
-    // passes by spec index keeps the report and file list deterministic.
-    violations.sort_by_key(|v| v.spec);
     certs.sort();
 
     CampaignOutcome {
@@ -625,10 +552,11 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignOutcome {
     }
 }
 
-/// Probes one spec end to end, folding every failure into an incident.
-fn probe_spec(spec: &RunSpec, config: &CampaignConfig) -> ProbeResult {
+/// Probes one spec end to end and shrinks a violation in the same job, on
+/// either scheduler axis; every failure folds into an incident.
+fn run_spec(spec: &RunSpec, config: &CampaignConfig) -> SpecResult {
     let incident = |stage: &str, detail: String| {
-        ProbeResult::Incident(Incident {
+        SpecResult::Incident(Incident {
             spec: spec.index,
             stage: stage.into(),
             detail,
@@ -638,16 +566,24 @@ fn probe_spec(spec: &RunSpec, config: &CampaignConfig) -> ProbeResult {
         Ok(p) => p,
         Err(e) => return incident("resolve", e.to_string()),
     };
+    let policy = &config.policy;
     if spec.scheduler != SchedulerKind::Sync {
         let scenario = AsyncScenario {
             family: spec.graph,
             graph_seed: spec.graph_seed,
             scheduler: spec.scheduler,
-            budget: config.policy.max_ticks.max(1),
+            budget: policy.max_ticks.max(1),
         };
-        return match probe_async(&*protocol, &scenario, &config.policy) {
-            Ok(Some(cert)) => ProbeResult::AsyncViolation(Box::new((scenario, cert))),
-            Ok(None) => ProbeResult::Clean,
+        return match probe_async(&*protocol, &scenario, policy) {
+            Ok(Some(cert)) => {
+                let original = scenario.dims();
+                let outcome = shrink_async_violation(&*protocol, scenario, cert, policy);
+                let file = format!("c{:03}-flp-async.flmc", spec.index);
+                let condition = outcome.certificate.condition;
+                let bytes = outcome.certificate.to_bytes();
+                shrunk(spec, original, &outcome, condition, file, bytes)
+            }
+            Ok(None) => SpecResult::Clean,
             Err((stage, detail)) => incident(&stage, detail),
         };
     }
@@ -655,20 +591,51 @@ fn probe_spec(spec: &RunSpec, config: &CampaignConfig) -> ProbeResult {
         Ok(g) => g,
         Err(e) => return incident("build", e.to_string()),
     };
-    let horizon = protocol
-        .horizon(&g)
-        .clamp(1, config.policy.max_ticks.max(1));
+    let horizon = protocol.horizon(&g).clamp(1, policy.max_ticks.max(1));
     let scenario = Scenario {
         family: spec.graph,
         graph_seed: spec.graph_seed,
         plan: spec.plan(&g, horizon),
         horizon,
     };
-    match probe(spec.problem, &*protocol, &scenario, spec.f, &config.policy) {
-        Ok(Some(cert)) => ProbeResult::Violation(Box::new((scenario, cert))),
-        Ok(None) => ProbeResult::Clean,
+    match probe(spec.problem, &*protocol, &scenario, spec.f, policy) {
+        Ok(Some(cert)) => {
+            let original = scenario.dims();
+            let outcome =
+                shrink_violation(spec.problem, &*protocol, scenario, cert, spec.f, policy);
+            let file = format!("c{:03}-{}.flmc", spec.index, spec.problem.name());
+            let condition = outcome.certificate.violation.condition;
+            let bytes = outcome.certificate.to_bytes();
+            shrunk(spec, original, &outcome, condition, file, bytes)
+        }
+        Ok(None) => SpecResult::Clean,
         Err((stage, detail)) => incident(&stage, detail),
     }
+}
+
+/// A shrunk violation's report record, filed with its certificate bytes.
+fn shrunk<S, C>(
+    spec: &RunSpec,
+    original: ScenarioDims,
+    outcome: &shrink::ShrinkOutcome<S, C>,
+    condition: Condition,
+    cert_file: String,
+    bytes: Vec<u8>,
+) -> SpecResult {
+    let record = ViolationRecord {
+        spec: spec.index,
+        problem: spec.problem.name().into(),
+        protocol: spec.protocol.clone(),
+        graph: spec.graph.name(),
+        scheduler: spec.scheduler.name().into(),
+        condition: condition.to_string(),
+        original,
+        shrunk: outcome.dims,
+        shrink_attempts: outcome.attempts,
+        shrink_accepted: outcome.accepted,
+        cert_file,
+    };
+    SpecResult::Violation(Box::new(record), bytes)
 }
 
 /// The fixed smoke campaign `check.sh --campaign-smoke` and the

@@ -5,7 +5,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use flm_bench::campaign::{probe, run_campaign, smoke_config, write_campaign, Scenario};
+use flm_bench::campaign::{
+    probe, run_campaign, smoke_config, with_schedulers, write_campaign, Scenario,
+};
 use flm_graph::{Graph, NodeId};
 use flm_serve::audit::{audit_bytes, EXIT_VERIFIED};
 use flm_sim::campaign::SchedulerKind;
@@ -134,6 +136,34 @@ fn uncached_campaign_writes_the_same_files_as_a_cached_one() {
         "uncached campaign files differ from the cached run's"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The campaign runs one pool pass in which sync and async probe-and-shrink
+/// jobs finish in any order; on every scheduler axis it still returns the
+/// same report and certificates, byte for byte, as the inline run.
+#[test]
+fn pooled_campaign_matches_sequential_on_every_scheduler_axis() {
+    let config = with_schedulers(
+        smoke_config(0xF1A),
+        vec![
+            SchedulerKind::Sync,
+            SchedulerKind::AsyncFair,
+            SchedulerKind::AsyncAdversarial,
+        ],
+    );
+    let pooled = run_campaign(&config);
+    let sequential = flm_par::sequential(|| run_campaign(&config));
+    for axis in ["sync", "async-fair", "async-adversarial"] {
+        assert!(
+            pooled.report.violations.iter().any(|v| v.scheduler == axis),
+            "the {axis} axis found no violation"
+        );
+    }
+    assert_eq!(pooled.report.to_json(), sequential.report.to_json());
+    assert!(
+        pooled.certs == sequential.certs,
+        "pooled certificates differ from the sequential run's"
+    );
 }
 
 /// A registry protocol under its own name that counts the devices it

@@ -21,7 +21,7 @@ use flm_graph::covering::quotient;
 use flm_graph::{Graph, NodeId};
 use flm_sim::clock::{ClockAction, ClockDevice, ClockEvent};
 use flm_sim::device::Payload;
-use flm_sim::wire::{Reader, Writer};
+use flm_sim::wire::{Field, Reader, Writer};
 use flm_sim::ClockProtocol;
 
 use crate::problems::ClockSyncClaim;
@@ -108,6 +108,18 @@ enum PendingTimer {
     Member { mi: usize, id: u32 },
 }
 
+/// A cross-class message on an outer link: the base-graph sender and
+/// receiver, then the member's payload.
+struct Cross {
+    src: NodeId,
+    dst: NodeId,
+    body: Payload,
+}
+
+flm_sim::wire_schema! {
+    struct Cross { src, dst, body }
+}
+
 /// One collapsed clock node: a whole class simulated against one clock.
 struct CollapsedClockDevice {
     base: Graph,
@@ -144,20 +156,6 @@ impl CollapsedClockDevice {
             pending: Vec::new(),
             port_class: Vec::new(),
         }
-    }
-
-    fn encode_cross(src: NodeId, dst: NodeId, payload: &[u8]) -> Payload {
-        let mut w = Writer::new();
-        w.u32(src.0).u32(dst.0).bytes(payload);
-        w.finish().into()
-    }
-
-    fn decode_cross(payload: &[u8]) -> Option<(NodeId, NodeId, Payload)> {
-        let mut r = Reader::new(payload);
-        let src = r.u32().ok()?;
-        let dst = r.u32().ok()?;
-        let body = r.bytes().ok()?;
-        Some((NodeId(src), NodeId(dst), body.into()))
     }
 
     /// Routes one member's actions: intra-class sends become delayed
@@ -225,10 +223,16 @@ impl CollapsedClockDevice {
                 .iter()
                 .position(|&c| c == dst_class)
                 .expect("cross-class base edges project to quotient edges by construction");
-            let sender = self.members[mi];
+            let mut w = Writer::new();
+            Cross {
+                src: self.members[mi],
+                dst,
+                body: payload,
+            }
+            .put(&mut w);
             vec![ClockAction::Send {
                 port: outer_port,
-                payload: Self::encode_cross(sender, dst, &payload),
+                payload: w.finish().into(),
             }]
         }
     }
@@ -283,7 +287,9 @@ impl ClockDevice for CollapsedClockDevice {
                 out
             }
             ClockEvent::Message { port: _, payload } => {
-                let Some((src, dst, body)) = Self::decode_cross(&payload) else {
+                let Ok(Cross { src, dst, body }) =
+                    Cross::get(&mut Reader::new(&payload), "cross-class message")
+                else {
                     return Vec::new(); // Byzantine garbage from outside
                 };
                 if src.index() >= self.base.node_count()

@@ -13,9 +13,8 @@
 //! the attempt budget bounds total work. Same inputs, same minimum.
 
 use flm_sim::campaign::ScenarioDims;
-use flm_sim::Protocol;
 
-use crate::certificate::{Certificate, Condition};
+use crate::certificate::Certificate;
 
 /// True when `a` is no larger than `b` in every dimension and strictly
 /// smaller in at least one — the shrinker's acceptance partial order.
@@ -24,30 +23,6 @@ fn strictly_smaller(a: &ScenarioDims, b: &ScenarioDims) -> bool {
         && a.rules <= b.rules
         && a.horizon <= b.horizon
         && (a.nodes < b.nodes || a.rules < b.rules || a.horizon < b.horizon)
-}
-
-/// The re-verification hook the shrinker's probes funnel through: the
-/// candidate certificate must pass [`Certificate::verify`] *and* refute
-/// the same condition kind as the original. Without the second check,
-/// shrinking a horizon would degenerate every violation into a trivial
-/// termination failure ("nobody decided in 1 tick") — smaller, but a
-/// different and far weaker counterexample.
-///
-/// # Errors
-///
-/// Returns the rejection reason: a verify failure or a condition drift.
-pub fn reverify_same_condition(
-    cert: &Certificate,
-    protocol: &dyn Protocol,
-    original: Condition,
-) -> Result<(), String> {
-    if cert.violation.condition != original {
-        return Err(format!(
-            "condition drifted: {} became {}",
-            original, cert.violation.condition
-        ));
-    }
-    cert.verify(protocol).map_err(|e| e.to_string())
 }
 
 /// The result of a shrink run: the smallest scenario that still refutes,
@@ -75,8 +50,9 @@ pub struct ShrinkOutcome<S, C = Certificate> {
 /// or `max_attempts` probes have run.
 ///
 /// `probe`'s contract: return `Some(certificate)` only when the candidate
-/// still refutes — verified end to end and for the same condition (see
-/// [`reverify_same_condition`]). Candidates not strictly smaller than the
+/// still refutes — verified end to end, and for the same condition as the
+/// original, so a shorter horizon cannot trade the violation for a vacuous
+/// termination failure. Candidates not strictly smaller than the
 /// current best (no larger in any dimension, smaller in one) are skipped
 /// without spending an attempt, so generators may over-produce.
 pub fn greedy<S: Clone, C>(
@@ -119,7 +95,7 @@ pub fn greedy<S: Clone, C>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certificate::{Theorem, Violation};
+    use crate::certificate::{Condition, Theorem, Violation};
     use flm_graph::builders;
     use flm_sim::RunPolicy;
 
@@ -196,30 +172,5 @@ mod tests {
         );
         assert_eq!(outcome.attempts, 5);
         assert_eq!(outcome.scenario, 995);
-    }
-
-    #[test]
-    fn reverify_rejects_condition_drift() {
-        // A certificate whose condition differs from the original must be
-        // rejected before any replay happens.
-        let cert = dummy_cert();
-        struct Dummy;
-        impl Protocol for Dummy {
-            fn name(&self) -> String {
-                "Dummy".into()
-            }
-            fn device(
-                &self,
-                _g: &flm_graph::Graph,
-                _v: flm_graph::NodeId,
-            ) -> Box<dyn flm_sim::Device> {
-                Box::new(flm_sim::devices::NaiveMajorityDevice::new())
-            }
-            fn horizon(&self, _g: &flm_graph::Graph) -> u32 {
-                3
-            }
-        }
-        let err = reverify_same_condition(&cert, &Dummy, Condition::Validity).unwrap_err();
-        assert!(err.contains("drifted"), "{err}");
     }
 }

@@ -1,13 +1,13 @@
 //! A dependency-free scoped worker pool for the FLM workspace.
 //!
 //! Its consumers are sweeps of many independent jobs: the chaos campaign's
-//! probe, shrink and audit sweeps, `flm_prop::cases_par`, and the test
-//! matrices over (protocol, fault, strategy) combinations. The library
-//! crates do not use it: one refutation runs on its caller's thread,
-//! because spreading a single chain across the pool measured no faster end
-//! to end. The workspace is deliberately offline (no rayon), so this crate
-//! provides the one primitive those consumers need: [`par_map`] over
-//! [`std::thread::scope`].
+//! single pass (each job probes one cell and shrinks its violation),
+//! `flm_prop::cases_par`, and the test matrices over (protocol, fault,
+//! strategy) combinations. The library crates do not use it: one
+//! refutation runs on its caller's thread, because spreading a single
+//! chain across the pool measured no faster end to end. The workspace is
+//! deliberately offline (no rayon), so this crate provides the one
+//! primitive those consumers need: [`par_map`] over [`std::thread::scope`].
 //!
 //! # Determinism contract
 //!

@@ -50,7 +50,9 @@ pub enum ClockEvent {
 }
 
 impl ClockEvent {
-    /// Canonical encoding for behavior logs.
+    /// Canonical encoding for behavior logs. Write-only and hand-written
+    /// (DESIGN §6c): the port travels as a `u32`, where a `usize` schema
+    /// field would write a `u64`.
     fn encode(&self) -> Vec<u8> {
         use crate::wire::Writer;
         let mut w = Writer::new();
@@ -59,7 +61,9 @@ impl ClockEvent {
                 w.u8(0);
             }
             ClockEvent::Message { port, payload } => {
-                w.u8(1).u32(*port as u32).bytes(payload);
+                let port =
+                    u32::try_from(*port).expect("a port indexes a neighbor of a u32 node id");
+                w.u8(1).u32(port).bytes(payload);
             }
             ClockEvent::Timer { id } => {
                 w.u8(2).u32(*id);

@@ -35,8 +35,9 @@
 # again once the backend heals.
 #
 # `--campaign-smoke` runs a tiny fixed-seed chaos campaign end to end:
-# `regen --campaign --scale smoke` sweeps the protocol zoo across graph
-# families, shrinks every violation, and writes certificates plus a report;
+# `regen --campaign --scale smoke --scheduler sync,async-fair` sweeps the
+# protocol zoo across graph families on both scheduler axes, shrinks every
+# violation, and writes certificates plus a report;
 # `flm-audit --batch` must accept the whole directory (exit 0), and a second
 # run with the same seed must reproduce the certificates byte-for-byte.
 set -euo pipefail
@@ -295,16 +296,16 @@ if [[ "${1:-}" == "--campaign-smoke" ]]; then
     cargo build --release -p flm-bench -p flm-serve
     tmpdir="$(mktemp -d)"
     trap 'rm -rf "$tmpdir"' EXIT
-    echo "==> campaign smoke: regen --campaign (seed 0xF1A, smoke scale)"
+    echo "==> campaign smoke: regen --campaign (seed 0xF1A, smoke scale, sync + async-fair)"
     ./target/release/regen --campaign --seed 0xF1A --scale smoke \
-        --out-dir "$tmpdir/run1"
+        --scheduler sync,async-fair --out-dir "$tmpdir/run1"
     ls "$tmpdir"/run1/*.flmc > /dev/null || {
         echo "campaign produced no certificates"; exit 1; }
     echo "==> campaign smoke: flm-audit --batch"
     ./target/release/flm-audit --batch "$tmpdir/run1"
     echo "==> campaign smoke: same seed reproduces byte-identically"
     ./target/release/regen --campaign --seed 0xF1A --scale smoke \
-        --out-dir "$tmpdir/run2" 2>/dev/null
+        --scheduler sync,async-fair --out-dir "$tmpdir/run2" 2>/dev/null
     diff -r "$tmpdir/run1" "$tmpdir/run2" > /dev/null || {
         echo "campaign is not reproducible: run1 and run2 differ"; exit 1; }
     echo "Campaign smoke passed."
