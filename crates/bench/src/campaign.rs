@@ -578,10 +578,9 @@ fn run_spec(spec: &RunSpec, config: &CampaignConfig) -> SpecResult {
             Ok(Some(cert)) => {
                 let original = scenario.dims();
                 let outcome = shrink_async_violation(&*protocol, scenario, cert, policy);
-                let file = format!("c{:03}-flp-async.flmc", spec.index);
                 let condition = outcome.certificate.condition;
                 let bytes = outcome.certificate.to_bytes();
-                shrunk(spec, original, &outcome, condition, file, bytes)
+                shrunk(spec, original, &outcome, condition, "flp-async", bytes)
             }
             Ok(None) => SpecResult::Clean,
             Err((stage, detail)) => incident(&stage, detail),
@@ -603,23 +602,24 @@ fn run_spec(spec: &RunSpec, config: &CampaignConfig) -> SpecResult {
             let original = scenario.dims();
             let outcome =
                 shrink_violation(spec.problem, &*protocol, scenario, cert, spec.f, policy);
-            let file = format!("c{:03}-{}.flmc", spec.index, spec.problem.name());
             let condition = outcome.certificate.violation.condition;
             let bytes = outcome.certificate.to_bytes();
-            shrunk(spec, original, &outcome, condition, file, bytes)
+            let kind = spec.problem.name();
+            shrunk(spec, original, &outcome, condition, kind, bytes)
         }
         Ok(None) => SpecResult::Clean,
         Err((stage, detail)) => incident(&stage, detail),
     }
 }
 
-/// A shrunk violation's report record, filed with its certificate bytes.
+/// A shrunk violation's report record, filed with its certificate bytes
+/// under `c{spec index}-{kind}.flmc`.
 fn shrunk<S, C>(
     spec: &RunSpec,
     original: ScenarioDims,
     outcome: &shrink::ShrinkOutcome<S, C>,
     condition: Condition,
-    cert_file: String,
+    kind: &str,
     bytes: Vec<u8>,
 ) -> SpecResult {
     let record = ViolationRecord {
@@ -633,7 +633,7 @@ fn shrunk<S, C>(
         shrunk: outcome.dims,
         shrink_attempts: outcome.attempts,
         shrink_accepted: outcome.accepted,
-        cert_file,
+        cert_file: format!("c{:03}-{kind}.flmc", spec.index),
     };
     SpecResult::Violation(Box::new(record), bytes)
 }
